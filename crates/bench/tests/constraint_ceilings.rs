@@ -3,13 +3,17 @@
 //!
 //! The ceilings live in `BENCH_constraint_ceilings.json` beside
 //! `BENCH_compaction.json`: the pruned constraint count of the E13 8×8
-//! tiled array and of the E23 megachip flat lattice at 10⁵ boxes. Both
+//! tiled array and of the E23 megachip flat lattice at 10⁵ boxes, and
+//! the candidate pairs the hierarchical cell pass enumerates on the
+//! E23 megachip walk at 10⁵ boxes and on the 16×16 multiplier chip. All
 //! workloads are deterministic, so the recorded values are exact — any
-//! increase means a generator or prune regression and fails CI (wired
-//! into ci.yml next to the megachip smoke). Run with
+//! increase means a generator, prune, or enumeration regression and
+//! fails CI (wired into ci.yml next to the megachip smoke). Run with
 //! `cargo test --release -p rsg-bench --test constraint_ceilings`.
 
-use rsg_bench::megachip_flat;
+use rsg_bench::{megachip_flat, megachip_hier};
+use rsg_compact::backend::BellmanFord;
+use rsg_compact::hier::{compact_hierarchy, ChipLayout, HierOptions};
 use rsg_compact::par::Parallelism;
 use rsg_compact::scanline::{generate_with, Method, Prune};
 use rsg_geom::{Axis, Rect, Vector};
@@ -91,5 +95,56 @@ fn megachip_flat_100k_stays_under_recorded_ceiling() {
         count <= ceiling,
         "megachip flat (n = {}) pruned constraint count regressed: {count} > recorded ceiling {ceiling}",
         boxes.len()
+    );
+}
+
+/// Candidate pairs the hierarchical cell pass enumerated, summed over
+/// every compacted cell and axis sweep of a walk.
+fn walk_candidates(chip: &ChipLayout) -> usize {
+    chip.cells
+        .iter()
+        .flat_map(|(_, o)| &o.report.sweeps)
+        .map(|s| s.candidates)
+        .sum()
+}
+
+#[test]
+fn megachip_hier_100k_candidates_stay_under_recorded_ceiling() {
+    let rules = &Technology::mead_conway(2).rules;
+    let chip = megachip_hier(100_000).expect("generates");
+    let out = compact_hierarchy(
+        &chip.table,
+        chip.top,
+        rules,
+        &BellmanFord::SORTED,
+        &HierOptions::default(),
+    )
+    .expect("compacts");
+    let count = walk_candidates(&out);
+    let ceiling = ceiling("megachip_hier_100k_candidates");
+    assert!(
+        count <= ceiling,
+        "megachip hier walk (n = {}) candidate count regressed: {count} > recorded ceiling {ceiling}",
+        chip.boxes
+    );
+}
+
+#[test]
+fn multiplier_16x16_candidates_stay_under_recorded_ceiling() {
+    let rules = &Technology::mead_conway(2).rules;
+    let mult = rsg_mult::generator::generate(16, 16).expect("generates");
+    let out = rsg_mult::compactor::compact_chip(
+        mult.rsg.cells(),
+        mult.top,
+        rules,
+        &BellmanFord::SORTED,
+        Parallelism::Serial,
+    )
+    .expect("compacts");
+    let count = walk_candidates(&out.chip);
+    let ceiling = ceiling("multiplier_16x16_candidates");
+    assert!(
+        count <= ceiling,
+        "16x16 multiplier chip candidate count regressed: {count} > recorded ceiling {ceiling}"
     );
 }

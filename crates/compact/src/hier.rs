@@ -41,9 +41,9 @@ use crate::backend::{SolveError, Solver};
 use crate::fault::{injected_exhaustion, FaultSite, InjectedFault};
 use crate::limits::{Exhausted, Limits};
 use crate::par::{par_map, Parallelism};
-use crate::scanline::VisibilityCursor;
-use crate::scratch::SweepScratch;
-use rsg_geom::{Axis, BoundingBox, Isometry, Orientation, Point, Rect, Vector};
+use crate::scanline::{spacing_candidates, VisibilityCursor};
+use crate::scratch::{ScanScratch, SweepScratch};
+use rsg_geom::{Axis, BoundingBox, GeomIndex, Isometry, Orientation, Point, Rect, Vector};
 use rsg_layout::hash::{mix, ContentHasher};
 use rsg_layout::{
     flatten, CellDefinition, CellId, CellTable, DesignRules, Layer, LayoutError, LayoutObject,
@@ -386,7 +386,7 @@ pub(crate) struct ReuseCounters {
 /// `BTreeMap` keeps iteration (and thus constraint emission into the
 /// solver) in sorted pair order no matter which entries were copied from
 /// a previous run and which were recomputed.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Emission {
     /// Ordered cluster pair → strongest required separation.
     pub weights: BTreeMap<(usize, usize), i64>,
@@ -720,6 +720,11 @@ pub struct HierSweepStats {
     pub clusters: usize,
     /// Abstract boxes fed to the visibility kernel.
     pub abstract_boxes: usize,
+    /// Candidate pairs the kernel's index walks produced (frame, weld,
+    /// and spacing candidates). Counted before any cross-run reuse, so
+    /// cold, session, and memoized runs report the same number — a
+    /// deterministic measure of enumeration work.
+    pub candidates: usize,
     /// Difference constraints generated (spacing + frames + pins).
     pub constraints: usize,
     /// Pitch-fixpoint rounds until the class pitches stabilized.
@@ -890,6 +895,7 @@ struct PitchClassDef {
 /// A rigid cluster: items whose bodies overlap with positive area in the
 /// input (crosspoint masks over their squares, personality masks over the
 /// basic cell) move as one unit.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Cluster {
     members: Vec<usize>,
     /// Member with the largest body — the cluster's identity and origin.
@@ -1095,56 +1101,116 @@ pub(crate) fn compact_cell_with(
 /// area. Background-layer overlap alone does **not** fuse — compacted
 /// neighbours legitimately interpenetrate their wells, and fusing them
 /// would freeze the assembly solid on a recompaction pass.
+///
+/// Both tests imply that the two bodies touch (material lies inside the
+/// body), so the candidates are the touching body pairs from a one-label
+/// [`GeomIndex`] walk. They are merged in ascending `(i, j)` order —
+/// the order of an all-pairs loop — so the union sequence, and with it
+/// every root and cluster index, depends only on the placement.
 fn rigid_clusters(items: &[Item], shapes: &[Arc<CellAbstract>]) -> Vec<Cluster> {
-    let bbox =
-        |i: usize| -> Option<Rect> { shapes[items[i].shape].bbox().map(|r| at(r, items[i].pos)) };
-    let mat = |i: usize| -> Option<Rect> {
-        shapes[items[i].shape]
-            .material()
-            .map(|r| at(r, items[i].pos))
-    };
+    let bodies = Bodies::new(items, shapes);
+    let (index, ids) = present_index(&bodies.bbox, Axis::X);
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for k in 0..index.len() {
+        for k2 in index.touching_after(k) {
+            let (i, j) = (ids[k], ids[k2]);
+            pairs.push((i.min(j), i.max(j)));
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
     let mut parent: Vec<usize> = (0..items.len()).collect();
-    fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-        if parent[i] != i {
-            let r = find(parent, parent[i]);
-            parent[i] = r;
-        }
-        parent[i]
-    }
-    for i in 0..items.len() {
-        let Some(bi) = bbox(i) else { continue };
-        for j in i + 1..items.len() {
-            let Some(bj) = bbox(j) else { continue };
-            let contained = bi.contains_rect(bj) || bj.contains_rect(bi);
-            let material_overlap = match (mat(i), mat(j)) {
-                (Some(ma), Some(mb)) => ma.intersect(mb).is_some_and(|o| o.area() > 0),
-                _ => false,
-            };
-            if contained || material_overlap {
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                if ri != rj {
-                    parent[rj] = ri;
-                }
-            }
+    for (i, j) in pairs {
+        if bodies.fuse(i, j) {
+            union(&mut parent, i, j);
         }
     }
-    let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for i in 0..items.len() {
-        let r = find(&mut parent, i);
-        groups.entry(r).or_default().push(i);
-    }
-    groups
-        .into_values()
-        .filter_map(|members| {
-            // Every group holds at least its root, so the filter never
-            // actually drops anything — it just keeps this panic-free.
-            let rep = members
+    bodies.group(&mut parent)
+}
+
+/// Absolute body and material boxes of every item, for clustering.
+struct Bodies {
+    bbox: Vec<Option<Rect>>,
+    material: Vec<Option<Rect>>,
+}
+
+impl Bodies {
+    fn new(items: &[Item], shapes: &[Arc<CellAbstract>]) -> Bodies {
+        let place = |r: Option<Rect>, i: &Item| r.map(|r| at(r, i.pos));
+        Bodies {
+            bbox: items
                 .iter()
-                .copied()
-                .max_by_key(|&i| (bbox(i).map_or(0, |r| r.area()), std::cmp::Reverse(i)))?;
-            Some(Cluster { members, rep })
-        })
-        .collect()
+                .map(|i| place(shapes[i.shape].bbox(), i))
+                .collect(),
+            material: items
+                .iter()
+                .map(|i| place(shapes[i.shape].material(), i))
+                .collect(),
+        }
+    }
+
+    /// Whether items `i` and `j` attach rigidly: one body contains the
+    /// other, or their materials overlap with positive area.
+    fn fuse(&self, i: usize, j: usize) -> bool {
+        let (Some(bi), Some(bj)) = (self.bbox[i], self.bbox[j]) else {
+            return false;
+        };
+        let contained = bi.contains_rect(bj) || bj.contains_rect(bi);
+        let material_overlap = match (self.material[i], self.material[j]) {
+            (Some(ma), Some(mb)) => ma.intersect(mb).is_some_and(|o| o.area() > 0),
+            _ => false,
+        };
+        contained || material_overlap
+    }
+
+    /// The clusters of a finished union-find, in ascending root order.
+    fn group(&self, parent: &mut [usize]) -> Vec<Cluster> {
+        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for i in 0..parent.len() {
+            let r = find(parent, i);
+            groups.entry(r).or_default().push(i);
+        }
+        groups
+            .into_values()
+            .filter_map(|members| {
+                // Every group holds at least its root, so the filter never
+                // actually drops anything — it just keeps this panic-free.
+                let rep = members.iter().copied().max_by_key(|&i| {
+                    (self.bbox[i].map_or(0, |r| r.area()), std::cmp::Reverse(i))
+                })?;
+                Some(Cluster { members, rep })
+            })
+            .collect()
+    }
+}
+
+/// A one-label index over the `Some` entries of `rects`, plus each
+/// indexed box's position in `rects`.
+fn present_index(rects: &[Option<Rect>], axis: Axis) -> (GeomIndex<()>, Vec<usize>) {
+    let (boxes, ids) = rects
+        .iter()
+        .enumerate()
+        .filter_map(|(k, r)| r.map(|r| (((), r), k)))
+        .unzip();
+    (GeomIndex::build_from_vec(boxes, axis), ids)
+}
+
+/// Union-find root of `i`, with path halving. Iterative: a chain can be
+/// as long as the item list, far deeper than a worker thread's stack.
+fn find(parent: &mut [usize], mut i: usize) -> usize {
+    while parent[i] != i {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    i
+}
+
+/// Merges `j`'s set under `i`'s root.
+fn union(parent: &mut [usize], i: usize, j: usize) {
+    let (ri, rj) = (find(parent, i), find(parent, j));
+    if ri != rj {
+        parent[rj] = ri;
+    }
 }
 
 fn at(r: Rect, p: Point) -> Rect {
@@ -1226,9 +1292,6 @@ fn axis_structure(
     AxisStructure { pins, classes }
 }
 
-/// One axis sweep: constraint generation on abstracts, pitch fixpoint,
-/// position update. Returns the stats and the solved pitch classes.
-#[allow(clippy::too_many_arguments)]
 /// The emission's origin-spacing edges, optionally transitively reduced.
 ///
 /// An edge `(a, b, w_ab)` is dropped when a kept interposed cluster `c`
@@ -1300,6 +1363,152 @@ fn pruned_weight_edges(
     edges
 }
 
+/// Absolute abstract boxes of one sweep, loaded into the scan arena's
+/// recycled spatial index (the candidate walks and the hidden-edge
+/// oracle both read from there), plus each box's owning cluster and
+/// each cluster's absolute material frame.
+fn sweep_geometry(
+    axis: Axis,
+    items: &[Item],
+    shapes: &[Arc<CellAbstract>],
+    clusters: &[Cluster],
+    positions: &[Point],
+    scan: &mut ScanScratch,
+) -> (Vec<usize>, Vec<Option<Rect>>) {
+    let pbuf = &mut scan.items;
+    pbuf.clear();
+    let mut owner: Vec<usize> = Vec::new();
+    for (ci, c) in clusters.iter().enumerate() {
+        for &m in &c.members {
+            for &(l, r) in shapes[items[m].shape].profile(axis) {
+                pbuf.push((l, at(r, positions[m])));
+                owner.push(ci);
+            }
+        }
+    }
+    let stale = scan.index.rebuild_from_vec(std::mem::take(pbuf), axis);
+    *pbuf = stale;
+    let frames = clusters
+        .iter()
+        .map(|c| {
+            let mut bb = BoundingBox::new();
+            for &m in &c.members {
+                if let Some(r) = shapes[items[m].shape].material() {
+                    bb.include_rect(at(r, positions[m]));
+                }
+            }
+            bb.rect()
+        })
+        .collect();
+    (owner, frames)
+}
+
+/// Raises the `(a, b)` weight to `w`; a strict raise records `prov`, so
+/// the first pair visited at the final weight decides the provenance.
+fn bump(e: &mut Emission, a: usize, b: usize, w: i64, prov: Option<(Layer, Layer)>) {
+    let cur = e.weights.entry((a, b)).or_insert(i64::MIN);
+    if w > *cur {
+        *cur = w;
+        e.provenance.insert((a, b), prov);
+    }
+}
+
+/// The sweep kernel: frame, weld, and spacing emission between the
+/// clusters of the abstract boxes in `scan.index` (`owner[k]` owns box
+/// `k`; `bases` are the clusters' along-origins). Pairs for which
+/// `reused` holds are skipped — the caller copies them from the previous
+/// run. Returns the emission and the number of candidate pairs the index
+/// walks produced, counted before the `reused` filter.
+///
+/// Every walk is index-driven, never all-pairs:
+///
+/// * **Frames** — a one-label index over the material frames yields, per
+///   frame, the frames at or past its high edge with strictly
+///   overlapping across spans.
+/// * **Welds** — same-layer boxes of distinct clusters that touch are
+///   one net; [`GeomIndex::touching_after`] reaches each touching pair.
+///   A weld's offset depends only on its two clusters, so the map comes
+///   out the same whichever box pair finds it first.
+/// * **Spacing** — [`crate::scanline::spacing_candidates`] with the rule
+///   distance as across slack: the DRC gap is L∞, so a diagonal pair
+///   whose across gap is under the rule still needs the full along
+///   spacing. Candidates are visited in (i ascending, j ascending)
+///   order, so [`bump`]'s first-wins provenance is placement-determined.
+///
+/// Frame entries are bumped once per cluster pair and before any
+/// spacing entry, so their visiting order cannot matter.
+fn enumerate_pairs(
+    scan: &mut ScanScratch,
+    rules: &DesignRules,
+    owner: &[usize],
+    frames: &[Option<Rect>],
+    bases: &[i64],
+    reused: &dyn Fn(usize, usize) -> bool,
+) -> (Emission, usize) {
+    let ScanScratch {
+        index,
+        cand,
+        profiles,
+        ..
+    } = scan;
+    let axis = index.axis();
+    let mut emission = Emission::default();
+    let mut candidates = 0;
+
+    // Frames: ordered material bounding boxes may abut but not overlap —
+    // the hierarchical engine never compacts *into* a leaf.
+    let (findex, fowner) = present_index(frames, axis);
+    for (k, &((), fa)) in findex.items().iter().enumerate() {
+        let across = (fa.lo_across(axis), fa.hi_across(axis));
+        for kb in findex.ordered_after((), fa.hi_along(axis), across, 0) {
+            candidates += 1;
+            let (a, b) = (fowner[k], fowner[kb]);
+            if a == b || reused(a, b) {
+                continue;
+            }
+            let fb = findex.items()[kb].1;
+            let w = (fa.hi_along(axis) - bases[a]) - (fb.lo_along(axis) - bases[b]);
+            bump(&mut emission, a, b, w, None);
+        }
+    }
+
+    // Welds: same-layer material touching across a cluster boundary is
+    // one electrical net. Like the flat engine's connectivity
+    // constraints, the two clusters keep their current offset —
+    // exempting the pair from spacing alone would let the compactor pry
+    // a connected bus apart.
+    for i in 0..index.len() {
+        for j in index.touching_after(i) {
+            candidates += 1;
+            let (a, b) = (owner[i].min(owner[j]), owner[i].max(owner[j]));
+            if a != b && !reused(a, b) {
+                emission.welds.insert((a, b), bases[b] - bases[a]);
+            }
+        }
+    }
+
+    // Spacing between abstract boxes of distinct clusters, hidden pairs
+    // pruned through the same oracle the flat scanline uses.
+    let mut cursor = VisibilityCursor::with_cache(index, std::mem::take(profiles));
+    for (i, &(la, ra)) in index.items().iter().enumerate() {
+        spacing_candidates(index, rules, i, |s| s, cand);
+        candidates += cand.len();
+        for &(j, s) in cand.iter() {
+            let (a, b) = (owner[i], owner[j]);
+            if a == b || reused(a, b) || cursor.hidden_between(i, j) {
+                continue;
+            }
+            let (lb, rb) = index.items()[j];
+            let w = s + (ra.hi_along(axis) - bases[a]) - (rb.lo_along(axis) - bases[b]);
+            bump(&mut emission, a, b, w, Some((la, lb)));
+        }
+    }
+    *profiles = cursor.into_cache();
+    (emission, candidates)
+}
+
+/// One axis sweep: constraint generation on abstracts, pitch fixpoint,
+/// position update. Returns the stats and the solved pitch classes.
 #[allow(clippy::too_many_arguments)]
 fn sweep_axis(
     axis: Axis,
@@ -1320,41 +1529,9 @@ fn sweep_axis(
         return Err(injected_error(f, axis));
     }
     let n = clusters.len();
-    let origin = |c: &Cluster, positions: &[Point]| positions[c.rep];
     let SweepScratch { sys, scan } = scratch;
 
-    // Absolute abstract boxes, tagged with their owning cluster. The box
-    // list fills the scan arena's item buffer and goes straight into its
-    // recycled spatial index (the oracle and the candidate walks below
-    // both read from there).
-    let pbuf = &mut scan.items;
-    pbuf.clear();
-    let mut owner: Vec<usize> = Vec::new();
-    for (ci, c) in clusters.iter().enumerate() {
-        for &m in &c.members {
-            for &(l, r) in shapes[items[m].shape].profile(axis) {
-                pbuf.push((l, at(r, positions[m])));
-                owner.push(ci);
-            }
-        }
-    }
-    let stale = scan.index.rebuild_from_vec(std::mem::take(pbuf), axis);
-    *pbuf = stale;
-    let pboxes: &[(Layer, Rect)] = scan.index.items();
-
-    // Material frames per cluster (absolute).
-    let frames: Vec<Option<Rect>> = clusters
-        .iter()
-        .map(|c| {
-            let mut bb = BoundingBox::new();
-            for &m in &c.members {
-                if let Some(r) = shapes[items[m].shape].material() {
-                    bb.include_rect(at(r, positions[m]));
-                }
-            }
-            bb.rect()
-        })
-        .collect();
+    let (owner, frames) = sweep_geometry(axis, items, shapes, clusters, positions, scan);
 
     // Cross-run reuse: match clusters against the previous run's sweep
     // at the same ordinal and mark pairs whose emission can be copied.
@@ -1377,83 +1554,12 @@ fn sweep_axis(
             .is_some_and(|m| m.contains_key(&(a.min(b), a.max(b))))
     };
 
-    // Pairwise constraint weights, collapsed to the max per cluster pair,
-    // with the deciding layer pair recorded as provenance.
-    let base = |ci: usize| along(origin(&clusters[ci], positions), axis);
-    let mut emission = Emission::default();
-    fn bump(e: &mut Emission, a: usize, b: usize, w: i64, prov: Option<(Layer, Layer)>) {
-        let cur = e.weights.entry((a, b)).or_insert(i64::MIN);
-        if w > *cur {
-            *cur = w;
-            e.provenance.insert((a, b), prov);
-        }
-    }
-
-    // Frames: ordered material bounding boxes may abut but not overlap —
-    // the hierarchical engine never compacts *into* a leaf.
-    for a in 0..n {
-        let Some(fa) = frames[a] else { continue };
-        for (b, fb) in frames.iter().enumerate() {
-            if a == b || reused(a, b) {
-                continue;
-            }
-            let Some(fb) = *fb else { continue };
-            if fa.hi_along(axis) > fb.lo_along(axis) {
-                continue;
-            }
-            if fa.lo_across(axis) >= fb.hi_across(axis) || fb.lo_across(axis) >= fa.hi_across(axis)
-            {
-                continue;
-            }
-            let w = (fa.hi_along(axis) - base(a)) - (fb.lo_along(axis) - base(b));
-            bump(&mut emission, a, b, w, None);
-        }
-    }
-
-    // Spacing between abstract boxes of distinct clusters, hidden pairs
-    // pruned through the same oracle the flat scanline uses. Same-layer
-    // material that touches across a cluster boundary is one electrical
-    // net: like the flat engine's connectivity constraints, the two
-    // clusters are *welded* at their current offset — exempting the pair
-    // from spacing alone would let the compactor pry a connected bus
-    // apart.
-    let mut cursor = VisibilityCursor::with_cache(&scan.index, std::mem::take(&mut scan.profiles));
-    for (i, &(la, ra)) in pboxes.iter().enumerate() {
-        for (j, &(lb, rb)) in pboxes.iter().enumerate() {
-            if owner[i] == owner[j] || reused(owner[i], owner[j]) {
-                continue;
-            }
-            if la == lb && ra.intersect(rb).is_some() {
-                if owner[i] < owner[j] {
-                    emission
-                        .welds
-                        .insert((owner[i], owner[j]), base(owner[j]) - base(owner[i]));
-                }
-                continue; // connected material: welded, never spaced
-            }
-            let Some(s) = rules.min_spacing(la, lb) else {
-                continue;
-            };
-            if ra.hi_along(axis) > rb.lo_along(axis) {
-                continue;
-            }
-            // Near-overlap window: the DRC gap is L∞, so a diagonal pair
-            // whose across-gap is under the rule still needs the full
-            // along-spacing — strict overlap would leave corner-to-corner
-            // pairs unconstrained.
-            if ra.lo_across(axis) >= rb.hi_across(axis) + s
-                || rb.lo_across(axis) >= ra.hi_across(axis) + s
-            {
-                continue;
-            }
-            if cursor.hidden_between(i, j) {
-                continue;
-            }
-            let w = s + (ra.hi_along(axis) - base(owner[i])) - (rb.lo_along(axis) - base(owner[j]));
-            bump(&mut emission, owner[i], owner[j], w, Some((la, lb)));
-        }
-    }
-    scan.profiles = cursor.into_cache();
+    // Cluster origins along the axis, fixed for the whole sweep.
+    let bases: Vec<i64> = clusters
+        .iter()
+        .map(|c| along(positions[c.rep], axis))
+        .collect();
+    let (mut emission, candidates) = enumerate_pairs(scan, rules, &owner, &frames, &bases, &reused);
 
     // Copy the reused pairs' entries from the previous emission. The
     // BTreeMaps restore sorted pair order, so the solver sees exactly the
@@ -1496,7 +1602,7 @@ fn sweep_axis(
 
     // Normalized initial coordinates (clusters are never empty here, but
     // an empty sweep normalizes to 0 rather than panicking).
-    let min_base = (0..n).map(base).min().unwrap_or(0);
+    let min_base = bases.iter().copied().min().unwrap_or(0);
     let floor = rules.spacing_floor();
     let constraints = emission.weights.len()
         + emission.welds.len() * 2
@@ -1556,7 +1662,8 @@ fn sweep_axis(
                 HierSweepStats {
                     axis,
                     clusters: n,
-                    abstract_boxes: pboxes.len(),
+                    abstract_boxes: owner.len(),
+                    candidates,
                     constraints,
                     pitch_rounds: m.rounds,
                     solver_passes: m.passes,
@@ -1581,7 +1688,7 @@ fn sweep_axis(
     // so the kept set is deterministic and solution-identical.
     let mut lambdas: Vec<i64> = structure.classes.iter().map(|_| floor).collect();
     sys.reset(axis);
-    let vars: Vec<_> = (0..n).map(|ci| sys.add_var(base(ci) - min_base)).collect();
+    let vars: Vec<_> = (0..n).map(|ci| sys.add_var(bases[ci] - min_base)).collect();
     for &((a, b), w) in &pruned_weight_edges(n, &emission.weights, opts.prune) {
         sys.require(vars[a], vars[b], w);
     }
@@ -1656,7 +1763,7 @@ fn sweep_axis(
     // the cluster's delta.
     let mut extent = 0;
     let deltas: Vec<i64> = (0..n)
-        .map(|ci| solution.positions[ci] + min_base - base(ci))
+        .map(|ci| solution.positions[ci] + min_base - bases[ci])
         .collect();
     for (c, &d) in clusters.iter().zip(&deltas) {
         for &m in &c.members {
@@ -1697,7 +1804,8 @@ fn sweep_axis(
         HierSweepStats {
             axis,
             clusters: n,
-            abstract_boxes: pboxes.len(),
+            abstract_boxes: owner.len(),
+            candidates,
             constraints,
             pitch_rounds: rounds,
             solver_passes: passes,
@@ -1929,6 +2037,7 @@ pub(crate) fn dfs_order(
 mod tests {
     use super::*;
     use crate::backend::{BellmanFord, Topological};
+    use proptest::test_runner::Rng;
     use rsg_layout::{drc, Instance, Technology};
 
     fn rules() -> DesignRules {
@@ -2212,5 +2321,250 @@ mod tests {
         let mut t2 = t.clone();
         *t2.get_mut(original).unwrap() = cell.clone();
         flatten(&t2, original).unwrap().layer_rects().to_vec()
+    }
+
+    #[test]
+    fn strap_across_a_long_row_clusters_on_a_worker_stack() {
+        // A strap drawn last across a row of n cells fuses with each of
+        // them in turn. Every union re-parents the previous root under
+        // the next cell, building the chain 0→1→…→n−1 — a recursive
+        // `find` would recurse n deep and overflow a 2 MiB worker stack.
+        let n = 100_000;
+        let r = rules();
+        let cell =
+            CellAbstract::from_boxes(&[(Layer::Metal1, Rect::from_coords(0, 0, 10, 10))], &r);
+        let strap =
+            CellAbstract::from_boxes(&[(Layer::Metal1, Rect::from_coords(0, 0, 20 * n, 4))], &r);
+        let shapes = vec![Arc::new(cell), Arc::new(strap)];
+        let item = |object: usize, pos: Point, shape: usize| Item {
+            object,
+            pos,
+            key: ShapeKey::Box(shape, (0, 0)),
+            shape,
+            sig: 0,
+        };
+        let mut items: Vec<Item> = (0..n)
+            .map(|k| item(k as usize, Point::new(20 * k, 0), 0))
+            .collect();
+        items.push(item(n as usize, Point::new(0, 3), 1));
+        let clusters = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || rigid_clusters(&items, &shapes))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(clusters.len(), 1);
+        assert_eq!(clusters[0].members.len(), n as usize + 1);
+        assert_eq!(
+            clusters[0].rep, n as usize,
+            "the strap has the largest body"
+        );
+    }
+
+    /// The all-pairs cell pass [`enumerate_pairs`] replaced, kept as its
+    /// differential reference: every frame pair and every abstract box
+    /// pair, tested directly.
+    fn all_pairs_emission(
+        index: &GeomIndex<Layer>,
+        rules: &DesignRules,
+        owner: &[usize],
+        frames: &[Option<Rect>],
+        bases: &[i64],
+        reused: &dyn Fn(usize, usize) -> bool,
+    ) -> Emission {
+        let axis = index.axis();
+        let mut emission = Emission::default();
+        for (a, fa) in frames.iter().enumerate() {
+            let Some(fa) = *fa else { continue };
+            for (b, fb) in frames.iter().enumerate() {
+                if a == b || reused(a, b) {
+                    continue;
+                }
+                let Some(fb) = *fb else { continue };
+                if fa.hi_along(axis) > fb.lo_along(axis) {
+                    continue;
+                }
+                if fa.lo_across(axis) >= fb.hi_across(axis)
+                    || fb.lo_across(axis) >= fa.hi_across(axis)
+                {
+                    continue;
+                }
+                let w = (fa.hi_along(axis) - bases[a]) - (fb.lo_along(axis) - bases[b]);
+                bump(&mut emission, a, b, w, None);
+            }
+        }
+        let pboxes = index.items();
+        let mut cursor = VisibilityCursor::new(index);
+        for (i, &(la, ra)) in pboxes.iter().enumerate() {
+            for (j, &(lb, rb)) in pboxes.iter().enumerate() {
+                let (a, b) = (owner[i], owner[j]);
+                if a == b || reused(a, b) {
+                    continue;
+                }
+                if la == lb && ra.intersect(rb).is_some() {
+                    if a < b {
+                        emission.welds.insert((a, b), bases[b] - bases[a]);
+                    }
+                    continue;
+                }
+                let Some(s) = rules.min_spacing(la, lb) else {
+                    continue;
+                };
+                if ra.hi_along(axis) > rb.lo_along(axis) {
+                    continue;
+                }
+                if ra.lo_across(axis) >= rb.hi_across(axis) + s
+                    || rb.lo_across(axis) >= ra.hi_across(axis) + s
+                {
+                    continue;
+                }
+                if cursor.hidden_between(i, j) {
+                    continue;
+                }
+                let w = s + (ra.hi_along(axis) - bases[a]) - (rb.lo_along(axis) - bases[b]);
+                bump(&mut emission, a, b, w, Some((la, lb)));
+            }
+        }
+        emission
+    }
+
+    /// The all-pairs clustering [`rigid_clusters`] replaced: every item
+    /// pair tested, merged in ascending `(i, j)` order.
+    fn all_pairs_clusters(items: &[Item], shapes: &[Arc<CellAbstract>]) -> Vec<Cluster> {
+        let bodies = Bodies::new(items, shapes);
+        let mut parent: Vec<usize> = (0..items.len()).collect();
+        for i in 0..items.len() {
+            for j in i + 1..items.len() {
+                if bodies.fuse(i, j) {
+                    union(&mut parent, i, j);
+                }
+            }
+        }
+        bodies.group(&mut parent)
+    }
+
+    fn pick(rng: &mut Rng, n: u64) -> i64 {
+        (rng.next_u64() % n) as i64
+    }
+
+    /// A random assembly: instances of three random leaves in all eight
+    /// orientations, plus loose boxes, packed tightly enough that bodies
+    /// nest and spacing windows catch diagonal pairs. Corners sit on an
+    /// even grid so same-layer material of separate clusters often abuts
+    /// (a weld).
+    fn random_assembly(rng: &mut Rng, r: &DesignRules) -> (Vec<Item>, Vec<Arc<CellAbstract>>) {
+        const LAYERS: [Layer; 5] = [
+            Layer::Poly,
+            Layer::Metal1,
+            Layer::Diffusion,
+            Layer::Metal2,
+            Layer::Well,
+        ];
+        let random_box = |rng: &mut Rng| {
+            let (x, y) = (2 * pick(rng, 6), 2 * pick(rng, 6));
+            let (w, h) = (1 + pick(rng, 8), 1 + pick(rng, 8));
+            (
+                LAYERS[pick(rng, 5) as usize],
+                Rect::from_coords(x, y, x + w, y + h),
+            )
+        };
+        let leaves: Vec<Vec<(Layer, Rect)>> = (0..3)
+            .map(|_| (0..1 + pick(rng, 4)).map(|_| random_box(rng)).collect())
+            .collect();
+        let (mut items, mut shapes) = (Vec::new(), Vec::new());
+        for object in 0..4 + pick(rng, 10) as usize {
+            let pos = Point::new(2 * pick(rng, 24), 2 * pick(rng, 24));
+            let (boxes, key) = if pick(rng, 4) == 0 {
+                let (l, b) = random_box(rng);
+                (
+                    vec![(l, b)],
+                    ShapeKey::Box(l.index(), (b.width(), b.height())),
+                )
+            } else {
+                let def = pick(rng, 3) as usize;
+                let o = Orientation::ALL[pick(rng, 8) as usize];
+                let iso = Isometry::orient(o);
+                let boxes = leaves[def]
+                    .iter()
+                    .map(|&(l, b)| (l, b.transform(iso)))
+                    .collect::<Vec<_>>();
+                (
+                    boxes,
+                    ShapeKey::Cell(def as u32, (o.rotation as u8, o.mirror_y)),
+                )
+            };
+            shapes.push(Arc::new(CellAbstract::from_boxes(&boxes, r)));
+            items.push(Item {
+                object,
+                pos,
+                key,
+                shape: shapes.len() - 1,
+                sig: 0,
+            });
+        }
+        (items, shapes)
+    }
+
+    #[test]
+    fn indexed_cell_pass_matches_the_all_pairs_reference() {
+        let r = rules();
+        let mut rng = Rng::from_name("indexed_cell_pass_matches_the_all_pairs_reference");
+        // Cases exercised: welds, diagonal pairs inside the L∞ window,
+        // zero-extent frames, reused pairs.
+        let mut seen = [0usize; 4];
+        for _ in 0..400 {
+            let (items, shapes) = random_assembly(&mut rng, &r);
+            let clusters = rigid_clusters(&items, &shapes);
+            assert_eq!(clusters, all_pairs_clusters(&items, &shapes));
+            let positions: Vec<Point> = items.iter().map(|i| i.pos).collect();
+            // Salt 3 never matches: a quarter of the cases reuse nothing.
+            let salt = pick(&mut rng, 4) as usize;
+            let reused = |a: usize, b: usize| (a.min(b) + 2 * a.max(b)) % 3 == salt;
+            for axis in Axis::BOTH {
+                let mut scan = ScanScratch::new();
+                let (owner, mut frames) =
+                    sweep_geometry(axis, &items, &shapes, &clusters, &positions, &mut scan);
+                for f in frames.iter_mut().flatten() {
+                    let along_span = (f.lo_along(axis), f.hi_along(axis));
+                    let across_span = (f.lo_across(axis), f.hi_across(axis));
+                    *f = match pick(&mut rng, 4) {
+                        0 => Rect::from_spans(axis, (along_span.0, along_span.0), across_span),
+                        1 => Rect::from_spans(axis, along_span, (across_span.1, across_span.1)),
+                        _ => continue,
+                    };
+                    seen[2] += 1;
+                }
+                let bases: Vec<i64> = clusters
+                    .iter()
+                    .map(|c| along(positions[c.rep], axis))
+                    .collect();
+                let want = all_pairs_emission(&scan.index, &r, &owner, &frames, &bases, &reused);
+                let (got, _) = enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &reused);
+                assert_eq!(got, want, "{axis} sweep diverged");
+
+                seen[0] += want.welds.len();
+                let boxes = scan.index.items();
+                for (i, &(la, ra)) in boxes.iter().enumerate() {
+                    for (j, &(lb, rb)) in boxes.iter().enumerate() {
+                        let Some(s) = r.min_spacing(la, lb) else {
+                            continue;
+                        };
+                        let gap = (rb.lo_across(axis) - ra.hi_across(axis))
+                            .max(ra.lo_across(axis) - rb.hi_across(axis));
+                        if owner[i] != owner[j]
+                            && ra.hi_along(axis) <= rb.lo_along(axis)
+                            && (0..s).contains(&gap)
+                        {
+                            seen[1] += 1;
+                        }
+                    }
+                }
+                seen[3] += (0..clusters.len())
+                    .flat_map(|a| (a + 1..clusters.len()).map(move |b| (a, b)))
+                    .filter(|&(a, b)| reused(a, b))
+                    .count();
+            }
+        }
+        assert!(seen.iter().all(|&k| k > 0), "coverage {seen:?}");
     }
 }

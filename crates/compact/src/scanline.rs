@@ -228,25 +228,15 @@ pub(crate) fn append_constraints_with(
     // between disconnected groups compresses — device and bus resizing
     // belongs to the masking cells, not the compactor (§6.4.1).
     //
-    // Candidates come from the box's own layer bucket: low edge in
-    // `[lo, hi]` (ascending walk, early exit past `hi`) and closed
-    // across-overlap (strict with slack 1 on integer coordinates) is
-    // exactly "touches, not strictly below" — sorted back to input
-    // order to match the historical j-ascending emission.
-    for (i, &(layer_a, ra)) in boxes.iter().enumerate() {
+    // Candidates come from the box's own layer bucket
+    // ([`GeomIndex::touching_after`]: "touches, not strictly below"),
+    // sorted back to input order to match the historical j-ascending
+    // emission.
+    for (i, &(_, ra)) in boxes.iter().enumerate() {
         cand.clear();
-        let lo = ra.lo_along(axis);
-        let hi = ra.hi_along(axis);
-        let across = (ra.lo_across(axis), ra.hi_across(axis));
-        for k in index.ordered_after(layer_a, lo, across, 1) {
-            if boxes[k].1.lo_along(axis) > hi {
-                break;
-            }
-            if k != i {
-                cand.push((k, 0));
-            }
-        }
+        cand.extend(index.touching_after(i).map(|k| (k, 0)));
         cand.sort_unstable_by_key(|&(j, _)| j);
+        let lo = ra.lo_along(axis);
         for &(j, _) in cand.iter() {
             let rb = boxes[j].1;
             sys.require_exact(vars[i].left, vars[j].left, rb.lo_along(axis) - lo);
@@ -265,9 +255,7 @@ pub(crate) fn append_constraints_with(
         let mut cursor = (method == Method::Visibility)
             .then(|| VisibilityCursor::with_cache(index, std::mem::take(profiles)));
         scan_spacings(
-            boxes,
             rules,
-            axis,
             index,
             cursor.as_mut(),
             0..boxes.len(),
@@ -290,9 +278,7 @@ pub(crate) fn append_constraints_with(
             let mut cursor =
                 (method == Method::Visibility).then(|| VisibilityCursor::new(index_ref));
             scan_spacings(
-                boxes,
                 rules,
-                axis,
                 index_ref,
                 cursor.as_mut(),
                 s..e,
@@ -310,16 +296,7 @@ pub(crate) fn append_constraints_with(
                 Err(_) => {
                     let mut cursor =
                         (method == Method::Visibility).then(|| VisibilityCursor::new(index_ref));
-                    scan_spacings(
-                        boxes,
-                        rules,
-                        axis,
-                        index_ref,
-                        cursor.as_mut(),
-                        s..e,
-                        cand,
-                        spacings,
-                    );
+                    scan_spacings(rules, index_ref, cursor.as_mut(), s..e, cand, spacings);
                 }
             }
         }
@@ -335,11 +312,8 @@ pub(crate) fn append_constraints_with(
 
 /// Collects `(i, j, spacing)` triples for low boxes in `range`, in the
 /// historical (i ascending, j ascending) emission order.
-#[allow(clippy::too_many_arguments)]
 fn scan_spacings(
-    boxes: &[(Layer, Rect)],
     rules: &DesignRules,
-    axis: Axis,
     index: &GeomIndex<Layer>,
     mut cursor: Option<&mut VisibilityCursor<'_>>,
     range: std::ops::Range<usize>,
@@ -347,29 +321,11 @@ fn scan_spacings(
     out: &mut Vec<(usize, usize, i64)>,
 ) {
     for i in range {
-        let (layer_a, ra) = boxes[i];
-        let from = ra.hi_along(axis);
-        let across = (ra.lo_across(axis), ra.hi_across(axis));
-        cand.clear();
-        for layer_b in index.labels() {
-            let Some(spacing) = rules.min_spacing(layer_a, layer_b) else {
-                continue;
-            };
-            // `a` strictly below `b` along the axis (low edge at or past
-            // `a`'s high edge), sharing an across-axis range: exactly the
-            // bucket walk's membership test at slack 0.
-            for k in index.ordered_after(layer_b, from, across, 0) {
-                if k != i {
-                    cand.push((k, spacing));
-                }
-            }
-        }
-        cand.sort_unstable_by_key(|&(j, _)| j);
+        // `a` strictly below `b` along the axis (low edge at or past
+        // `a`'s high edge), sharing an across-axis range: the bucket
+        // walk's membership test at slack 0.
+        spacing_candidates(index, rules, i, |_| 0, cand);
         for &(j, spacing) in cand.iter() {
-            let (layer_b, rb) = boxes[j];
-            if layer_a == layer_b && touches(ra, rb) {
-                continue; // connected material: no spacing requirement
-            }
             if let Some(c) = cursor.as_deref_mut() {
                 if c.hidden_between(i, j) {
                     continue;
@@ -378,6 +334,42 @@ fn scan_spacings(
             out.push((i, j, spacing));
         }
     }
+}
+
+/// Fills `cand` with the spacing candidates of box `i` of `index`,
+/// sorted by partner: every `(j, spacing)` where a rule `spacing` holds
+/// between the two layers, `j`'s low edge along the axis is at or past
+/// `i`'s high edge, and `j`'s across span strictly overlaps `i`'s
+/// widened by `slack(spacing)` on both sides. Same-layer partners that
+/// touch `i` are connected material, never spaced, and are left out.
+///
+/// Each partner sits in exactly one layer bucket, so it appears once;
+/// the sort restores the (i ascending, j ascending) visiting order the
+/// emitters' tie-breaking depends on.
+pub(crate) fn spacing_candidates(
+    index: &GeomIndex<Layer>,
+    rules: &DesignRules,
+    i: usize,
+    slack: impl Fn(i64) -> i64,
+    cand: &mut Vec<(usize, i64)>,
+) {
+    let axis = index.axis();
+    let (layer_a, ra) = index.items()[i];
+    let from = ra.hi_along(axis);
+    let across = (ra.lo_across(axis), ra.hi_across(axis));
+    cand.clear();
+    for layer_b in index.labels() {
+        let Some(spacing) = rules.min_spacing(layer_a, layer_b) else {
+            continue;
+        };
+        for k in index.ordered_after(layer_b, from, across, slack(spacing)) {
+            let touching = layer_b == layer_a && ra.intersect(index.items()[k].1).is_some();
+            if k != i && !touching {
+                cand.push((k, spacing));
+            }
+        }
+    }
+    cand.sort_unstable_by_key(|&(j, _)| j);
 }
 
 /// Transitive-reduction prune over the collected spacing triples.
@@ -452,11 +444,6 @@ fn prune_spacings(
         }
     }
     spacings.truncate(w);
-}
-
-fn touches(a: Rect, b: Rect) -> bool {
-    // Overlapping or abutting (shared edge/corner counts).
-    a.intersect(b).is_some()
 }
 
 /// One worker's view of the hidden-edge oracle of Fig 6.4: the shared

@@ -280,6 +280,31 @@ impl<L: Copy + Ord> GeomIndex<L> {
         })
     }
 
+    /// Item indices on item `k`'s label whose boxes touch box `k`
+    /// (closed intersection: overlapping or abutting, corners included)
+    /// and whose low edge along the axis lies within `k`'s along span,
+    /// in ascending low-edge order; `k` itself is skipped.
+    ///
+    /// Every touching pair is reported from the box with the lower low
+    /// edge (from both boxes when the low edges tie), so walking every
+    /// `k` visits every touching pair at least once while each walk
+    /// stops at `k`'s high edge.
+    pub fn touching_after(&self, k: usize) -> impl Iterator<Item = usize> + '_ {
+        let (label, r) = self.items[k];
+        let axis = self.axis;
+        let hi = r.hi_along(axis);
+        // On integer coordinates, strict overlap of the across span
+        // widened by 1 is closed overlap of the span itself.
+        self.ordered_after(
+            label,
+            r.lo_along(axis),
+            (r.lo_across(axis), r.hi_across(axis)),
+            1,
+        )
+        .take_while(move |&j| self.items[j].1.lo_along(axis) <= hi)
+        .filter(move |&j| j != k)
+    }
+
     /// `true` when the region `along × across` is completely covered by
     /// the union of boxes on the given labels, counting only
     /// positive-area contributions. Empty regions are trivially covered.
@@ -563,6 +588,34 @@ mod tests {
         assert_eq!(near, vec![3]);
         // Unknown label: empty.
         assert!(idx.ordered_after('z', 0, (0, 10), 0).next().is_none());
+    }
+
+    #[test]
+    fn touching_after_reports_each_touching_pair_from_its_lower_box() {
+        let items = vec![
+            ('p', Rect::from_coords(0, 0, 4, 10)),
+            ('p', Rect::from_coords(4, 10, 8, 20)), // corner-touches 0
+            ('p', Rect::from_coords(2, 0, 6, 4)),   // overlaps 0 only
+            ('p', Rect::from_coords(9, 0, 12, 10)), // 1 past box 1
+            ('m', Rect::from_coords(4, 0, 8, 10)),  // other label
+        ];
+        let idx = GeomIndex::build(&items, Axis::X);
+        let from = |k: usize| idx.touching_after(k).collect::<Vec<_>>();
+        // Ascending low edge; the corner contact counts.
+        assert_eq!(from(0), vec![2, 1]);
+        // Box 0 touches 2 but starts below it: reported from 0 only.
+        assert!(from(2).is_empty());
+        assert!(from(1).is_empty());
+        assert!(from(3).is_empty());
+        assert!(from(4).is_empty());
+        // Tied low edges: the pair is reported from both sides.
+        let tied = vec![
+            ('p', Rect::from_coords(0, 0, 4, 4)),
+            ('p', Rect::from_coords(4, 0, 8, 4)),
+        ];
+        let idx = GeomIndex::build(&tied, Axis::Y);
+        assert_eq!(idx.touching_after(0).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(idx.touching_after(1).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
