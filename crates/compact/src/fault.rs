@@ -5,9 +5,12 @@
 //! `CompactHooks` seam: the hierarchical compactor asks the hooks at
 //! each solver call, each sweep start, and each budget checkpoint
 //! whether a fault should fire, and the plan answers from simple
-//! invocation counters. Because the hier pass visits cells and sweeps in
-//! a deterministic order, "fail the 3rd solve" names the same solve on
-//! every run — which is what makes the error paths testable:
+//! invocation counters. An armed plan runs the hierarchy walk on one
+//! worker, whatever [`crate::hier::HierOptions::parallelism`] asks for,
+//! so cells and sweeps are visited in a deterministic order — level by
+//! level, each level in DFS order — and "fail the 3rd solve" names the
+//! same solve on every run. That is what makes the error paths
+//! testable:
 //!
 //! * the injected failure must surface as the *typed* error the real
 //!   fault would produce (never a panic, never corrupt output), and

@@ -62,11 +62,12 @@ pub struct HierOptions {
     /// count, constraint count, cumulative solver passes, deadline).
     /// [`Limits::NONE`] by default.
     pub limits: Limits,
-    /// How the hierarchy walk distributes ready cells across workers:
-    /// cells whose referenced definitions are all done form a wave of
-    /// independent compactions (see [`compact_hierarchy`]). Results are
-    /// **bit-identical** at every setting; only wall-clock changes. The
-    /// default is [`Parallelism::Serial`] — small assemblies don't repay
+    /// How many workers the hierarchy walk uses: cells whose referenced
+    /// definitions are all done form a level of independent compactions
+    /// (see [`compact_hierarchy`]), run this many at a time.
+    /// [`Parallelism::Serial`] is one worker of the same schedule.
+    /// Results are **bit-identical** at every setting; only wall-clock
+    /// changes. Serial is the default — small assemblies don't repay
     /// thread dispatch, so concurrency is opt-in per call.
     pub parallelism: Parallelism,
     /// Transitively reduce the instance spacing edges before solving:
@@ -852,25 +853,32 @@ pub fn compact_chip_with_library(
     solver: &dyn Solver,
     opts: &HierOptions,
 ) -> Result<ChipCompaction, ChipError> {
-    let mut compacted = table.clone();
-    for result in &leaf {
-        for cell in &result.cells {
-            let id = compacted.lookup(cell.name()).ok_or_else(|| {
-                ChipError::Hier(HierError::Layout(LayoutError::UnknownCell(
-                    cell.name().to_owned(),
-                )))
-            })?;
-            let Some(slot) = compacted.get_mut(id) else {
-                return Err(ChipError::Hier(HierError::Internal(format!(
-                    "cell `{}` vanished between lookup and substitution",
-                    cell.name()
-                ))));
-            };
-            *slot = cell.clone();
-        }
-    }
+    let compacted = substitute_library(table, &leaf)?;
     let chip = compact_hierarchy(&compacted, top, rules, solver, opts)?;
     Ok(ChipCompaction { chip, leaf })
+}
+
+/// `table` with every leaf-pass cell swapped in for the definition of
+/// the same name — the first half of both chip flows (plain and
+/// session).
+pub(crate) fn substitute_library(
+    table: &CellTable,
+    leaf: &[crate::leaf::CompactionResult],
+) -> Result<CellTable, HierError> {
+    let mut compacted = table.clone();
+    for cell in leaf.iter().flat_map(|result| &result.cells) {
+        let id = compacted
+            .lookup(cell.name())
+            .ok_or_else(|| LayoutError::UnknownCell(cell.name().to_owned()))?;
+        let Some(slot) = compacted.get_mut(id) else {
+            return Err(HierError::Internal(format!(
+                "cell `{}` vanished between lookup and substitution",
+                cell.name()
+            )));
+        };
+        *slot = cell.clone();
+    }
+    Ok(compacted)
 }
 
 /// Pins and pitch classes of one sweep axis, derived once from the input
@@ -1828,7 +1836,9 @@ fn sweep_axis(
 /// as [`HierError::Diverged`] — a non-converged placement can carry
 /// stale cross-axis constraints, so the chip flow refuses to build on
 /// it. ([`compact_cell`] still returns such partial results with
-/// `converged == false` for callers that want them.)
+/// `converged == false` for callers that want them.) When several cells
+/// fail, the error is that of the first failing cell in bottom-up DFS
+/// order, at every [`HierOptions::parallelism`].
 pub fn compact_hierarchy(
     table: &CellTable,
     top: CellId,
@@ -1836,102 +1846,157 @@ pub fn compact_hierarchy(
     solver: &dyn Solver,
     opts: &HierOptions,
 ) -> Result<ChipLayout, HierError> {
-    let mut out_table = table.clone();
-    let mut order = Vec::new();
-    let mut mark: HashMap<CellId, u8> = HashMap::new();
-    dfs_order(table, top, &mut mark, &mut order)?;
-    let threads = opts.parallelism.threads();
-    if threads <= 1 {
-        // Serial reference walk: bottom-up, stop at the first failure.
-        let mut cells = Vec::new();
-        for cell in order {
-            let def = out_table.require(cell)?;
-            if def.instances().next().is_none() {
-                continue; // leaf: the leaf compactor's business
-            }
-            let name = def.name().to_owned();
-            let outcome = compact_cell(&out_table, cell, rules, solver, opts)?;
-            if !outcome.converged {
-                return Err(diverged_error(&name, opts));
-            }
-            let Some(slot) = out_table.get_mut(cell) else {
-                return Err(vanished_error(&name));
-            };
-            *slot = outcome.cell.clone();
-            cells.push((name, outcome));
-        }
-        return Ok(ChipLayout {
-            table: out_table,
-            top,
-            cells,
-        });
+    let mut flow = PlainFlow {
+        rules,
+        solver,
+        opts,
+    };
+    walk_levels(table, top, opts.parallelism.threads(), &mut flow)
+}
+
+/// What [`walk_levels`] does with one ready cell before any worker runs.
+pub(crate) enum Resolved<M> {
+    /// The outcome is already known (a cache replay).
+    Replayed(HierOutcome),
+    /// The cell must be compacted; `M` is everything a worker needs.
+    Miss(M),
+}
+
+/// The three per-level steps of one hierarchy flow. [`walk_levels`] owns
+/// the schedule, the table, failure poisoning, and result order.
+pub(crate) trait LevelFlow: Sync {
+    /// A queued miss, read by exactly one worker.
+    type Miss: Sync;
+    /// What a worker produced for one miss.
+    type Done: Send;
+
+    /// Step 1, serial, in level order: replay `cell` or queue it.
+    /// `table` holds the final placement of every lower level.
+    fn resolve(
+        &mut self,
+        table: &CellTable,
+        cell: CellId,
+    ) -> Result<Resolved<Self::Miss>, HierError>;
+
+    /// Step 2, on a worker: compact one miss against `table`.
+    fn compute(&self, table: &CellTable, cell: CellId, miss: &Self::Miss) -> Self::Done;
+
+    /// Step 3, serial, in level order: fold one computed miss back into
+    /// the flow. `Err` fails the cell and poisons its callers.
+    fn commit(
+        &mut self,
+        cell: CellId,
+        miss: &Self::Miss,
+        done: Self::Done,
+    ) -> Result<HierOutcome, HierError>;
+}
+
+/// The hook-free reference flow: nothing to replay, nothing to merge.
+struct PlainFlow<'a> {
+    rules: &'a DesignRules,
+    solver: &'a dyn Solver,
+    opts: &'a HierOptions,
+}
+
+impl LevelFlow for PlainFlow<'_> {
+    type Miss = ();
+    type Done = Result<HierOutcome, HierError>;
+
+    fn resolve(&mut self, _: &CellTable, _: CellId) -> Result<Resolved<()>, HierError> {
+        Ok(Resolved::Miss(()))
     }
 
-    // Dependency-level scheduler: group the bottom-up order into waves of
-    // assembly cells whose referenced definitions are all done, and fan
-    // each wave across workers. Every cell reads only definitions below
-    // it, all of which were re-placed in earlier waves, so each cell's
-    // computation sees exactly the table state the serial walk would give
-    // it — the outputs are bit-identical; only wall-clock changes.
-    let levels = dependency_levels(table, &order)?;
-    let pos: HashMap<CellId, usize> = order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+    fn compute(&self, table: &CellTable, cell: CellId, _: &()) -> Self::Done {
+        compact_cell(table, cell, self.rules, self.solver, self.opts)
+    }
+
+    fn commit(&mut self, _: CellId, _: &(), done: Self::Done) -> Result<HierOutcome, HierError> {
+        converged(done?, self.opts)
+    }
+}
+
+/// The chip flow's refusal to build on a non-converged placement.
+pub(crate) fn converged(
+    outcome: HierOutcome,
+    opts: &HierOptions,
+) -> Result<HierOutcome, HierError> {
+    if outcome.converged {
+        return Ok(outcome);
+    }
+    Err(HierError::Diverged(format!(
+        "cell `{}` did not reach an x/y fixpoint in {} alternations",
+        outcome.cell.name(),
+        opts.max_passes
+    )))
+}
+
+/// The one hierarchy walk. Assembly cells are grouped by
+/// [`dependency_levels`]; every cell reads only definitions below it,
+/// all re-placed in earlier levels, so each computation sees exactly the
+/// table state a serial DFS walk would give it. Within a level, misses
+/// run `threads` at a time through [`par_map`] (one worker runs inline)
+/// and commit in level order after each batch — at one worker a miss's
+/// commit is therefore visible to the next miss, as in a serial walk.
+///
+/// A failed cell poisons its callers; every other cell is still
+/// computed, and the error reported is the one of the first failing
+/// cell in DFS postorder — the cell a serial walk would have stopped at.
+/// `cells` comes back in DFS postorder.
+pub(crate) fn walk_levels<F: LevelFlow>(
+    table: &CellTable,
+    top: CellId,
+    threads: usize,
+    flow: &mut F,
+) -> Result<ChipLayout, HierError> {
+    let order = dfs_order(table, top)?;
+    let mut out_table = table.clone();
     let mut outcomes: HashMap<CellId, HierOutcome> = HashMap::new();
-    // Cells that failed, with their DFS position, plus the set of cells
-    // that cannot be computed because a descendant failed. The serial
-    // walk reports the DFS-earliest failing cell whose descendants all
-    // succeeded; computing every non-poisoned cell and taking the
-    // DFS-minimum failure reproduces that exact error.
-    let mut failures: Vec<(usize, HierError)> = Vec::new();
-    let mut bad: HashSet<CellId> = HashSet::new();
-    for level in &levels {
-        let ready: Vec<CellId> = level
-            .iter()
-            .copied()
-            .filter(|&cell| {
-                let skip = table
-                    .get(cell)
-                    .is_some_and(|def| def.instances().any(|i| bad.contains(&i.cell)));
-                if skip {
-                    bad.insert(cell);
+    // Failed cells with their error; poisoned callers with `None`.
+    let mut failed: HashMap<CellId, Option<HierError>> = HashMap::new();
+    for level in dependency_levels(table, &order)? {
+        let mut misses = Vec::new();
+        let mut finished = Vec::new();
+        for cell in level {
+            let def = out_table.require(cell)?;
+            if def.instances().any(|i| failed.contains_key(&i.cell)) {
+                failed.insert(cell, None);
+                continue;
+            }
+            match flow.resolve(&out_table, cell)? {
+                Resolved::Replayed(outcome) => finished.push((cell, outcome)),
+                Resolved::Miss(miss) => misses.push((cell, miss)),
+            }
+        }
+        for batch in misses.chunks(threads.max(1)) {
+            let done = par_map(batch, threads, |(cell, miss)| {
+                flow.compute(&out_table, *cell, miss)
+            });
+            for ((cell, miss), done) in batch.iter().zip(done) {
+                let done = done.map_err(|panic| HierError::Internal(panic.to_string()));
+                match done.and_then(|done| flow.commit(*cell, miss, done)) {
+                    Ok(outcome) => finished.push((*cell, outcome)),
+                    Err(e) => {
+                        failed.insert(*cell, Some(e));
+                    }
                 }
-                !skip
-            })
-            .collect();
-        let results = par_map(&ready, threads, |&cell| {
-            compact_cell(&out_table, cell, rules, solver, opts)
-        });
-        for (&cell, result) in ready.iter().zip(results) {
-            let name = table.require(cell)?.name().to_owned();
-            let dfs_pos = pos.get(&cell).copied().unwrap_or(usize::MAX);
-            let outcome = match result {
-                Ok(Ok(o)) if o.converged => o,
-                Ok(Ok(_)) => {
-                    failures.push((dfs_pos, diverged_error(&name, opts)));
-                    bad.insert(cell);
-                    continue;
-                }
-                Ok(Err(e)) => {
-                    failures.push((dfs_pos, e));
-                    bad.insert(cell);
-                    continue;
-                }
-                Err(panic) => {
-                    failures.push((dfs_pos, HierError::Internal(panic.to_string())));
-                    bad.insert(cell);
-                    continue;
-                }
-            };
+            }
+        }
+        // Nothing in a level reads another cell of the same level, so
+        // its placements can land after the whole level ran.
+        for (cell, outcome) in finished {
             let Some(slot) = out_table.get_mut(cell) else {
-                return Err(vanished_error(&name));
+                return Err(HierError::Internal(format!(
+                    "cell `{}` vanished from the table mid-walk",
+                    outcome.cell.name()
+                )));
             };
             *slot = outcome.cell.clone();
             outcomes.insert(cell, outcome);
         }
     }
-    if let Some((_, e)) = failures.into_iter().min_by_key(|&(p, _)| p) {
+    if let Some(e) = order.iter().find_map(|c| failed.remove(c).flatten()) {
         return Err(e);
     }
-    // Reassemble the per-cell list in the serial walk's bottom-up order.
     let mut cells = Vec::with_capacity(outcomes.len());
     for cell in order {
         if let Some(outcome) = outcomes.remove(&cell) {
@@ -1945,27 +2010,13 @@ pub fn compact_hierarchy(
     })
 }
 
-fn diverged_error(name: &str, opts: &HierOptions) -> HierError {
-    HierError::Diverged(format!(
-        "cell `{name}` did not reach an x/y fixpoint in {} alternations",
-        opts.max_passes
-    ))
-}
-
-fn vanished_error(name: &str) -> HierError {
-    HierError::Internal(format!("cell `{name}` vanished from the table mid-walk"))
-}
-
 /// Groups a bottom-up [`dfs_order`] into dependency levels over the
 /// assembly cells: a cell lands one level above the deepest assembly it
 /// references, so by the time a level runs, every definition it can see
 /// is final. Leaves are never scheduled (the leaf compactor's business)
 /// and don't separate levels. Within a level, cells keep their DFS
 /// order.
-pub(crate) fn dependency_levels(
-    table: &CellTable,
-    order: &[CellId],
-) -> Result<Vec<Vec<CellId>>, HierError> {
+fn dependency_levels(table: &CellTable, order: &[CellId]) -> Result<Vec<Vec<CellId>>, HierError> {
     let mut level_of: HashMap<CellId, usize> = HashMap::new();
     let mut levels: Vec<Vec<CellId>> = Vec::new();
     for &cell in order {
@@ -1988,30 +2039,22 @@ pub(crate) fn dependency_levels(
     Ok(levels)
 }
 
-/// Bottom-up topological order of the hierarchy under `cell` (children
+/// Bottom-up topological order of the hierarchy under `top` (children
 /// before parents, each cell once). Iterative — an explicit frame stack
 /// instead of recursion, so pathologically deep hierarchies (the parser
 /// fuzz corpus builds 500-deep ones) cannot overflow the call stack.
-pub(crate) fn dfs_order(
-    table: &CellTable,
-    cell: CellId,
-    mark: &mut HashMap<CellId, u8>,
-    order: &mut Vec<CellId>,
-) -> Result<(), HierError> {
+fn dfs_order(table: &CellTable, top: CellId) -> Result<Vec<CellId>, HierError> {
     let recursive = |id: CellId| {
         let name = table.get(id).map_or("?", |c| c.name()).to_owned();
         HierError::Layout(LayoutError::RecursiveCell(name))
     };
-    match mark.get(&cell) {
-        Some(2) => return Ok(()),
-        Some(1) => return Err(recursive(cell)),
-        _ => {}
-    }
     let children = |id: CellId| -> Result<Vec<CellId>, HierError> {
         Ok(table.require(id)?.instances().map(|i| i.cell).collect())
     };
-    mark.insert(cell, 1);
-    let mut stack: Vec<(CellId, Vec<CellId>, usize)> = vec![(cell, children(cell)?, 0)];
+    // 1 = on the stack, 2 = done.
+    let mut mark: HashMap<CellId, u8> = HashMap::from([(top, 1)]);
+    let mut order = Vec::new();
+    let mut stack: Vec<(CellId, Vec<CellId>, usize)> = vec![(top, children(top)?, 0)];
     while let Some(frame) = stack.last_mut() {
         let (id, kids, next) = (frame.0, &frame.1, &mut frame.2);
         let Some(&child) = kids.get(*next) else {
@@ -2030,7 +2073,7 @@ pub(crate) fn dfs_order(
             }
         }
     }
-    Ok(())
+    Ok(order)
 }
 
 #[cfg(test)]

@@ -31,6 +31,11 @@
 //!   previous placement ([`rsg_solve`]'s warm path is exact for any
 //!   seed, so this changes pass counts, never geometry).
 //!
+//! The session walks the hierarchy through the same level-scheduled
+//! executor as the plain flow (at every [`HierOptions::parallelism`]);
+//! it only adds the hashing and replay before a level's misses run and
+//! the cache merge after each batch of them.
+//!
 //! The contract, pinned by the `incremental_equivalence` proptests: every
 //! call returns **bit-identical geometry and pitches** to the
 //! from-scratch flow on the same input. Only the diagnostics
@@ -72,17 +77,16 @@
 use crate::backend::Solver;
 use crate::fault::{FaultPlan, FaultSite, InjectedFault};
 use crate::hier::{
-    axis_index, compact_cell_with, dependency_levels, derive_abstract, dfs_order, CellAbstract,
-    ChipCompaction, ChipError, ChipLayout, CompactHooks, HierError, HierOptions, HierOutcome,
-    ReuseCounters, SweepRecord, SweepSolution,
+    axis_index, compact_cell_with, converged, derive_abstract, substitute_library, walk_levels,
+    CellAbstract, ChipCompaction, ChipError, ChipLayout, CompactHooks, HierError, HierOptions,
+    HierOutcome, LevelFlow, Resolved, ReuseCounters, SweepRecord, SweepSolution,
 };
 use crate::leaf::{self, CompactionResult, LibraryJob};
-use crate::par::par_map;
 use rsg_geom::{Axis, Orientation};
 use rsg_layout::hash::{deep_hashes, hash_cell, mix, ContentHasher};
 use rsg_layout::{CellDefinition, CellId, CellTable, DesignRules, LayoutError};
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Work done (and avoided) by one session call.
 ///
@@ -289,39 +293,8 @@ impl CompactSession {
         self.last = EditStats::default();
     }
 
-    /// Error-path cache hygiene: a failed call may have half-written
-    /// warm seeds and sweep records (they are positional, not
-    /// content-addressed), so they are dropped wholesale. The content
-    /// caches keep every entry — each was completed and is keyed by its
-    /// full input, so nothing partial can hide there. A retry after the
-    /// failure therefore behaves exactly like a cold run for the failed
-    /// cells (pinned by the fault-injection proptests).
-    fn abandon(&mut self) {
-        self.history.clear();
-        self.last = EditStats::default();
-    }
-
     fn forgetting(&self) -> bool {
         self.faults.as_ref().is_some_and(|p| p.forget_caches)
-    }
-
-    fn finish(&mut self) {
-        let t = &mut self.stats.totals;
-        let l = &self.last;
-        t.cells_seen += l.cells_seen;
-        t.cell_hits += l.cell_hits;
-        t.cells_compacted += l.cells_compacted;
-        t.leaf_jobs += l.leaf_jobs;
-        t.leaf_hits += l.leaf_hits;
-        t.abstracts_derived += l.abstracts_derived;
-        t.abstract_hits += l.abstract_hits;
-        t.pairs_reused += l.pairs_reused;
-        t.constraints_emitted += l.constraints_emitted;
-        t.constraints_reused += l.constraints_reused;
-        t.sweeps_solved += l.sweeps_solved;
-        t.sweep_memo_hits += l.sweep_memo_hits;
-        t.solver_passes += l.solver_passes;
-        self.stats.calls += 1;
     }
 
     /// Incremental [`crate::hier::compact_hierarchy`]: identical results,
@@ -345,15 +318,8 @@ impl CompactSession {
     ) -> Result<ChipLayout, HierError> {
         let context = context_of(rules, solver, opts);
         self.begin(context);
-        let chip = match self.hierarchy_inner(table, top, rules, solver, opts, context) {
-            Ok(chip) => chip,
-            Err(e) => {
-                self.abandon();
-                return Err(e);
-            }
-        };
-        self.finish();
-        Ok(chip)
+        let chip = self.walk(table, top, rules, solver, opts, context);
+        self.end(chip)
     }
 
     /// Incremental [`crate::hier::compact_chip_with_library`]: the leaf
@@ -377,84 +343,83 @@ impl CompactSession {
     ) -> Result<ChipCompaction, ChipError> {
         let context = context_of(rules, solver, opts);
         self.begin(context);
-        match self.chip_inner(table, top, jobs, rules, solver, opts, context) {
-            Ok(out) => {
-                self.finish();
-                Ok(out)
-            }
-            Err(e) => {
-                self.abandon();
-                Err(e)
-            }
-        }
+        let chip = self.leaf_pass(jobs, rules, solver, opts).and_then(|leaf| {
+            let compacted = substitute_library(table, &leaf)?;
+            let chip = self.walk(&compacted, top, rules, solver, opts, context)?;
+            Ok(ChipCompaction { chip, leaf })
+        });
+        self.end(chip)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn chip_inner(
+    /// Closes a call. A success counts into [`CompactSession::stats`].
+    ///
+    /// A failure is error-path cache hygiene: the call may have
+    /// half-written warm seeds and sweep records (they are positional,
+    /// not content-addressed), so they are dropped wholesale. The content
+    /// caches keep every entry — each was completed and is keyed by its
+    /// full input, so nothing partial can hide there. A retry after the
+    /// failure therefore behaves exactly like a cold run for the failed
+    /// cells (pinned by the fault-injection proptests).
+    fn end<T, E>(&mut self, result: Result<T, E>) -> Result<T, E> {
+        if result.is_err() {
+            self.history.clear();
+            self.last = EditStats::default();
+            return result;
+        }
+        let t = &mut self.stats.totals;
+        let l = &self.last;
+        t.cells_seen += l.cells_seen;
+        t.cell_hits += l.cell_hits;
+        t.cells_compacted += l.cells_compacted;
+        t.leaf_jobs += l.leaf_jobs;
+        t.leaf_hits += l.leaf_hits;
+        t.abstracts_derived += l.abstracts_derived;
+        t.abstract_hits += l.abstract_hits;
+        t.pairs_reused += l.pairs_reused;
+        t.constraints_emitted += l.constraints_emitted;
+        t.constraints_reused += l.constraints_reused;
+        t.sweeps_solved += l.sweeps_solved;
+        t.sweep_memo_hits += l.sweep_memo_hits;
+        t.solver_passes += l.solver_passes;
+        self.stats.calls += 1;
+        result
+    }
+
+    fn leaf_pass(
         &mut self,
-        table: &CellTable,
-        top: CellId,
         jobs: &[LibraryJob],
         rules: &DesignRules,
         solver: &dyn Solver,
         opts: &HierOptions,
-        context: u64,
-    ) -> Result<ChipCompaction, ChipError> {
+    ) -> Result<Vec<CompactionResult>, ChipError> {
         let rules_hash = rules.content_hash();
         let solver_hash = hash_str(solver.name());
         let forgetting = self.forgetting();
-        let mut leaf_results: Vec<CompactionResult> = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let key = mix(&[job.content_hash(), rules_hash, solver_hash]);
-            match self.leaves.get(&key).filter(|_| !forgetting) {
-                Some(cached) => {
+        jobs.iter()
+            .map(|job| {
+                let key = mix(&[job.content_hash(), rules_hash, solver_hash]);
+                if let Some(cached) = self.leaves.get(&key).filter(|_| !forgetting) {
                     self.last.leaf_hits += 1;
-                    leaf_results.push(cached.as_ref().clone());
+                    return Ok(cached.as_ref().clone());
                 }
-                None => {
-                    self.last.leaf_jobs += 1;
-                    let result = leaf::compact_limited(
-                        &job.cells,
-                        &job.interfaces,
-                        rules,
-                        solver,
-                        &opts.limits,
-                    )?;
-                    self.leaves.insert(key, Arc::new(result.clone()));
-                    leaf_results.push(result);
-                }
-            }
-        }
-        let mut compacted = table.clone();
-        for result in &leaf_results {
-            for cell in &result.cells {
-                let id = compacted.lookup(cell.name()).ok_or_else(|| {
-                    ChipError::Hier(HierError::Layout(LayoutError::UnknownCell(
-                        cell.name().to_owned(),
-                    )))
-                })?;
-                let Some(slot) = compacted.get_mut(id) else {
-                    return Err(ChipError::Hier(HierError::Internal(format!(
-                        "cell `{}` vanished between lookup and substitution",
-                        cell.name()
-                    ))));
-                };
-                *slot = cell.clone();
-            }
-        }
-        let chip = self.hierarchy_inner(&compacted, top, rules, solver, opts, context)?;
-        Ok(ChipCompaction {
-            chip,
-            leaf: leaf_results,
-        })
+                self.last.leaf_jobs += 1;
+                let result = leaf::compact_limited(
+                    &job.cells,
+                    &job.interfaces,
+                    rules,
+                    solver,
+                    &opts.limits,
+                )?;
+                self.leaves.insert(key, Arc::new(result.clone()));
+                Ok(result)
+            })
+            .collect()
     }
 
-    /// The shared hierarchy walk: bottom-up over the DAG, maintaining the
-    /// deep output hash of every visited definition. A parent's input
-    /// hash folds in its children's *output* hashes, so an edit anywhere
-    /// below forces a parent miss exactly when something it can see
-    /// changed — the dirty propagation is the hashing.
-    fn hierarchy_inner(
+    /// The hierarchy pass: [`walk_levels`] over a [`SessionFlow`]. The
+    /// fault schedule counts trips across the whole walk, so it is
+    /// deterministic only with one worker — an armed plan runs one.
+    fn walk(
         &mut self,
         table: &CellTable,
         top: CellId,
@@ -463,322 +428,145 @@ impl CompactSession {
         opts: &HierOptions,
         context: u64,
     ) -> Result<ChipLayout, HierError> {
-        // The fault seam counts trips globally across the walk, so its
-        // schedule is only meaningful under the serial visit order — an
-        // armed plan forces the reference path.
-        let threads = opts.parallelism.threads();
-        if threads > 1 && self.faults.is_none() {
-            return self.hierarchy_parallel(table, top, rules, solver, opts, context, threads);
-        }
-        let rules_hash = rules.content_hash();
-        let mut out_table = table.clone();
-        let mut order = Vec::new();
-        let mut mark: HashMap<CellId, u8> = HashMap::new();
-        dfs_order(table, top, &mut mark, &mut order)?;
-        // Deep *output* hash per visited cell (leaves: input == output).
-        let mut hash_of: HashMap<CellId, u64> = HashMap::new();
-        let mut cells = Vec::new();
-        for cell in order {
-            let def = out_table.require(cell)?;
-            let in_hash = checked_hash(def, &hash_of)?;
-            if def.instances().next().is_none() {
-                hash_of.insert(cell, in_hash);
-                continue; // leaf: the leaf compactor's business
-            }
-            let name = def.name().to_owned();
-            self.last.cells_seen += 1;
-            let key = mix(&[in_hash, context]);
-            let forgetting = self.forgetting();
-            let (outcome, out_hash) = match self.cells.get(&key).filter(|_| !forgetting) {
-                Some(entry) => {
-                    self.last.cell_hits += 1;
-                    (entry.outcome.clone(), entry.out_hash)
-                }
-                None => {
-                    self.last.cells_compacted += 1;
-                    let history = self.history.entry(name.clone()).or_default();
-                    history.begin_run();
-                    let mut hooks = SessionHooks {
-                        abstracts: &mut self.abstracts,
-                        hash_of: &hash_of,
-                        rules_hash,
-                        context,
-                        history,
-                        memo: &mut self.memo,
-                        counters: ReuseCounters::default(),
-                        faults: self.faults.as_mut(),
-                        forgetting,
-                    };
-                    let outcome =
-                        compact_cell_with(&out_table, cell, rules, solver, opts, &mut hooks)?;
-                    self.last.absorb(&hooks.counters);
-                    if !outcome.converged {
-                        return Err(HierError::Diverged(format!(
-                            "cell `{name}` did not reach an x/y fixpoint in {} alternations",
-                            opts.max_passes
-                        )));
-                    }
-                    let out_hash = checked_hash(&outcome.cell, &hash_of)?;
-                    self.cells.insert(
-                        key,
-                        Arc::new(CellEntry {
-                            outcome: outcome.clone(),
-                            out_hash,
-                        }),
-                    );
-                    (outcome, out_hash)
-                }
-            };
-            let Some(slot) = out_table.get_mut(cell) else {
-                return Err(HierError::Internal(format!(
-                    "cell `{name}` vanished from the table mid-walk"
-                )));
-            };
-            *slot = outcome.cell.clone();
-            hash_of.insert(cell, out_hash);
-            cells.push((name, outcome));
-        }
-        Ok(ChipLayout {
-            table: out_table,
-            top,
-            cells,
-        })
-    }
-
-    /// The multi-worker variant of [`CompactSession::hierarchy_inner`]:
-    /// the dependency-level schedule of [`crate::hier::compact_hierarchy`]
-    /// layered over the session caches. Per level, a serial pass hashes
-    /// each ready cell and replays outcome-cache hits; the misses fan out
-    /// across workers, each holding a [`ShardHooks`] — a read-only
-    /// snapshot of the shared content caches plus private insert maps and
-    /// the cell's own (name-keyed, therefore exclusive) solve history —
-    /// and the per-worker inserts merge back in level order before the
-    /// next level hashes against them. Geometry, pitches, and the
-    /// reported error are bit-identical to the serial walk (pinned by the
-    /// `parallel_equivalence` proptests); only the reuse *counters* may
-    /// differ, because two workers can re-derive an abstract a serial
-    /// walk would have cache-hit.
-    #[allow(clippy::too_many_arguments)]
-    fn hierarchy_parallel(
-        &mut self,
-        table: &CellTable,
-        top: CellId,
-        rules: &DesignRules,
-        solver: &dyn Solver,
-        opts: &HierOptions,
-        context: u64,
-        threads: usize,
-    ) -> Result<ChipLayout, HierError> {
-        let rules_hash = rules.content_hash();
-        let mut out_table = table.clone();
-        let mut order = Vec::new();
-        let mut mark: HashMap<CellId, u8> = HashMap::new();
-        dfs_order(table, top, &mut mark, &mut order)?;
-        let levels = dependency_levels(table, &order)?;
-        let pos: HashMap<CellId, usize> = order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        // Deep *output* hash per visited cell. Leaves are pure inputs
-        // (input == output, and their hash reads no other definition), so
-        // they all hash up front.
-        let mut hash_of: HashMap<CellId, u64> = HashMap::new();
-        for &cell in &order {
-            let def = out_table.require(cell)?;
-            if def.instances().next().is_none() {
-                let h = checked_hash(def, &hash_of)?;
-                hash_of.insert(cell, h);
-            }
-        }
-        let mut outcomes: HashMap<CellId, HierOutcome> = HashMap::new();
-        // Same failure semantics as the parallel plain walk: compute every
-        // cell whose descendants all succeeded, then report the error of
-        // the DFS-earliest failure — exactly the cell the serial walk
-        // would have stopped at.
-        let mut failures: Vec<(usize, HierError)> = Vec::new();
-        let mut bad: HashSet<CellId> = HashSet::new();
-        for level in &levels {
-            // Serial cache pass: a poisoned cell cannot even be hashed
-            // (a descendant has no output), hits replay immediately, and
-            // misses queue for the fan-out with their history taken out
-            // of the session (cell names are unique, so each worker owns
-            // its history exclusively).
-            let mut misses: Vec<MissJob> = Vec::new();
-            for &cell in level {
-                let def = out_table.require(cell)?;
-                if def.instances().any(|i| bad.contains(&i.cell)) {
-                    bad.insert(cell);
-                    continue;
-                }
-                self.last.cells_seen += 1;
-                let name = def.name().to_owned();
-                let in_hash = checked_hash(def, &hash_of)?;
-                let key = mix(&[in_hash, context]);
-                if let Some(entry) = self.cells.get(&key) {
-                    self.last.cell_hits += 1;
-                    let outcome = entry.outcome.clone();
-                    let out_hash = entry.out_hash;
-                    let Some(slot) = out_table.get_mut(cell) else {
-                        return Err(HierError::Internal(format!(
-                            "cell `{name}` vanished from the table mid-walk"
-                        )));
-                    };
-                    *slot = outcome.cell.clone();
-                    hash_of.insert(cell, out_hash);
-                    outcomes.insert(cell, outcome);
-                    continue;
-                }
-                self.last.cells_compacted += 1;
-                let mut history = self.history.remove(&name).unwrap_or_default();
-                history.begin_run();
-                misses.push(MissJob {
-                    cell,
-                    name,
-                    key,
-                    history,
-                });
-            }
-            if misses.is_empty() {
-                continue;
-            }
-            let results = {
-                let abstracts = &self.abstracts;
-                let memo = &self.memo;
-                let out_table = &out_table;
-                let hash_of = &hash_of;
-                par_map(&misses, threads, move |job| {
-                    let mut hooks = ShardHooks {
-                        abstracts,
-                        new_abstracts: HashMap::new(),
-                        hash_of,
-                        rules_hash,
-                        context,
-                        history: job.history.clone(),
-                        memo,
-                        new_memo: HashMap::new(),
-                        counters: ReuseCounters::default(),
-                    };
-                    let outcome =
-                        compact_cell_with(out_table, job.cell, rules, solver, opts, &mut hooks);
-                    ShardResult {
-                        outcome,
-                        history: hooks.history,
-                        new_abstracts: hooks.new_abstracts,
-                        new_memo: hooks.new_memo,
-                        counters: hooks.counters,
-                    }
-                })
-            };
-            // Merge in level order (a DFS suborder), so cache insertion
-            // order — and therefore everything downstream — is
-            // deterministic regardless of worker interleaving.
-            for (job, result) in misses.into_iter().zip(results) {
-                let dfs_pos = pos.get(&job.cell).copied().unwrap_or(usize::MAX);
-                let shard = match result {
-                    Ok(s) => s,
-                    Err(panic) => {
-                        failures.push((dfs_pos, HierError::Internal(panic.to_string())));
-                        bad.insert(job.cell);
-                        continue;
-                    }
-                };
-                self.abstracts.extend(shard.new_abstracts);
-                self.memo.extend(shard.new_memo);
-                self.history.insert(job.name.clone(), shard.history);
-                self.last.absorb(&shard.counters);
-                let outcome = match shard.outcome {
-                    Ok(o) if o.converged => o,
-                    Ok(_) => {
-                        failures.push((
-                            dfs_pos,
-                            HierError::Diverged(format!(
-                                "cell `{}` did not reach an x/y fixpoint in {} alternations",
-                                job.name, opts.max_passes
-                            )),
-                        ));
-                        bad.insert(job.cell);
-                        continue;
-                    }
-                    Err(e) => {
-                        failures.push((dfs_pos, e));
-                        bad.insert(job.cell);
-                        continue;
-                    }
-                };
-                let out_hash = checked_hash(&outcome.cell, &hash_of)?;
-                self.cells.insert(
-                    job.key,
-                    Arc::new(CellEntry {
-                        outcome: outcome.clone(),
-                        out_hash,
-                    }),
-                );
-                let Some(slot) = out_table.get_mut(job.cell) else {
-                    return Err(HierError::Internal(format!(
-                        "cell `{}` vanished from the table mid-walk",
-                        job.name
-                    )));
-                };
-                *slot = outcome.cell.clone();
-                hash_of.insert(job.cell, out_hash);
-                outcomes.insert(job.cell, outcome);
-            }
-        }
-        if let Some((_, e)) = failures.into_iter().min_by_key(|&(p, _)| p) {
-            return Err(e);
-        }
-        // Reassemble the per-cell list in the serial walk's bottom-up
-        // order.
-        let mut cells = Vec::with_capacity(outcomes.len());
-        for cell in order {
-            if let Some(outcome) = outcomes.remove(&cell) {
-                cells.push((table.require(cell)?.name().to_owned(), outcome));
-            }
-        }
-        Ok(ChipLayout {
-            table: out_table,
-            top,
-            cells,
-        })
+        let forgetting = self.forgetting();
+        let faults = self.faults.take().map(Mutex::new);
+        let threads = match faults {
+            Some(_) => 1,
+            None => opts.parallelism.threads(),
+        };
+        let mut flow = SessionFlow {
+            session: self,
+            rules,
+            solver,
+            opts,
+            context,
+            rules_hash: rules.content_hash(),
+            faults: faults.as_ref(),
+            forgetting,
+            hash_of: HashMap::new(),
+        };
+        let chip = walk_levels(table, top, threads, &mut flow);
+        self.faults = faults.map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner));
+        chip
     }
 }
 
-/// One outcome-cache miss queued for the parallel fan-out, carrying the
-/// cell's solve history out of the session for the worker's exclusive
-/// use.
-struct MissJob {
-    cell: CellId,
-    name: String,
-    /// Outcome-cache key (`mix(deep input hash, context)`).
-    key: u64,
-    history: CellHistory,
-}
-
-/// Everything a worker produced for one miss: the outcome plus the cache
-/// state to merge back — its updated history and the abstracts/memo
-/// entries it derived (content-addressed, so merge order only affects
-/// counters, never values).
-struct ShardResult {
-    outcome: Result<HierOutcome, HierError>,
-    history: CellHistory,
-    new_abstracts: HashMap<u64, Arc<CellAbstract>>,
-    new_memo: HashMap<u64, Arc<SweepSolution>>,
-    counters: ReuseCounters,
-}
-
-/// The per-worker [`CompactHooks`]: reads go to the shared snapshot
-/// first, then to the worker's private inserts; writes stay private until
-/// the level's deterministic merge. Fault injection is structurally
-/// absent — an armed plan forces the serial path before this type is ever
-/// constructed.
-struct ShardHooks<'a> {
-    abstracts: &'a HashMap<u64, Arc<CellAbstract>>,
-    new_abstracts: HashMap<u64, Arc<CellAbstract>>,
-    /// Deep output hashes of every definition from earlier levels.
-    hash_of: &'a HashMap<CellId, u64>,
-    rules_hash: u64,
+/// The session's [`LevelFlow`]. It maintains the deep output hash of
+/// every visited definition: a parent's input hash folds in its
+/// children's *output* hashes, so an edit anywhere below forces a parent
+/// miss exactly when something it can see changed — the dirty
+/// propagation is the hashing.
+struct SessionFlow<'a> {
+    session: &'a mut CompactSession,
+    rules: &'a DesignRules,
+    solver: &'a dyn Solver,
+    opts: &'a HierOptions,
     context: u64,
+    rules_hash: u64,
+    /// Armed fault schedule of the session, if any (one worker only).
+    faults: Option<&'a Mutex<FaultPlan>>,
+    /// Injected amnesia: answer every cache lookup with a miss.
+    forgetting: bool,
+    /// Deep output hash per visited cell (leaves: input == output).
+    hash_of: HashMap<CellId, u64>,
+}
+
+impl LevelFlow for SessionFlow<'_> {
+    /// The outcome-cache key and the cell's solve history, taken out of
+    /// the session for the worker (cell names are unique, so the worker
+    /// owns it exclusively).
+    type Miss = (u64, CellHistory);
+    type Done = (Result<HierOutcome, HierError>, Shard);
+
+    fn resolve(
+        &mut self,
+        table: &CellTable,
+        cell: CellId,
+    ) -> Result<Resolved<Self::Miss>, HierError> {
+        let def = table.require(cell)?;
+        // Leaves are pure inputs — input == output, and their hash reads
+        // no other definition — so they hash on first sight.
+        for inst in def.instances() {
+            if !self.hash_of.contains_key(&inst.cell) {
+                let child = table.require(inst.cell)?;
+                if child.instances().next().is_none() {
+                    let h = checked_hash(child, &self.hash_of)?;
+                    self.hash_of.insert(inst.cell, h);
+                }
+            }
+        }
+        let key = mix(&[checked_hash(def, &self.hash_of)?, self.context]);
+        let session = &mut *self.session;
+        session.last.cells_seen += 1;
+        if let Some(entry) = session.cells.get(&key).filter(|_| !self.forgetting) {
+            session.last.cell_hits += 1;
+            self.hash_of.insert(cell, entry.out_hash);
+            return Ok(Resolved::Replayed(entry.outcome.clone()));
+        }
+        session.last.cells_compacted += 1;
+        let mut history = session.history.remove(def.name()).unwrap_or_default();
+        history.begin_run();
+        Ok(Resolved::Miss((key, history)))
+    }
+
+    fn compute(&self, table: &CellTable, cell: CellId, miss: &Self::Miss) -> Self::Done {
+        let mut hooks = ShardHooks {
+            flow: self,
+            shard: Shard {
+                history: miss.1.clone(),
+                ..Shard::default()
+            },
+        };
+        let outcome =
+            compact_cell_with(table, cell, self.rules, self.solver, self.opts, &mut hooks);
+        (outcome, hooks.shard)
+    }
+
+    fn commit(
+        &mut self,
+        cell: CellId,
+        (key, _): &Self::Miss,
+        (outcome, shard): Self::Done,
+    ) -> Result<HierOutcome, HierError> {
+        let session = &mut *self.session;
+        session.abstracts.extend(shard.abstracts);
+        session.memo.extend(shard.memo);
+        session.last.absorb(&shard.counters);
+        let outcome = converged(outcome?, self.opts)?;
+        let out_hash = checked_hash(&outcome.cell, &self.hash_of)?;
+        session
+            .history
+            .insert(outcome.cell.name().to_owned(), shard.history);
+        session.cells.insert(
+            *key,
+            Arc::new(CellEntry {
+                outcome: outcome.clone(),
+                out_hash,
+            }),
+        );
+        self.hash_of.insert(cell, out_hash);
+        Ok(outcome)
+    }
+}
+
+/// Everything one miss writes, kept private to its worker until the
+/// commit: the cell's updated history, the abstracts and sweep solves it
+/// derived (content-addressed, so merge order only affects counters,
+/// never values), and its reuse counters.
+#[derive(Default)]
+struct Shard {
     history: CellHistory,
-    memo: &'a HashMap<u64, Arc<SweepSolution>>,
-    new_memo: HashMap<u64, Arc<SweepSolution>>,
+    abstracts: HashMap<u64, Arc<CellAbstract>>,
+    memo: HashMap<u64, Arc<SweepSolution>>,
     counters: ReuseCounters,
+}
+
+/// The session's [`CompactHooks`] for one [`compact_cell_with`] run:
+/// reads go to the session caches first, then to the run's own inserts;
+/// writes stay in the [`Shard`] until the commit.
+struct ShardHooks<'a> {
+    flow: &'a SessionFlow<'a>,
+    shard: Shard,
 }
 
 impl CompactHooks for ShardHooks<'_> {
@@ -789,7 +577,10 @@ impl CompactHooks for ShardHooks<'_> {
         orientation: Orientation,
         rules: &DesignRules,
     ) -> Result<(Arc<CellAbstract>, u64), LayoutError> {
-        let src = match self.hash_of.get(&cell) {
+        // The walk hashes children before parents, so the referenced
+        // cell's output hash is always present; the deep-hash fallback
+        // only fires for hook reuse outside the session walk.
+        let src = match self.flow.hash_of.get(&cell) {
             Some(&h) => h,
             None => deep_hashes(table, cell)?[&cell],
         };
@@ -797,19 +588,18 @@ impl CompactHooks for ShardHooks<'_> {
             src,
             orientation.rotation as u64,
             orientation.mirror_y as u64,
-            self.rules_hash,
+            self.flow.rules_hash,
         ]);
-        if let Some(cached) = self
-            .abstracts
-            .get(&sig)
-            .or_else(|| self.new_abstracts.get(&sig))
-        {
-            self.counters.abstract_hits += 1;
+        let cached = (self.flow.session.abstracts.get(&sig))
+            .or_else(|| self.shard.abstracts.get(&sig))
+            .filter(|_| !self.flow.forgetting);
+        if let Some(cached) = cached {
+            self.shard.counters.abstract_hits += 1;
             return Ok((cached.clone(), sig));
         }
-        self.counters.abstracts_derived += 1;
+        self.shard.counters.abstracts_derived += 1;
         let derived = Arc::new(derive_abstract(table, cell, orientation, rules)?);
-        self.new_abstracts.insert(sig, derived.clone());
+        self.shard.abstracts.insert(sig, derived.clone());
         Ok((derived, sig))
     }
 
@@ -818,141 +608,55 @@ impl CompactHooks for ShardHooks<'_> {
     }
 
     fn context_tag(&self) -> u64 {
-        self.context
+        self.flow.context
     }
 
     fn warm_seed(&mut self, axis: Axis) -> Option<Vec<i64>> {
-        self.history.warm[axis_index(axis)].clone()
+        if self.flow.forgetting {
+            return None;
+        }
+        self.shard.history.warm[axis_index(axis)].clone()
     }
 
     fn record_warm(&mut self, axis: Axis, positions: &[i64]) {
-        self.history.warm[axis_index(axis)] = Some(positions.to_vec());
+        self.shard.history.warm[axis_index(axis)] = Some(positions.to_vec());
     }
 
     fn prev_sweep(&mut self, ordinal: usize) -> Option<Arc<SweepRecord>> {
-        self.history.prev.get(ordinal).cloned()
+        if self.flow.forgetting {
+            return None;
+        }
+        self.shard.history.prev.get(ordinal).cloned()
     }
 
     fn record_sweep(&mut self, ordinal: usize, record: Arc<SweepRecord>) {
-        if ordinal == self.history.next.len() {
-            self.history.next.push(record);
+        if ordinal == self.shard.history.next.len() {
+            self.shard.history.next.push(record);
         }
     }
 
     fn memo_get(&mut self, key: u64) -> Option<Arc<SweepSolution>> {
-        self.memo
-            .get(&key)
-            .or_else(|| self.new_memo.get(&key))
+        if self.flow.forgetting {
+            return None;
+        }
+        (self.flow.session.memo.get(&key))
+            .or_else(|| self.shard.memo.get(&key))
             .cloned()
     }
 
     fn memo_put(&mut self, key: u64, solution: Arc<SweepSolution>) {
-        self.new_memo.insert(key, solution);
+        self.shard.memo.insert(key, solution);
     }
 
     fn counters(&mut self) -> Option<&mut ReuseCounters> {
-        Some(&mut self.counters)
-    }
-}
-
-/// The session's [`CompactHooks`] implementation for one
-/// [`compact_cell_with`] run — borrows the session caches plus the cell's
-/// own history, and collects the run's counters.
-struct SessionHooks<'a> {
-    abstracts: &'a mut HashMap<u64, Arc<CellAbstract>>,
-    /// Deep output hashes of every already-processed definition.
-    hash_of: &'a HashMap<CellId, u64>,
-    rules_hash: u64,
-    context: u64,
-    history: &'a mut CellHistory,
-    memo: &'a mut HashMap<u64, Arc<SweepSolution>>,
-    counters: ReuseCounters,
-    /// Armed fault schedule of the session, if any.
-    faults: Option<&'a mut FaultPlan>,
-    /// Injected amnesia: answer every cache lookup with a miss.
-    forgetting: bool,
-}
-
-impl CompactHooks for SessionHooks<'_> {
-    fn abstract_for(
-        &mut self,
-        table: &CellTable,
-        cell: CellId,
-        orientation: Orientation,
-        rules: &DesignRules,
-    ) -> Result<(Arc<CellAbstract>, u64), LayoutError> {
-        // The walk processes children before parents, so the referenced
-        // cell's output hash is always present; the deep-hash fallback
-        // only fires for hook reuse outside the session walk.
-        let src = match self.hash_of.get(&cell) {
-            Some(&h) => h,
-            None => deep_hashes(table, cell)?[&cell],
-        };
-        let sig = mix(&[
-            src,
-            orientation.rotation as u64,
-            orientation.mirror_y as u64,
-            self.rules_hash,
-        ]);
-        if let Some(cached) = self.abstracts.get(&sig).filter(|_| !self.forgetting) {
-            self.counters.abstract_hits += 1;
-            return Ok((cached.clone(), sig));
-        }
-        self.counters.abstracts_derived += 1;
-        let derived = Arc::new(derive_abstract(table, cell, orientation, rules)?);
-        self.abstracts.insert(sig, derived.clone());
-        Ok((derived, sig))
-    }
-
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn context_tag(&self) -> u64 {
-        self.context
-    }
-
-    fn warm_seed(&mut self, axis: Axis) -> Option<Vec<i64>> {
-        if self.forgetting {
-            return None;
-        }
-        self.history.warm[axis_index(axis)].clone()
-    }
-
-    fn record_warm(&mut self, axis: Axis, positions: &[i64]) {
-        self.history.warm[axis_index(axis)] = Some(positions.to_vec());
-    }
-
-    fn prev_sweep(&mut self, ordinal: usize) -> Option<Arc<SweepRecord>> {
-        if self.forgetting {
-            return None;
-        }
-        self.history.prev.get(ordinal).cloned()
-    }
-
-    fn record_sweep(&mut self, ordinal: usize, record: Arc<SweepRecord>) {
-        if ordinal == self.history.next.len() {
-            self.history.next.push(record);
-        }
-    }
-
-    fn memo_get(&mut self, key: u64) -> Option<Arc<SweepSolution>> {
-        if self.forgetting {
-            return None;
-        }
-        self.memo.get(&key).cloned()
-    }
-
-    fn memo_put(&mut self, key: u64, solution: Arc<SweepSolution>) {
-        self.memo.insert(key, solution);
-    }
-
-    fn counters(&mut self) -> Option<&mut ReuseCounters> {
-        Some(&mut self.counters)
+        Some(&mut self.shard.counters)
     }
 
     fn fault(&mut self, site: FaultSite) -> Option<InjectedFault> {
-        self.faults.as_mut().and_then(|p| p.trip(site))
+        let plan = self.flow.faults?;
+        plan.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .trip(site)
     }
 }
 

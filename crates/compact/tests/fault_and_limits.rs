@@ -19,6 +19,7 @@ use rsg_compact::fault::FaultPlan;
 use rsg_compact::hier::{compact_hierarchy, ChipLayout, HierError, HierOptions};
 use rsg_compact::incremental::CompactSession;
 use rsg_compact::limits::{Limits, Resource};
+use rsg_compact::par::Parallelism;
 use rsg_geom::{Orientation, Point, Rect};
 use rsg_layout::{CellDefinition, CellId, CellTable, Instance, Layer, Technology};
 
@@ -50,6 +51,30 @@ fn chip(nx: i64, ny: i64, blocks: i64) -> (CellTable, CellId) {
             Point::new(k * pitch, 0),
             Orientation::NORTH,
         ));
+    }
+    let top_id = t.insert(top).unwrap();
+    (t, top_id)
+}
+
+/// A chip with one wide dependency level: `defs` distinct blocks of
+/// the [`chip`] leaf (2, 3, … columns), side by side under one top.
+fn wide_chip(defs: i64) -> (CellTable, CellId) {
+    let (mut t, _) = chip(1, 1, 1);
+    let leaf = t.lookup("leaf").unwrap();
+    let mut top = CellDefinition::new("wide");
+    let mut x = 0;
+    for k in 0..defs {
+        let mut blk = CellDefinition::new(format!("block{k}"));
+        for col in 0..k + 2 {
+            blk.add_instance(Instance::new(
+                leaf,
+                Point::new(col * 22, 0),
+                Orientation::NORTH,
+            ));
+        }
+        let id = t.insert(blk).unwrap();
+        top.add_instance(Instance::new(id, Point::new(x, 0), Orientation::NORTH));
+        x += (k + 2) * 22 + 8;
     }
     let top_id = t.insert(top).unwrap();
     (t, top_id)
@@ -88,6 +113,50 @@ fn injected_faults_surface_as_their_real_error_kinds() {
     match session.compact_hierarchy(&table, top, &tech.rules, &solver, &opts) {
         Err(HierError::Exhausted(e)) => assert_eq!(e.resource, Resource::Injected),
         other => panic!("expected injected exhaustion, got {other:?}"),
+    }
+}
+
+/// An armed plan runs the walk on one worker whatever the requested
+/// parallelism, so fault ordinals name the same solve: `Threads(4)`
+/// fails exactly like `Serial`, and the retry without the plan matches
+/// a cold run.
+#[test]
+fn armed_fault_plan_under_threads_matches_serial() {
+    let tech = Technology::mead_conway(2);
+    let solver = BellmanFord::SORTED;
+    let (table, top) = wide_chip(4);
+    let serial = HierOptions::default();
+    let threaded = HierOptions {
+        parallelism: Parallelism::Threads(4),
+        ..HierOptions::default()
+    };
+    let cold = compact_hierarchy(&table, top, &tech.rules, &solver, &serial).unwrap();
+    let solves: usize = cold
+        .cells
+        .iter()
+        .flat_map(|(_, o)| &o.report.sweeps)
+        .map(|s| s.pitch_rounds)
+        .sum();
+    for at in 0..solves as u64 + 2 {
+        let run = |opts: &HierOptions| {
+            let mut session = CompactSession::new();
+            session.set_fault_plan(Some(FaultPlan::fail_solve(at)));
+            let faulted = session.compact_hierarchy(&table, top, &tech.rules, &solver, opts);
+            session.set_fault_plan(None);
+            let retry = session
+                .compact_hierarchy(&table, top, &tech.rules, &solver, opts)
+                .unwrap();
+            assert_same(&retry, &cold);
+            faulted
+        };
+        match (run(&serial), run(&threaded)) {
+            (Ok(s), Ok(t)) => assert_same(&t, &s),
+            (Err(s), Err(t)) => {
+                assert!(matches!(s, HierError::Infeasible(_)), "{s:?}");
+                assert_eq!(t, s, "fail_solve({at})");
+            }
+            (s, t) => panic!("fail_solve({at}): Serial {s:?}, Threads(4) {t:?}"),
+        }
     }
 }
 

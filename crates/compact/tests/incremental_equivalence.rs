@@ -281,3 +281,45 @@ fn error_classes_match_cold() {
     assert!(cold.is_err());
     assert_eq!(inc.unwrap_err(), cold.unwrap_err());
 }
+
+/// At one worker every miss sees the cache inserts of the misses
+/// committed before it, within a dependency level too: two same-level
+/// blocks that instance the same leaf in the same orientation derive
+/// that abstract once, and the second block's lookup is a hit.
+#[test]
+fn one_worker_derives_each_abstract_once() {
+    let tech = Technology::mead_conway(2);
+    let solver = BellmanFord::SORTED;
+    let mut t = CellTable::new();
+    let leaf = t.insert(lane_cell("leaf", &[(1, 0, 10, 8)])).unwrap();
+    let block = |name: &str, xs: &[i64]| {
+        let mut c = CellDefinition::new(name);
+        for &x in xs {
+            c.add_instance(Instance::new(leaf, Point::new(x, 0), Orientation::NORTH));
+        }
+        c
+    };
+    let block_a = t.insert(block("block_a", &[0, 30])).unwrap();
+    let block_b = t.insert(block("block_b", &[0, 30, 60])).unwrap();
+    let mut top = CellDefinition::new("chip");
+    top.add_instance(Instance::new(block_a, Point::new(0, 0), Orientation::NORTH));
+    top.add_instance(Instance::new(
+        block_b,
+        Point::new(0, 40),
+        Orientation::NORTH,
+    ));
+    let top = t.insert(top).unwrap();
+
+    let mut session = CompactSession::new();
+    session
+        .compact_hierarchy(&t, top, &tech.rules, &solver, &HierOptions::default())
+        .unwrap();
+    let stats = session.last_stats();
+    // Distinct (child, orientation) pairs: (leaf, N), (block_a, N),
+    // (block_b, N). Lookups: one per block, two for the top.
+    assert_eq!(stats.abstracts_derived, 3);
+    assert_eq!(
+        stats.abstract_hits, 1,
+        "block_b reuses block_a's leaf abstract"
+    );
+}

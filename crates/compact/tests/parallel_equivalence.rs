@@ -1,25 +1,33 @@
 //! Serial ≡ parallel, pinned by property tests: on every random
 //! hierarchy, [`compact_hierarchy`], a persistent [`CompactSession`],
 //! and the per-layer DRC sweep must produce **bit-identical** results at
-//! `Parallelism::Threads(n)` for n ∈ {1, 2, 4, 9} — geometry, pitches,
-//! violation lists, and error classes all match the serial walk exactly.
+//! `Parallelism::Serial` and `Parallelism::Threads(n)` for
+//! n ∈ {1, 2, 4, 9} — geometry, pitches, violation lists, and error
+//! classes all match.
+//!
+//! Every hierarchy walk is also held against [`dfs_reference`], a plain
+//! DFS postorder walk over the public [`compact_cell`] that stops at the
+//! first failure. The library's walk is one level-scheduled executor at
+//! every parallelism, so this test-only walk is the independent serial
+//! answer it must reproduce: same geometry, pitches, `cells` order, and
+//! error.
 //!
 //! The thread counts deliberately oversubscribe the host (CI runs on
 //! 1–4 cores): determinism must come from the merge discipline (DFS
 //! reassembly, per-level ordering, index-slot result collection), not
-//! from scheduling luck. n = 1 additionally pins that the `Threads`
-//! code path itself — not just the serial fast path — is exercised and
-//! agrees.
+//! from scheduling luck.
 
 use proptest::prelude::*;
 use rsg_compact::backend::BellmanFord;
-use rsg_compact::hier::{compact_hierarchy, ChipLayout, HierOptions};
+use rsg_compact::hier::{compact_cell, compact_hierarchy, ChipLayout, HierError, HierOptions};
 use rsg_compact::incremental::CompactSession;
 use rsg_compact::par::Parallelism;
 use rsg_geom::{Orientation, Point, Rect};
 use rsg_layout::{
-    drc, CellDefinition, CellId, CellTable, FlatBox, FlatLayout, Instance, Layer, Technology,
+    drc, CellDefinition, CellId, CellTable, DesignRules, FlatBox, FlatLayout, Instance, Layer,
+    LayoutError, Technology,
 };
+use std::collections::HashMap;
 
 /// The worker counts every property is pinned at (1 = forced parallel
 /// path with a single worker; 9 = oversubscribed on any CI host).
@@ -96,29 +104,128 @@ fn with_threads(n: usize) -> HierOptions {
     }
 }
 
-/// `parallel == serial`, bit for bit, on geometry and pitches.
-fn assert_same(par: &ChipLayout, serial: &ChipLayout, n: usize) {
-    assert_eq!(
-        par.cells.len(),
-        serial.cells.len(),
-        "cell count at {n} threads"
-    );
+/// The serial reference walk: bottom-up DFS postorder, one
+/// [`compact_cell`] per assembly, stop at the first failure.
+fn dfs_reference(
+    table: &CellTable,
+    top: CellId,
+    rules: &DesignRules,
+    opts: &HierOptions,
+) -> Result<ChipLayout, HierError> {
+    fn visit(
+        t: &CellTable,
+        id: CellId,
+        done: &mut HashMap<CellId, bool>,
+        order: &mut Vec<CellId>,
+    ) -> Result<(), HierError> {
+        match done.get(&id) {
+            Some(true) => return Ok(()),
+            Some(false) => {
+                let name = t.require(id)?.name().to_owned();
+                return Err(HierError::Layout(LayoutError::RecursiveCell(name)));
+            }
+            None => {}
+        }
+        done.insert(id, false);
+        for inst in t.require(id)?.instances() {
+            visit(t, inst.cell, done, order)?;
+        }
+        done.insert(id, true);
+        order.push(id);
+        Ok(())
+    }
+    let mut order = Vec::new();
+    visit(table, top, &mut HashMap::new(), &mut order)?;
+    let mut out = table.clone();
+    let mut cells = Vec::new();
+    for id in order
+        .into_iter()
+        .filter(|&id| table.require(id).unwrap().instances().next().is_some())
+    {
+        let o = compact_cell(&out, id, rules, &BellmanFord::SORTED, opts)?;
+        let name = o.cell.name().to_owned();
+        if !o.converged {
+            let n = opts.max_passes;
+            return Err(HierError::Diverged(format!(
+                "cell `{name}` did not reach an x/y fixpoint in {n} alternations"
+            )));
+        }
+        *out.get_mut(id).unwrap() = o.cell.clone();
+        cells.push((name, o));
+    }
+    Ok(ChipLayout {
+        table: out,
+        top,
+        cells,
+    })
+}
+
+/// Every walk the library offers, labelled: the plain walk and a cold
+/// session, each at `Serial` and at every pinned `Threads(n)`.
+fn every_walk(
+    table: &CellTable,
+    top: CellId,
+    rules: &DesignRules,
+    opts: &HierOptions,
+) -> Vec<(String, Result<ChipLayout, HierError>)> {
+    let solver = BellmanFord::SORTED;
+    let settings = std::iter::once(Parallelism::Serial)
+        .chain(THREADS.iter().map(|&n| Parallelism::Threads(n)));
+    let mut walks = Vec::new();
+    for parallelism in settings {
+        let opts = HierOptions {
+            parallelism,
+            ..*opts
+        };
+        walks.push((
+            format!("plain {parallelism:?}"),
+            compact_hierarchy(table, top, rules, &solver, &opts),
+        ));
+        walks.push((
+            format!("session {parallelism:?}"),
+            CompactSession::new().compact_hierarchy(table, top, rules, &solver, &opts),
+        ));
+    }
+    walks
+}
+
+/// `walk == reference`: the same layout, or the same error.
+fn assert_matches(
+    walk: &Result<ChipLayout, HierError>,
+    reference: &Result<ChipLayout, HierError>,
+    label: &str,
+) {
+    match (walk, reference) {
+        (Ok(w), Ok(r)) => assert_same(w, r, label),
+        (Err(w), Err(r)) => assert_eq!(w, r, "error of {label}"),
+        (w, r) => panic!(
+            "{label}: {:?} but the reference gave {:?}",
+            w.as_ref().map(|_| "a layout"),
+            r.as_ref().map(|_| "a layout")
+        ),
+    }
+}
+
+/// `parallel == serial`, bit for bit, on `cells` order, geometry and
+/// pitches; `n` labels the walk under test.
+fn assert_same(par: &ChipLayout, serial: &ChipLayout, n: impl std::fmt::Display) {
+    assert_eq!(par.cells.len(), serial.cells.len(), "cell count ({n})");
     for ((n_par, o_par), (n_ser, o_ser)) in par.cells.iter().zip(&serial.cells) {
-        assert_eq!(n_par, n_ser, "compaction order at {n} threads");
+        assert_eq!(n_par, n_ser, "compaction order ({n})");
         assert_eq!(
             o_par.cell, o_ser.cell,
-            "geometry of `{n_par}` diverged at {n} threads"
+            "geometry of `{n_par}` diverged ({n})"
         );
         assert_eq!(
             o_par.pitches, o_ser.pitches,
-            "pitches of `{n_par}` diverged at {n} threads"
+            "pitches of `{n_par}` diverged ({n})"
         );
         assert_eq!(o_par.converged, o_ser.converged);
     }
     assert_eq!(
         par.table.require(par.top).unwrap(),
         serial.table.require(serial.top).unwrap(),
-        "top definition diverged at {n} threads"
+        "top definition diverged ({n})"
     );
 }
 
@@ -149,7 +256,11 @@ proptest! {
         for n in THREADS {
             let par =
                 compact_hierarchy(&table, top, &tech.rules, &solver, &with_threads(n)).unwrap();
-            assert_same(&par, &serial, n);
+            assert_same(&par, &serial, format!("Threads({n})"));
+        }
+        let reference = dfs_reference(&table, top, &tech.rules, &HierOptions::default());
+        for (label, walk) in every_walk(&table, top, &tech.rules, &HierOptions::default()) {
+            assert_matches(&walk, &reference, &label);
         }
     }
 
@@ -181,11 +292,14 @@ proptest! {
             let serial = serial_session
                 .compact_hierarchy(&table, top, &tech.rules, &solver, &HierOptions::default())
                 .unwrap();
+            let reference = dfs_reference(&table, top, &tech.rules, &HierOptions::default());
+            assert_matches(&Ok(serial.clone()), &reference, &format!("Serial session, step {step}"));
             for (n, session) in &mut sessions {
                 let par = session
                     .compact_hierarchy(&table, top, &tech.rules, &solver, &with_threads(*n))
                     .unwrap();
-                assert_same(&par, &serial, *n);
+                assert_same(&par, &serial, format!("Threads({n})"));
+                assert_matches(&Ok(par), &reference, &format!("Threads({n}) session, step {step}"));
             }
         }
     }
@@ -223,8 +337,10 @@ proptest! {
 
 /// Error classes survive the parallel walk: a recursive hierarchy
 /// surfaces as the *same* [`rsg_compact::hier::HierError`] from the
-/// serial fast path, every `Threads(n)` walk, and the session — the
+/// `Serial` walk, every `Threads(n)` walk, and the session — the
 /// DFS-minimum failure rule reproduces serial error selection exactly.
+/// So does a real [`HierError::Diverged`]: under `max_passes: 1` two
+/// cells fail, and the level walk meets the DFS-later one first.
 #[test]
 fn error_classes_match_serial_at_every_parallelism() {
     let tech = Technology::mead_conway(2);
@@ -254,5 +370,50 @@ fn error_classes_match_serial_at_every_parallelism() {
             .compact_hierarchy(&t, top_id, &tech.rules, &solver, &with_threads(n))
             .unwrap_err();
         assert_eq!(ses, serial, "session error diverged at {n} threads");
+    }
+    let reference = dfs_reference(&t, top_id, &tech.rules, &HierOptions::default());
+    assert_eq!(reference.as_ref().unwrap_err(), &serial);
+    for (label, walk) in every_walk(&t, top_id, &tech.rules, &HierOptions::default()) {
+        assert_matches(&walk, &reference, &label);
+    }
+
+    // `mid` (level 1) comes before `block_b` (level 0) in DFS postorder;
+    // both are drawn loose, so neither converges in one alternation.
+    // `block_a` is a single instance at its origin and converges.
+    let mut t = CellTable::new();
+    let mut leaf = CellDefinition::new("leaf");
+    leaf.add_box(Layer::Poly, Rect::from_coords(0, 0, 8, 8));
+    let leaf = t.insert(leaf).unwrap();
+    let loose = |name: &str, child: CellId| {
+        let mut c = CellDefinition::new(name);
+        c.add_instance(Instance::new(child, Point::new(0, 0), Orientation::NORTH));
+        c.add_instance(Instance::new(child, Point::new(100, 0), Orientation::NORTH));
+        c
+    };
+    let mut block_a = CellDefinition::new("block_a");
+    block_a.add_instance(Instance::new(leaf, Point::new(0, 0), Orientation::NORTH));
+    let block_a = t.insert(block_a).unwrap();
+    let mid = t.insert(loose("mid", block_a)).unwrap();
+    let block_b = t.insert(loose("block_b", leaf)).unwrap();
+    let mut top = CellDefinition::new("top");
+    top.add_instance(Instance::new(mid, Point::new(0, 0), Orientation::NORTH));
+    top.add_instance(Instance::new(
+        block_b,
+        Point::new(0, 200),
+        Orientation::NORTH,
+    ));
+    let top = t.insert(top).unwrap();
+
+    let one_pass = HierOptions {
+        max_passes: 1,
+        ..HierOptions::default()
+    };
+    let reference = dfs_reference(&t, top, &tech.rules, &one_pass);
+    match &reference {
+        Err(HierError::Diverged(m)) => assert!(m.contains("`mid`"), "{m}"),
+        other => panic!("expected `mid` to diverge, got {:?}", other.as_ref().err()),
+    }
+    for (label, walk) in every_walk(&t, top, &tech.rules, &one_pass) {
+        assert_matches(&walk, &reference, &label);
     }
 }

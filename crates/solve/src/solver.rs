@@ -59,12 +59,6 @@ impl Solution {
         self.positions
     }
 
-    /// All positions as an owned copy. Prefer [`Solution::positions`]
-    /// (borrowing) or [`Solution::into_positions`] on hot paths.
-    pub fn positions_vec(&self) -> Vec<i64> {
-        self.positions.clone()
-    }
-
     /// Extent of the solution: `max(position) − min(position)`.
     pub fn extent(&self) -> i64 {
         let max = self.positions.iter().copied().max().unwrap_or(0);
