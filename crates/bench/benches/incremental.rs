@@ -67,6 +67,8 @@ fn assert_same_chip(inc: &ChipCompaction, cold: &ChipCompaction) {
             o_inc.pitches, o_cold.pitches,
             "pitches of `{n_inc}` diverged"
         );
+        assert_eq!(o_inc.passes, o_cold.passes, "passes of `{n_inc}` diverged");
+        assert_eq!(o_inc.report, o_cold.report, "report of `{n_inc}` diverged");
     }
 }
 
@@ -121,13 +123,8 @@ fn bench_incremental(c: &mut Criterion) {
         "the 8×8 array and both register rows replay"
     );
     println!(
-        "edit: {} of {} cells recompacted, {} pairs reused, {} constraints copied vs {} emitted, {} sweep-memo hits",
-        s.cells_compacted,
-        s.cells_seen,
-        s.pairs_reused,
-        s.constraints_reused,
-        s.constraints_emitted,
-        s.sweep_memo_hits,
+        "edit: {} of {} cells recompacted, {} constraints emitted",
+        s.cells_compacted, s.cells_seen, s.constraints_emitted,
     );
     let mut check = primed.clone();
     rsg_mult::compactor::compact_chip_session(

@@ -18,7 +18,7 @@
 //!   run — the session may not keep partial state from the errored run.
 //!
 //! `forget_caches` is the odd one out: it injects cache *misses* rather
-//! than failures, forcing every memoized lookup to recompute. A session
+//! than failures, forcing every cached lookup to recompute. A session
 //! with amnesia must still produce bit-identical results; that pins the
 //! cache-equivalence contract from the other side.
 
@@ -59,8 +59,8 @@ pub struct FaultPlan {
     pub diverge_at: Option<u64>,
     /// Report budget exhaustion at the `n`th (0-based) checkpoint.
     pub exhaust_at: Option<u64>,
-    /// Force every cache lookup (leaf results, cell outcomes, abstracts,
-    /// sweep memos, warm seeds) to miss.
+    /// Force every cache lookup (leaf results, cell outcomes, abstracts)
+    /// to miss.
     pub forget_caches: bool,
     solves: u64,
     sweeps: u64,

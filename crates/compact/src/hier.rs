@@ -44,11 +44,11 @@ use crate::par::{par_map, Parallelism};
 use crate::scanline::{spacing_candidates, VisibilityCursor};
 use crate::scratch::{ScanScratch, SweepScratch};
 use rsg_geom::{Axis, BoundingBox, GeomIndex, Isometry, Orientation, Point, Rect, Vector};
-use rsg_layout::hash::{mix, ContentHasher};
+use rsg_layout::hash::ContentHasher;
 use rsg_layout::{
     flatten, CellDefinition, CellId, CellTable, DesignRules, Layer, LayoutError, LayoutObject,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Tuning knobs for the hierarchical compactor.
@@ -269,7 +269,7 @@ impl CellAbstract {
     }
 }
 
-pub(crate) const fn axis_index(axis: Axis) -> usize {
+const fn axis_index(axis: Axis) -> usize {
     match axis {
         Axis::X => 0,
         Axis::Y => 1,
@@ -353,139 +353,49 @@ pub(crate) fn derive_abstract(
 
 /// Work-reuse counters filled by one hooked [`compact_cell_with`] run.
 ///
-/// `constraints_emitted`/`constraints_reused` count the sweep kernel's
-/// spacing, frame, and weld output (welds as 2, like
-/// [`HierSweepStats::constraints`]); the cheap structural pins and pitch
-/// constraints are not counted. `pairs_reused` counts unordered cluster
-/// pairs skipped by the visibility kernel because both endpoints'
-/// abstracts and positions were unchanged and no dirty material touched
-/// their window.
+/// `constraints_emitted` counts the sweep kernel's spacing, frame, and
+/// weld output (welds as 2, like [`HierSweepStats::constraints`]); the
+/// cheap structural pins and pitch constraints are not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ReuseCounters {
     /// Interface abstracts derived by flattening this run.
     pub abstracts_derived: usize,
     /// Interface abstracts answered from the content-hash cache.
     pub abstract_hits: usize,
-    /// Unordered cluster pairs whose emission was copied, not recomputed.
-    pub pairs_reused: usize,
-    /// Kernel constraints computed fresh this run.
+    /// Kernel constraints computed this run.
     pub constraints_emitted: usize,
-    /// Kernel constraints copied from the previous run's emission.
-    pub constraints_reused: usize,
     /// Sweeps that ran the pitch fixpoint + solver.
     pub sweeps_solved: usize,
-    /// Sweeps answered entirely from the sweep memo.
-    pub sweep_memo_hits: usize,
     /// Relaxation passes actually performed.
     pub solver_passes: usize,
 }
 
 /// The sweep kernel's output for one axis, keyed by *cluster index*:
-/// collapsed max spacing/frame weights, exact welds, and per-pair
-/// provenance — the `(cluster, cluster, layer)` key that says which
-/// layer pair produced the binding entry (`None` = material frame).
-/// `BTreeMap` keeps iteration (and thus constraint emission into the
-/// solver) in sorted pair order no matter which entries were copied from
-/// a previous run and which were recomputed.
+/// collapsed max spacing/frame weights and exact welds. `BTreeMap` keeps
+/// iteration (and thus constraint emission into the solver) in sorted
+/// pair order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Emission {
     /// Ordered cluster pair → strongest required separation.
     pub weights: BTreeMap<(usize, usize), i64>,
     /// Ordered cluster pair → exact weld offset (connected material).
     pub welds: BTreeMap<(usize, usize), i64>,
-    /// Ordered cluster pair → deciding layer pair of the weight entry.
-    pub provenance: BTreeMap<(usize, usize), Option<(Layer, Layer)>>,
 }
 
-/// What one executed sweep looked like — enough to decide, on the next
-/// run, which cluster pairs' emission can be copied instead of re-swept.
-#[derive(Debug, Clone)]
-pub(crate) struct SweepRecord {
-    /// Sweep direction.
-    pub axis: Axis,
-    /// Per-cluster identity keys ([`cluster_keys`]).
-    pub keys: Vec<u64>,
-    /// Per-cluster absolute material frames at sweep time.
-    pub frames: Vec<Option<Rect>>,
-    /// The full emission of the sweep (copied entries included).
-    pub emission: Emission,
-}
-
-/// A memoized sweep solve: the exact solver outcome for one
-/// geometry-identical sweep, replayable without building or solving the
-/// constraint system again. `rounds`/`passes` are the original solve's
-/// diagnostics, replayed into the report on a hit.
-#[derive(Debug, Clone)]
-pub(crate) struct SweepSolution {
-    /// Per-cluster origin delta along the sweep axis.
-    pub deltas: Vec<i64>,
-    /// The solver's final (normalized) positions — the next warm seed.
-    pub positions: Vec<i64>,
-    /// Stable pitch values per class.
-    pub lambdas: Vec<i64>,
-    /// Origin extent along the axis after the sweep.
-    pub extent: i64,
-    /// Pitch-fixpoint rounds of the original solve.
-    pub rounds: usize,
-    /// Relaxation passes of the original solve.
-    pub passes: usize,
-}
-
-/// Cross-run reuse seams of the hierarchical engine. The default
-/// implementations are all inert, so [`NoHooks`] reproduces the plain
-/// [`compact_cell`] behavior bit for bit with no bookkeeping;
-/// `incremental::CompactSession` implements the trait to cache abstracts,
-/// emissions, sweep solves, and warm seeds across edits.
+/// Seams of the hierarchical engine for the incremental session. The
+/// default implementations are inert, so [`NoHooks`] reproduces the
+/// plain [`compact_cell`] behavior bit for bit with no bookkeeping;
+/// `incremental::CompactSession` implements the trait to cache interface
+/// abstracts by content hash and to count work.
 pub(crate) trait CompactHooks {
-    /// The interface abstract for `(cell, orientation)` plus a content
-    /// signature of everything the abstract depends on (deep geometry,
-    /// orientation, rules). Signatures equal ⟹ abstracts identical; a
-    /// non-caching implementation may return 0 as long as it also leaves
-    /// [`CompactHooks::enabled`] false.
+    /// The interface abstract for `(cell, orientation)`.
     fn abstract_for(
         &mut self,
         table: &CellTable,
         cell: CellId,
         orientation: Orientation,
         rules: &DesignRules,
-    ) -> Result<(Arc<CellAbstract>, u64), LayoutError>;
-
-    /// Whether the cross-run reuse machinery (keys, records, memo) runs.
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Digest of everything outside the geometry that shapes a solve
-    /// (design rules, solver backend, options) — folded into every sweep
-    /// memo key.
-    fn context_tag(&self) -> u64 {
-        0
-    }
-
-    /// Warm-start seed for the first solve along `axis` (the previous
-    /// run's final positions). Exactness never depends on the seed.
-    fn warm_seed(&mut self, _axis: Axis) -> Option<Vec<i64>> {
-        None
-    }
-
-    /// Records the final solver positions of a sweep along `axis`.
-    fn record_warm(&mut self, _axis: Axis, _positions: &[i64]) {}
-
-    /// The previous run's record of the sweep at this ordinal.
-    fn prev_sweep(&mut self, _ordinal: usize) -> Option<Arc<SweepRecord>> {
-        None
-    }
-
-    /// Stores this run's sweep record for the next run.
-    fn record_sweep(&mut self, _ordinal: usize, _record: Arc<SweepRecord>) {}
-
-    /// Looks up a memoized solve by [`sweep_memo_key`].
-    fn memo_get(&mut self, _key: u64) -> Option<Arc<SweepSolution>> {
-        None
-    }
-
-    /// Memoizes a solve under `key`.
-    fn memo_put(&mut self, _key: u64, _solution: Arc<SweepSolution>) {}
+    ) -> Result<Arc<CellAbstract>, LayoutError>;
 
     /// Reuse counters to fill, when the caller wants them.
     fn counters(&mut self) -> Option<&mut ReuseCounters> {
@@ -511,168 +421,9 @@ impl CompactHooks for NoHooks {
         cell: CellId,
         orientation: Orientation,
         rules: &DesignRules,
-    ) -> Result<(Arc<CellAbstract>, u64), LayoutError> {
-        Ok((
-            Arc::new(derive_abstract(table, cell, orientation, rules)?),
-            0,
-        ))
+    ) -> Result<Arc<CellAbstract>, LayoutError> {
+        Ok(Arc::new(derive_abstract(table, cell, orientation, rules)?))
     }
-}
-
-/// Identity key of each cluster for cross-run emission reuse: the
-/// absolute position of the representative plus every member's content
-/// signature and offset from the representative, in member order. Two
-/// clusters with equal keys occupy the same absolute space with the same
-/// material, so any emission between two matched clusters is unchanged
-/// unless dirty material entered their window.
-pub(crate) fn cluster_keys(items: &[Item], clusters: &[Cluster], positions: &[Point]) -> Vec<u64> {
-    clusters
-        .iter()
-        .map(|c| {
-            let rp = positions[c.rep];
-            let mut h = ContentHasher::new();
-            h.write_i64(rp.x).write_i64(rp.y);
-            h.write_u64(c.members.len() as u64);
-            for &m in &c.members {
-                h.write_u64(items[m].sig)
-                    .write_i64(positions[m].x - rp.x)
-                    .write_i64(positions[m].y - rp.y);
-            }
-            h.finish()
-        })
-        .collect()
-}
-
-/// Decides which unordered cluster pairs of the current sweep can copy
-/// their emission from `prev` instead of re-running the kernel: both
-/// endpoints must match a previous cluster by key (uniquely, on both
-/// sides), and no *dirty* cluster — unmatched on either side, at its old
-/// or new frame — may intersect (touching included, conservatively) the
-/// union bounding box of the pair's frames. Every gap window the kernel
-/// and its hidden-edge oracle consult for the pair lies inside that
-/// union box, so identical surrounding material implies identical
-/// emission.
-fn pair_reuse(
-    keys: &[u64],
-    frames: &[Option<Rect>],
-    prev: &SweepRecord,
-) -> HashMap<(usize, usize), (usize, usize)> {
-    let mut prev_idx: HashMap<u64, Option<usize>> = HashMap::new();
-    for (pi, &k) in prev.keys.iter().enumerate() {
-        prev_idx
-            .entry(k)
-            .and_modify(|e| *e = None)
-            .or_insert(Some(pi));
-    }
-    let mut cur_count: HashMap<u64, usize> = HashMap::new();
-    for &k in keys {
-        *cur_count.entry(k).or_insert(0) += 1;
-    }
-    let matched: Vec<Option<usize>> = keys
-        .iter()
-        .map(|k| {
-            if cur_count[k] != 1 {
-                return None;
-            }
-            prev_idx.get(k).copied().flatten()
-        })
-        .collect();
-    let matched_prev: HashSet<usize> = matched.iter().flatten().copied().collect();
-
-    let mut dirty: Vec<Rect> = Vec::new();
-    for (ci, m) in matched.iter().enumerate() {
-        if m.is_none() {
-            if let Some(f) = frames[ci] {
-                dirty.push(f);
-            }
-        }
-    }
-    for (pi, f) in prev.frames.iter().enumerate() {
-        if !matched_prev.contains(&pi) {
-            if let Some(f) = *f {
-                dirty.push(f);
-            }
-        }
-    }
-
-    let mut map = HashMap::new();
-    for a in 0..keys.len() {
-        let Some(pa) = matched[a] else { continue };
-        for b in a + 1..keys.len() {
-            let Some(pb) = matched[b] else { continue };
-            let window = match (frames[a], frames[b]) {
-                (Some(fa), Some(fb)) => {
-                    let mut bb = BoundingBox::new();
-                    bb.include_rect(fa);
-                    bb.include_rect(fb);
-                    bb.rect()
-                }
-                (one, other) => one.or(other),
-            };
-            let clean = match window {
-                Some(w) => !dirty.iter().any(|d| d.intersect(w).is_some()),
-                None => true,
-            };
-            if clean {
-                map.insert((a, b), (pa, pb));
-            }
-        }
-    }
-    map
-}
-
-/// Content key of one sweep solve: the run context (rules, solver,
-/// options), the axis, every cluster's member signatures and positions
-/// (relative to the placement's min corner, so uniform translations
-/// hit), the structural pins/classes, and the full emission. Equal keys
-/// ⟹ identical constraint systems ⟹ identical least solutions, so the
-/// memoized [`SweepSolution`] replays exactly.
-#[allow(clippy::too_many_arguments)]
-fn sweep_memo_key(
-    context: u64,
-    axis: Axis,
-    items: &[Item],
-    clusters: &[Cluster],
-    positions: &[Point],
-    structure: &AxisStructure,
-    emission: &Emission,
-    floor: i64,
-) -> u64 {
-    let mut h = ContentHasher::new();
-    h.write_u64(context)
-        .write_u64(axis_index(axis) as u64)
-        .write_i64(floor);
-    let minx = positions.iter().map(|p| p.x).min().unwrap_or(0);
-    let miny = positions.iter().map(|p| p.y).min().unwrap_or(0);
-    h.write_u64(clusters.len() as u64);
-    for c in clusters {
-        h.write_u64(c.members.len() as u64);
-        for &m in &c.members {
-            h.write_u64(items[m].sig)
-                .write_i64(positions[m].x - minx)
-                .write_i64(positions[m].y - miny);
-        }
-    }
-    h.write_u64(structure.pins.len() as u64);
-    for &(a, b) in &structure.pins {
-        h.write_u64(a as u64).write_u64(b as u64);
-    }
-    h.write_u64(structure.classes.len() as u64);
-    for class in &structure.classes {
-        h.write_u64(class.pairs.len() as u64);
-        for &(a, b) in &class.pairs {
-            h.write_u64(a as u64).write_u64(b as u64);
-        }
-    }
-    h.write_u64(emission.weights.len() as u64);
-    for (&(a, b), &w) in &emission.weights {
-        h.write_u64(a as u64).write_u64(b as u64).write_i64(w);
-    }
-    h.write_u64(emission.welds.len() as u64);
-    for (&(a, b), &d) in &emission.welds {
-        h.write_u64(a as u64).write_u64(b as u64).write_i64(d);
-    }
-    h.finish()
 }
 
 /// Identity of an item's shape, the pitch-class grouping key.
@@ -695,8 +446,6 @@ pub(crate) struct Item {
     key: ShapeKey,
     /// Index into the abstract pool.
     shape: usize,
-    /// Content signature of the shape (hooked runs; 0 otherwise).
-    sig: u64,
 }
 
 /// One solved pitch class: a shared λ and the member pairs it locks.
@@ -722,9 +471,8 @@ pub struct HierSweepStats {
     /// Abstract boxes fed to the visibility kernel.
     pub abstract_boxes: usize,
     /// Candidate pairs the kernel's index walks produced (frame, weld,
-    /// and spacing candidates). Counted before any cross-run reuse, so
-    /// cold, session, and memoized runs report the same number — a
-    /// deterministic measure of enumeration work.
+    /// and spacing candidates) — a deterministic measure of enumeration
+    /// work.
     pub candidates: usize,
     /// Difference constraints generated (spacing + frames + pins).
     pub constraints: usize,
@@ -931,10 +679,9 @@ pub fn compact_cell(
     compact_cell_with(table, root, rules, solver, opts, &mut NoHooks)
 }
 
-/// [`compact_cell`] with reuse hooks — the incremental session's entry.
-/// With [`NoHooks`] this *is* `compact_cell`; with an active hook set the
-/// result stays bit-identical (geometry and pitches) while abstracts,
-/// emission, and solves are reused across runs.
+/// [`compact_cell`] with hooks — the incremental session's entry. The
+/// hooks only supply abstracts (cached or derived, always identical) and
+/// observe, so every hook set computes exactly what [`NoHooks`] does.
 pub(crate) fn compact_cell_with(
     table: &CellTable,
     root: CellId,
@@ -946,7 +693,7 @@ pub(crate) fn compact_cell_with(
     opts.limits.check_deadline()?;
     let def = table.require(root)?;
     let mut shapes: Vec<Arc<CellAbstract>> = Vec::new();
-    let mut shape_of: HashMap<ShapeKey, (usize, u64)> = HashMap::new();
+    let mut shape_of: HashMap<ShapeKey, usize> = HashMap::new();
     let mut items: Vec<Item> = Vec::new();
 
     for (k, obj) in def.objects().iter().enumerate() {
@@ -956,14 +703,13 @@ pub(crate) fn compact_cell_with(
                     let o = inst.orientation;
                     (o.rotation as u8, o.mirror_y)
                 });
-                let (shape, sig) = match shape_of.get(&key) {
+                let shape = match shape_of.get(&key) {
                     Some(&s) => s,
                     None => {
-                        let (a, sig) =
-                            hooks.abstract_for(table, inst.cell, inst.orientation, rules)?;
+                        let a = hooks.abstract_for(table, inst.cell, inst.orientation, rules)?;
                         shapes.push(a);
-                        shape_of.insert(key, (shapes.len() - 1, sig));
-                        (shapes.len() - 1, sig)
+                        shape_of.insert(key, shapes.len() - 1);
+                        shapes.len() - 1
                     }
                 };
                 items.push(Item {
@@ -971,7 +717,6 @@ pub(crate) fn compact_cell_with(
                     pos: inst.point_of_call,
                     key,
                     shape,
-                    sig,
                 });
             }
             LayoutObject::Box { layer, rect } => {
@@ -985,12 +730,6 @@ pub(crate) fn compact_cell_with(
                     pos: rect.lo(),
                     key: ShapeKey::Box(layer.index(), (rect.width(), rect.height())),
                     shape: shapes.len() - 1,
-                    sig: mix(&[
-                        0x0042_6f78,
-                        layer.index() as u64,
-                        rect.width() as u64,
-                        rect.height() as u64,
-                    ]),
                 });
             }
             LayoutObject::Label { .. } => {}
@@ -1027,11 +766,7 @@ pub(crate) fn compact_cell_with(
         sweeps: Vec::new(),
         flat_boxes,
     };
-    let mut warm: [Option<Vec<i64>>; 2] = if hooks.enabled() {
-        [hooks.warm_seed(Axis::X), hooks.warm_seed(Axis::Y)]
-    } else {
-        [None, None]
-    };
+    let mut warm: [Option<Vec<i64>>; 2] = [None, None];
     let mut final_pitch: [Vec<HierPitch>; 2] = [Vec::new(), Vec::new()];
     // One sweep arena per axis: the constraint system, its CSR graph,
     // and the oracle index are cleared and refilled across alternation
@@ -1043,7 +778,6 @@ pub(crate) fn compact_cell_with(
     for _ in 0..opts.max_passes {
         let before = positions.clone();
         for axis in Axis::BOTH {
-            let ordinal = report.sweeps.len();
             let (stats, pitches) = sweep_axis(
                 axis,
                 &items,
@@ -1055,7 +789,6 @@ pub(crate) fn compact_cell_with(
                 solver,
                 &mut warm[axis_index(axis)],
                 opts,
-                ordinal,
                 hooks,
                 &mut scratch[axis_index(axis)],
             )?;
@@ -1411,22 +1144,16 @@ fn sweep_geometry(
     (owner, frames)
 }
 
-/// Raises the `(a, b)` weight to `w`; a strict raise records `prov`, so
-/// the first pair visited at the final weight decides the provenance.
-fn bump(e: &mut Emission, a: usize, b: usize, w: i64, prov: Option<(Layer, Layer)>) {
+/// Raises the `(a, b)` weight to `w`.
+fn bump(e: &mut Emission, a: usize, b: usize, w: i64) {
     let cur = e.weights.entry((a, b)).or_insert(i64::MIN);
-    if w > *cur {
-        *cur = w;
-        e.provenance.insert((a, b), prov);
-    }
+    *cur = (*cur).max(w);
 }
 
 /// The sweep kernel: frame, weld, and spacing emission between the
 /// clusters of the abstract boxes in `scan.index` (`owner[k]` owns box
-/// `k`; `bases` are the clusters' along-origins). Pairs for which
-/// `reused` holds are skipped — the caller copies them from the previous
-/// run. Returns the emission and the number of candidate pairs the index
-/// walks produced, counted before the `reused` filter.
+/// `k`; `bases` are the clusters' along-origins). Returns the emission
+/// and the number of candidate pairs the index walks produced.
 ///
 /// Every walk is index-driven, never all-pairs:
 ///
@@ -1440,18 +1167,15 @@ fn bump(e: &mut Emission, a: usize, b: usize, w: i64, prov: Option<(Layer, Layer
 /// * **Spacing** — [`crate::scanline::spacing_candidates`] with the rule
 ///   distance as across slack: the DRC gap is L∞, so a diagonal pair
 ///   whose across gap is under the rule still needs the full along
-///   spacing. Candidates are visited in (i ascending, j ascending)
-///   order, so [`bump`]'s first-wins provenance is placement-determined.
+///   spacing.
 ///
-/// Frame entries are bumped once per cluster pair and before any
-/// spacing entry, so their visiting order cannot matter.
+/// Weights are maxima, so the emission is the same in any visiting order.
 fn enumerate_pairs(
     scan: &mut ScanScratch,
     rules: &DesignRules,
     owner: &[usize],
     frames: &[Option<Rect>],
     bases: &[i64],
-    reused: &dyn Fn(usize, usize) -> bool,
 ) -> (Emission, usize) {
     let ScanScratch {
         index,
@@ -1471,12 +1195,12 @@ fn enumerate_pairs(
         for kb in findex.ordered_after((), fa.hi_along(axis), across, 0) {
             candidates += 1;
             let (a, b) = (fowner[k], fowner[kb]);
-            if a == b || reused(a, b) {
+            if a == b {
                 continue;
             }
             let fb = findex.items()[kb].1;
             let w = (fa.hi_along(axis) - bases[a]) - (fb.lo_along(axis) - bases[b]);
-            bump(&mut emission, a, b, w, None);
+            bump(&mut emission, a, b, w);
         }
     }
 
@@ -1489,7 +1213,7 @@ fn enumerate_pairs(
         for j in index.touching_after(i) {
             candidates += 1;
             let (a, b) = (owner[i].min(owner[j]), owner[i].max(owner[j]));
-            if a != b && !reused(a, b) {
+            if a != b {
                 emission.welds.insert((a, b), bases[b] - bases[a]);
             }
         }
@@ -1498,17 +1222,17 @@ fn enumerate_pairs(
     // Spacing between abstract boxes of distinct clusters, hidden pairs
     // pruned through the same oracle the flat scanline uses.
     let mut cursor = VisibilityCursor::with_cache(index, std::mem::take(profiles));
-    for (i, &(la, ra)) in index.items().iter().enumerate() {
+    for (i, &(_, ra)) in index.items().iter().enumerate() {
         spacing_candidates(index, rules, i, |s| s, cand);
         candidates += cand.len();
         for &(j, s) in cand.iter() {
             let (a, b) = (owner[i], owner[j]);
-            if a == b || reused(a, b) || cursor.hidden_between(i, j) {
+            if a == b || cursor.hidden_between(i, j) {
                 continue;
             }
-            let (lb, rb) = index.items()[j];
+            let rb = index.items()[j].1;
             let w = s + (ra.hi_along(axis) - bases[a]) - (rb.lo_along(axis) - bases[b]);
-            bump(&mut emission, a, b, w, Some((la, lb)));
+            bump(&mut emission, a, b, w);
         }
     }
     *profiles = cursor.into_cache();
@@ -1529,7 +1253,6 @@ fn sweep_axis(
     solver: &dyn Solver,
     warm: &mut Option<Vec<i64>>,
     opts: &HierOptions,
-    ordinal: usize,
     hooks: &mut dyn CompactHooks,
     scratch: &mut SweepScratch,
 ) -> Result<(HierSweepStats, Vec<HierPitch>), HierError> {
@@ -1541,72 +1264,12 @@ fn sweep_axis(
 
     let (owner, frames) = sweep_geometry(axis, items, shapes, clusters, positions, scan);
 
-    // Cross-run reuse: match clusters against the previous run's sweep
-    // at the same ordinal and mark pairs whose emission can be copied.
-    let enabled = hooks.enabled();
-    let keys: Vec<u64> = if enabled {
-        cluster_keys(items, clusters, positions)
-    } else {
-        Vec::new()
-    };
-    let prev: Option<Arc<SweepRecord>> = if enabled {
-        hooks.prev_sweep(ordinal).filter(|p| p.axis == axis)
-    } else {
-        None
-    };
-    let reuse: Option<HashMap<(usize, usize), (usize, usize)>> =
-        prev.as_deref().map(|p| pair_reuse(&keys, &frames, p));
-    let reused = |a: usize, b: usize| -> bool {
-        reuse
-            .as_ref()
-            .is_some_and(|m| m.contains_key(&(a.min(b), a.max(b))))
-    };
-
     // Cluster origins along the axis, fixed for the whole sweep.
     let bases: Vec<i64> = clusters
         .iter()
         .map(|c| along(positions[c.rep], axis))
         .collect();
-    let (mut emission, candidates) = enumerate_pairs(scan, rules, &owner, &frames, &bases, &reused);
-
-    // Copy the reused pairs' entries from the previous emission. The
-    // BTreeMaps restore sorted pair order, so the solver sees exactly the
-    // constraint sequence a from-scratch sweep would emit.
-    let fresh_constraints = emission.weights.len() + emission.welds.len() * 2;
-    if let (Some(reuse_map), Some(p)) = (&reuse, prev.as_deref()) {
-        for (&(a, b), &(pa, pb)) in reuse_map {
-            for (cf, ct, pf, pt) in [(a, b, pa, pb), (b, a, pb, pa)] {
-                if let Some(&w) = p.emission.weights.get(&(pf, pt)) {
-                    emission.weights.insert((cf, ct), w);
-                    if let Some(&prov) = p.emission.provenance.get(&(pf, pt)) {
-                        emission.provenance.insert((cf, ct), prov);
-                    }
-                }
-                if let Some(&d) = p.emission.welds.get(&(pf, pt)) {
-                    emission.welds.insert((cf, ct), d);
-                }
-            }
-        }
-        if let Some(c) = hooks.counters() {
-            c.pairs_reused += reuse_map.len();
-            c.constraints_reused +=
-                emission.weights.len() + emission.welds.len() * 2 - fresh_constraints;
-        }
-    }
-    if let Some(c) = hooks.counters() {
-        c.constraints_emitted += fresh_constraints;
-    }
-    if enabled {
-        hooks.record_sweep(
-            ordinal,
-            Arc::new(SweepRecord {
-                axis,
-                keys,
-                frames: frames.clone(),
-                emission: emission.clone(),
-            }),
-        );
-    }
+    let (emission, candidates) = enumerate_pairs(scan, rules, &owner, &frames, &bases);
 
     // Normalized initial coordinates (clusters are never empty here, but
     // an empty sweep normalizes to 0 rather than panicking).
@@ -1623,73 +1286,13 @@ fn sweep_axis(
     // Checkpoint: the generated constraint count of this sweep.
     opts.limits.check_constraints(constraints)?;
 
-    let pitch_list = |lambdas: &[i64]| -> Vec<HierPitch> {
-        structure
-            .classes
-            .iter()
-            .zip(lambdas)
-            .map(|(class, &value)| HierPitch {
-                axis,
-                name: class.name.clone(),
-                value,
-                pairs: class.pairs.len(),
-            })
-            .collect()
-    };
-
-    // Geometry-identical sweeps (same clusters, emission, structure, and
-    // context) replay their memoized solve without touching the solver.
-    let memo_key = enabled.then(|| {
-        sweep_memo_key(
-            hooks.context_tag(),
-            axis,
-            items,
-            clusters,
-            positions,
-            structure,
-            &emission,
-            floor,
-        )
-    });
-    if let Some(key) = memo_key {
-        if let Some(m) = hooks.memo_get(key) {
-            for (c, &d) in clusters.iter().zip(&m.deltas) {
-                for &mem in &c.members {
-                    match axis {
-                        Axis::X => positions[mem].x += d,
-                        Axis::Y => positions[mem].y += d,
-                    }
-                }
-            }
-            *warm = Some(m.positions.clone());
-            hooks.record_warm(axis, &m.positions);
-            if let Some(c) = hooks.counters() {
-                c.sweep_memo_hits += 1;
-            }
-            return Ok((
-                HierSweepStats {
-                    axis,
-                    clusters: n,
-                    abstract_boxes: owner.len(),
-                    candidates,
-                    constraints,
-                    pitch_rounds: m.rounds,
-                    solver_passes: m.passes,
-                    extent: m.extent,
-                },
-                pitch_list(&m.lambdas),
-            ));
-        }
-    }
-
     // Pitch fixpoint: the difference system is built once (refilled into
     // the sweep arena — an identical refill reuses the previous pass's
     // CSR graph); each round solves it, then every class pitch rises to
     // its worst member gap until stable, patching only the changed class
     // weights in place.
     //
-    // The emission itself — recorded, reused, and memo-keyed above in
-    // full — is transitively reduced here at system-build time: an
+    // The emission is transitively reduced here at system-build time: an
     // origin edge already implied by a tighter kept two-hop chain never
     // reaches the solver. Same greedy rule as the flat scanline prune
     // (edges in BTreeMap order, chains through not-yet-dropped edges),
@@ -1770,10 +1373,8 @@ fn sweep_axis(
     // Write the solved origins back: every member of a cluster moves by
     // the cluster's delta.
     let mut extent = 0;
-    let deltas: Vec<i64> = (0..n)
-        .map(|ci| solution.positions[ci] + min_base - bases[ci])
-        .collect();
-    for (c, &d) in clusters.iter().zip(&deltas) {
+    for (ci, c) in clusters.iter().enumerate() {
+        let d = solution.positions[ci] + min_base - bases[ci];
         for &m in &c.members {
             match axis {
                 Axis::X => positions[m].x += d,
@@ -1788,26 +1389,22 @@ fn sweep_axis(
         extent = hi - lo;
     }
 
-    hooks.record_warm(axis, &solution.positions);
     if let Some(c) = hooks.counters() {
+        c.constraints_emitted += emission.weights.len() + emission.welds.len() * 2;
         c.sweeps_solved += 1;
         c.solver_passes += passes;
     }
-    if let Some(key) = memo_key {
-        hooks.memo_put(
-            key,
-            Arc::new(SweepSolution {
-                deltas,
-                positions: solution.positions.clone(),
-                lambdas: lambdas.clone(),
-                extent,
-                rounds,
-                passes,
-            }),
-        );
-    }
-
-    let pitches = pitch_list(&lambdas);
+    let pitches = structure
+        .classes
+        .iter()
+        .zip(&lambdas)
+        .map(|(class, &value)| HierPitch {
+            axis,
+            name: class.name.clone(),
+            value,
+            pairs: class.pairs.len(),
+        })
+        .collect();
     Ok((
         HierSweepStats {
             axis,
@@ -2384,7 +1981,6 @@ mod tests {
             pos,
             key: ShapeKey::Box(shape, (0, 0)),
             shape,
-            sig: 0,
         };
         let mut items: Vec<Item> = (0..n)
             .map(|k| item(k as usize, Point::new(20 * k, 0), 0))
@@ -2413,14 +2009,13 @@ mod tests {
         owner: &[usize],
         frames: &[Option<Rect>],
         bases: &[i64],
-        reused: &dyn Fn(usize, usize) -> bool,
     ) -> Emission {
         let axis = index.axis();
         let mut emission = Emission::default();
         for (a, fa) in frames.iter().enumerate() {
             let Some(fa) = *fa else { continue };
             for (b, fb) in frames.iter().enumerate() {
-                if a == b || reused(a, b) {
+                if a == b {
                     continue;
                 }
                 let Some(fb) = *fb else { continue };
@@ -2433,7 +2028,7 @@ mod tests {
                     continue;
                 }
                 let w = (fa.hi_along(axis) - bases[a]) - (fb.lo_along(axis) - bases[b]);
-                bump(&mut emission, a, b, w, None);
+                bump(&mut emission, a, b, w);
             }
         }
         let pboxes = index.items();
@@ -2441,7 +2036,7 @@ mod tests {
         for (i, &(la, ra)) in pboxes.iter().enumerate() {
             for (j, &(lb, rb)) in pboxes.iter().enumerate() {
                 let (a, b) = (owner[i], owner[j]);
-                if a == b || reused(a, b) {
+                if a == b {
                     continue;
                 }
                 if la == lb && ra.intersect(rb).is_some() {
@@ -2465,7 +2060,7 @@ mod tests {
                     continue;
                 }
                 let w = s + (ra.hi_along(axis) - bases[a]) - (rb.lo_along(axis) - bases[b]);
-                bump(&mut emission, a, b, w, Some((la, lb)));
+                bump(&mut emission, a, b, w);
             }
         }
         emission
@@ -2542,7 +2137,6 @@ mod tests {
                 pos,
                 key,
                 shape: shapes.len() - 1,
-                sig: 0,
             });
         }
         (items, shapes)
@@ -2553,16 +2147,13 @@ mod tests {
         let r = rules();
         let mut rng = Rng::from_name("indexed_cell_pass_matches_the_all_pairs_reference");
         // Cases exercised: welds, diagonal pairs inside the L∞ window,
-        // zero-extent frames, reused pairs.
-        let mut seen = [0usize; 4];
+        // zero-extent frames.
+        let mut seen = [0usize; 3];
         for _ in 0..400 {
             let (items, shapes) = random_assembly(&mut rng, &r);
             let clusters = rigid_clusters(&items, &shapes);
             assert_eq!(clusters, all_pairs_clusters(&items, &shapes));
             let positions: Vec<Point> = items.iter().map(|i| i.pos).collect();
-            // Salt 3 never matches: a quarter of the cases reuse nothing.
-            let salt = pick(&mut rng, 4) as usize;
-            let reused = |a: usize, b: usize| (a.min(b) + 2 * a.max(b)) % 3 == salt;
             for axis in Axis::BOTH {
                 let mut scan = ScanScratch::new();
                 let (owner, mut frames) =
@@ -2581,8 +2172,8 @@ mod tests {
                     .iter()
                     .map(|c| along(positions[c.rep], axis))
                     .collect();
-                let want = all_pairs_emission(&scan.index, &r, &owner, &frames, &bases, &reused);
-                let (got, _) = enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &reused);
+                let want = all_pairs_emission(&scan.index, &r, &owner, &frames, &bases);
+                let (got, _) = enumerate_pairs(&mut scan, &r, &owner, &frames, &bases);
                 assert_eq!(got, want, "{axis} sweep diverged");
 
                 seen[0] += want.welds.len();
@@ -2602,10 +2193,6 @@ mod tests {
                         }
                     }
                 }
-                seen[3] += (0..clusters.len())
-                    .flat_map(|a| (a + 1..clusters.len()).map(move |b| (a, b)))
-                    .filter(|&(a, b)| reused(a, b))
-                    .count();
             }
         }
         assert!(seen.iter().all(|&k| k > 0), "coverage {seen:?}");

@@ -20,16 +20,10 @@
 //!   dirtiness propagates upward through the hashes alone, no explicit
 //!   dirty bits;
 //! * **interface abstracts** by `(child output geometry, orientation,
-//!   rules)` — re-derived only for definitions the edit reached;
-//! * **constraint emission** per cluster pair, copied from the previous
-//!   run's per-sweep record when both endpoint clusters are
-//!   unchanged and no dirty material touches their window, so the sweep
-//!   kernel re-runs only in the dirtied window;
-//! * **whole sweep solves** by exact geometric key, replayed without
-//!   building a constraint system at all;
-//! * **warm seeds** per cell and axis — fresh solves start from the
-//!   previous placement ([`rsg_solve`]'s warm path is exact for any
-//!   seed, so this changes pass counts, never geometry).
+//!   rules)` — re-derived only for definitions the edit reached.
+//!
+//! The session keeps no positional state: a cell that misses every cache
+//! runs exactly the plain flow's computation.
 //!
 //! The session walks the hierarchy through the same level-scheduled
 //! executor as the plain flow (at every [`HierOptions::parallelism`]);
@@ -37,10 +31,9 @@
 //! the cache merge after each batch of them.
 //!
 //! The contract, pinned by the `incremental_equivalence` proptests: every
-//! call returns **bit-identical geometry and pitches** to the
-//! from-scratch flow on the same input. Only the diagnostics
-//! ([`HierOutcome::passes`], per-sweep solver passes) may differ, because
-//! warm starts converge in fewer relaxation rounds.
+//! call returns **bit-identical outcomes** to the from-scratch flow on
+//! the same input — geometry, pitches, [`HierOutcome::passes`] and the
+//! per-sweep [`HierOutcome::report`].
 //!
 //! ```
 //! use rsg_compact::incremental::CompactSession;
@@ -77,12 +70,12 @@
 use crate::backend::Solver;
 use crate::fault::{FaultPlan, FaultSite, InjectedFault};
 use crate::hier::{
-    axis_index, compact_cell_with, converged, derive_abstract, substitute_library, walk_levels,
-    CellAbstract, ChipCompaction, ChipError, ChipLayout, CompactHooks, HierError, HierOptions,
-    HierOutcome, LevelFlow, Resolved, ReuseCounters, SweepRecord, SweepSolution,
+    compact_cell_with, converged, derive_abstract, substitute_library, walk_levels, CellAbstract,
+    ChipCompaction, ChipError, ChipLayout, CompactHooks, HierError, HierOptions, HierOutcome,
+    LevelFlow, Resolved, ReuseCounters,
 };
 use crate::leaf::{self, CompactionResult, LibraryJob};
-use rsg_geom::{Axis, Orientation};
+use rsg_geom::Orientation;
 use rsg_layout::hash::{deep_hashes, hash_cell, mix, ContentHasher};
 use rsg_layout::{CellDefinition, CellId, CellTable, DesignRules, LayoutError};
 use std::collections::HashMap;
@@ -112,16 +105,10 @@ pub struct EditStats {
     pub abstracts_derived: usize,
     /// Interface abstracts answered from the content-hash cache.
     pub abstract_hits: usize,
-    /// Cluster pairs whose emission was copied instead of re-swept.
-    pub pairs_reused: usize,
-    /// Kernel constraints computed fresh.
+    /// Kernel constraints computed by the sweeps.
     pub constraints_emitted: usize,
-    /// Kernel constraints copied from the previous run's emission.
-    pub constraints_reused: usize,
     /// Sweeps that built a system and ran the pitch fixpoint.
     pub sweeps_solved: usize,
-    /// Sweeps replayed entirely from the sweep memo.
-    pub sweep_memo_hits: usize,
     /// Solver relaxation passes actually performed.
     pub solver_passes: usize,
 }
@@ -130,11 +117,8 @@ impl EditStats {
     fn absorb(&mut self, c: &ReuseCounters) {
         self.abstracts_derived += c.abstracts_derived;
         self.abstract_hits += c.abstract_hits;
-        self.pairs_reused += c.pairs_reused;
         self.constraints_emitted += c.constraints_emitted;
-        self.constraints_reused += c.constraints_reused;
         self.sweeps_solved += c.sweeps_solved;
-        self.sweep_memo_hits += c.sweep_memo_hits;
         self.solver_passes += c.solver_passes;
     }
 }
@@ -146,31 +130,6 @@ pub struct SessionStats {
     pub calls: usize,
     /// Sums of the per-call counters.
     pub totals: EditStats,
-}
-
-/// Per-cell (by name) cross-run solve state: warm seeds and the previous
-/// run's sweep records. Not content-addressed — it only accelerates, so
-/// a stale entry costs speed, never correctness — but it is dropped
-/// whenever the solve context (rules, solver, options) changes.
-#[derive(Debug, Clone, Default)]
-struct CellHistory {
-    /// Last final solver positions per axis (x, y) — the next warm seed.
-    warm: [Option<Vec<i64>>; 2],
-    /// Sweep records of the previous executed run, by sweep ordinal.
-    prev: Vec<Arc<SweepRecord>>,
-    /// Sweep records being written by the current run.
-    next: Vec<Arc<SweepRecord>>,
-}
-
-impl CellHistory {
-    /// Rotates the double buffer at the start of an executed run. When
-    /// the last calls were all cache hits, `next` still holds the last
-    /// *executed* run's records — exactly the ones to reuse against.
-    fn begin_run(&mut self) {
-        if !self.next.is_empty() {
-            self.prev = std::mem::take(&mut self.next);
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -185,8 +144,7 @@ struct CellEntry {
 /// Clone-cheap (the caches hold [`Arc`]s), so a primed session can be
 /// snapshotted — the benchmark clones one per iteration to measure a
 /// single edit against a stable cache. All caches are keyed by content
-/// hash and never invalidated by edits; the per-cell solve history is
-/// dropped when rules, solver, or options change between calls.
+/// hash (the solve context included) and never invalidated by edits.
 #[derive(Debug, Clone, Default)]
 pub struct CompactSession {
     /// `(deep input hash, context)` → compacted outcome.
@@ -195,12 +153,6 @@ pub struct CompactSession {
     abstracts: HashMap<u64, Arc<CellAbstract>>,
     /// `(job content, rules, solver)` → leaf-library result.
     leaves: HashMap<u64, Arc<CompactionResult>>,
-    /// Exact sweep-solve memo (keys already include the context tag).
-    memo: HashMap<u64, Arc<SweepSolution>>,
-    /// Per-cell-name warm/record state for the current context.
-    history: HashMap<String, CellHistory>,
-    /// Context tag of the previous call, to detect rule/solver changes.
-    context: Option<u64>,
     /// Deterministic fault-injection schedule for subsequent calls.
     faults: Option<FaultPlan>,
     stats: SessionStats,
@@ -279,14 +231,7 @@ impl CompactSession {
         self.faults = plan;
     }
 
-    fn begin(&mut self, context: u64) {
-        if self.context != Some(context) {
-            // The solve context changed: warm seeds and sweep records
-            // describe solves under the old rules/solver. The content
-            // caches stay — their keys carry the context.
-            self.history.clear();
-            self.context = Some(context);
-        }
+    fn begin(&mut self) {
         if let Some(p) = self.faults.as_mut() {
             p.reset();
         }
@@ -300,8 +245,7 @@ impl CompactSession {
     /// Incremental [`crate::hier::compact_hierarchy`]: identical results,
     /// but definitions whose deep content hash (own geometry + children's
     /// compacted geometry) matches a cached run are replayed instead of
-    /// recompacted, and recompacted cells reuse abstracts, emission,
-    /// memoized sweeps, and warm seeds from the session.
+    /// recompacted, and recompacted cells reuse cached abstracts.
     ///
     /// # Errors
     ///
@@ -316,9 +260,8 @@ impl CompactSession {
         solver: &dyn Solver,
         opts: &HierOptions,
     ) -> Result<ChipLayout, HierError> {
-        let context = context_of(rules, solver, opts);
-        self.begin(context);
-        let chip = self.walk(table, top, rules, solver, opts, context);
+        self.begin();
+        let chip = self.walk(table, top, rules, solver, opts);
         self.end(chip)
     }
 
@@ -341,28 +284,22 @@ impl CompactSession {
         solver: &dyn Solver,
         opts: &HierOptions,
     ) -> Result<ChipCompaction, ChipError> {
-        let context = context_of(rules, solver, opts);
-        self.begin(context);
+        self.begin();
         let chip = self.leaf_pass(jobs, rules, solver, opts).and_then(|leaf| {
             let compacted = substitute_library(table, &leaf)?;
-            let chip = self.walk(&compacted, top, rules, solver, opts, context)?;
+            let chip = self.walk(&compacted, top, rules, solver, opts)?;
             Ok(ChipCompaction { chip, leaf })
         });
         self.end(chip)
     }
 
     /// Closes a call. A success counts into [`CompactSession::stats`].
-    ///
-    /// A failure is error-path cache hygiene: the call may have
-    /// half-written warm seeds and sweep records (they are positional,
-    /// not content-addressed), so they are dropped wholesale. The content
-    /// caches keep every entry — each was completed and is keyed by its
-    /// full input, so nothing partial can hide there. A retry after the
-    /// failure therefore behaves exactly like a cold run for the failed
-    /// cells (pinned by the fault-injection proptests).
+    /// A failure keeps every cache entry: each was completed and is keyed
+    /// by its full input, so nothing partial can hide there, and a retry
+    /// behaves exactly like a cold run for the failed cells (pinned by the
+    /// fault-injection proptests).
     fn end<T, E>(&mut self, result: Result<T, E>) -> Result<T, E> {
         if result.is_err() {
-            self.history.clear();
             self.last = EditStats::default();
             return result;
         }
@@ -375,11 +312,8 @@ impl CompactSession {
         t.leaf_hits += l.leaf_hits;
         t.abstracts_derived += l.abstracts_derived;
         t.abstract_hits += l.abstract_hits;
-        t.pairs_reused += l.pairs_reused;
         t.constraints_emitted += l.constraints_emitted;
-        t.constraints_reused += l.constraints_reused;
         t.sweeps_solved += l.sweeps_solved;
-        t.sweep_memo_hits += l.sweep_memo_hits;
         t.solver_passes += l.solver_passes;
         self.stats.calls += 1;
         result
@@ -426,7 +360,6 @@ impl CompactSession {
         rules: &DesignRules,
         solver: &dyn Solver,
         opts: &HierOptions,
-        context: u64,
     ) -> Result<ChipLayout, HierError> {
         let forgetting = self.forgetting();
         let faults = self.faults.take().map(Mutex::new);
@@ -439,7 +372,7 @@ impl CompactSession {
             rules,
             solver,
             opts,
-            context,
+            context: context_of(rules, solver, opts),
             rules_hash: rules.content_hash(),
             faults: faults.as_ref(),
             forgetting,
@@ -472,10 +405,8 @@ struct SessionFlow<'a> {
 }
 
 impl LevelFlow for SessionFlow<'_> {
-    /// The outcome-cache key and the cell's solve history, taken out of
-    /// the session for the worker (cell names are unique, so the worker
-    /// owns it exclusively).
-    type Miss = (u64, CellHistory);
+    /// The outcome-cache key.
+    type Miss = u64;
     type Done = (Result<HierOutcome, HierError>, Shard);
 
     fn resolve(
@@ -504,18 +435,13 @@ impl LevelFlow for SessionFlow<'_> {
             return Ok(Resolved::Replayed(entry.outcome.clone()));
         }
         session.last.cells_compacted += 1;
-        let mut history = session.history.remove(def.name()).unwrap_or_default();
-        history.begin_run();
-        Ok(Resolved::Miss((key, history)))
+        Ok(Resolved::Miss(key))
     }
 
-    fn compute(&self, table: &CellTable, cell: CellId, miss: &Self::Miss) -> Self::Done {
+    fn compute(&self, table: &CellTable, cell: CellId, _: &Self::Miss) -> Self::Done {
         let mut hooks = ShardHooks {
             flow: self,
-            shard: Shard {
-                history: miss.1.clone(),
-                ..Shard::default()
-            },
+            shard: Shard::default(),
         };
         let outcome =
             compact_cell_with(table, cell, self.rules, self.solver, self.opts, &mut hooks);
@@ -525,18 +451,14 @@ impl LevelFlow for SessionFlow<'_> {
     fn commit(
         &mut self,
         cell: CellId,
-        (key, _): &Self::Miss,
+        key: &Self::Miss,
         (outcome, shard): Self::Done,
     ) -> Result<HierOutcome, HierError> {
         let session = &mut *self.session;
         session.abstracts.extend(shard.abstracts);
-        session.memo.extend(shard.memo);
         session.last.absorb(&shard.counters);
         let outcome = converged(outcome?, self.opts)?;
         let out_hash = checked_hash(&outcome.cell, &self.hash_of)?;
-        session
-            .history
-            .insert(outcome.cell.name().to_owned(), shard.history);
         session.cells.insert(
             *key,
             Arc::new(CellEntry {
@@ -550,14 +472,11 @@ impl LevelFlow for SessionFlow<'_> {
 }
 
 /// Everything one miss writes, kept private to its worker until the
-/// commit: the cell's updated history, the abstracts and sweep solves it
-/// derived (content-addressed, so merge order only affects counters,
-/// never values), and its reuse counters.
+/// commit: the abstracts it derived (content-addressed, so merge order
+/// only affects counters, never values) and its reuse counters.
 #[derive(Default)]
 struct Shard {
-    history: CellHistory,
     abstracts: HashMap<u64, Arc<CellAbstract>>,
-    memo: HashMap<u64, Arc<SweepSolution>>,
     counters: ReuseCounters,
 }
 
@@ -576,7 +495,7 @@ impl CompactHooks for ShardHooks<'_> {
         cell: CellId,
         orientation: Orientation,
         rules: &DesignRules,
-    ) -> Result<(Arc<CellAbstract>, u64), LayoutError> {
+    ) -> Result<Arc<CellAbstract>, LayoutError> {
         // The walk hashes children before parents, so the referenced
         // cell's output hash is always present; the deep-hash fallback
         // only fires for hook reuse outside the session walk.
@@ -595,57 +514,12 @@ impl CompactHooks for ShardHooks<'_> {
             .filter(|_| !self.flow.forgetting);
         if let Some(cached) = cached {
             self.shard.counters.abstract_hits += 1;
-            return Ok((cached.clone(), sig));
+            return Ok(cached.clone());
         }
         self.shard.counters.abstracts_derived += 1;
         let derived = Arc::new(derive_abstract(table, cell, orientation, rules)?);
         self.shard.abstracts.insert(sig, derived.clone());
-        Ok((derived, sig))
-    }
-
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn context_tag(&self) -> u64 {
-        self.flow.context
-    }
-
-    fn warm_seed(&mut self, axis: Axis) -> Option<Vec<i64>> {
-        if self.flow.forgetting {
-            return None;
-        }
-        self.shard.history.warm[axis_index(axis)].clone()
-    }
-
-    fn record_warm(&mut self, axis: Axis, positions: &[i64]) {
-        self.shard.history.warm[axis_index(axis)] = Some(positions.to_vec());
-    }
-
-    fn prev_sweep(&mut self, ordinal: usize) -> Option<Arc<SweepRecord>> {
-        if self.flow.forgetting {
-            return None;
-        }
-        self.shard.history.prev.get(ordinal).cloned()
-    }
-
-    fn record_sweep(&mut self, ordinal: usize, record: Arc<SweepRecord>) {
-        if ordinal == self.shard.history.next.len() {
-            self.shard.history.next.push(record);
-        }
-    }
-
-    fn memo_get(&mut self, key: u64) -> Option<Arc<SweepSolution>> {
-        if self.flow.forgetting {
-            return None;
-        }
-        (self.flow.session.memo.get(&key))
-            .or_else(|| self.shard.memo.get(&key))
-            .cloned()
-    }
-
-    fn memo_put(&mut self, key: u64, solution: Arc<SweepSolution>) {
-        self.shard.memo.insert(key, solution);
+        Ok(derived)
     }
 
     fn counters(&mut self) -> Option<&mut ReuseCounters> {

@@ -86,6 +86,8 @@ fn assert_same(a: &ChipLayout, b: &ChipLayout) {
         assert_eq!(na, nb);
         assert_eq!(oa.cell, ob.cell, "geometry of `{na}` diverged");
         assert_eq!(oa.pitches, ob.pitches, "pitches of `{na}` diverged");
+        assert_eq!(oa.passes, ob.passes, "passes of `{na}` diverged");
+        assert_eq!(oa.report, ob.report, "report of `{na}` diverged");
     }
 }
 
@@ -242,8 +244,7 @@ fn constraint_and_pass_budgets_trip_with_their_own_resource() {
 
 #[test]
 fn session_under_budget_error_recovers_bit_identically() {
-    // The budget error path runs through the session's abandon() hygiene:
-    // failing with a tight budget, then retrying with the budget lifted,
+    // Failing with a tight budget, then retrying with the budget lifted,
     // must match a cold run of the lifted configuration.
     let tech = Technology::mead_conway(2);
     let solver = BellmanFord::SORTED;

@@ -1,9 +1,10 @@
 //! The incremental session's contract, pinned by property tests: on
 //! every input of a random **edit sequence** — grow/shrink a box, move a
 //! box, swap a whole leaf definition — a persistent
-//! [`CompactSession`] returns **bit-identical geometry and pitches** to
-//! the from-scratch [`compact_hierarchy`] on the same table, and the
-//! result stays DRC-clean under the independent flat referee.
+//! [`CompactSession`] returns **bit-identical outcomes** (geometry,
+//! pitches, passes and sweep reports) to the from-scratch
+//! [`compact_hierarchy`] on the same table, and the result stays
+//! DRC-clean under the independent flat referee.
 //!
 //! A regression lane checks the *point* of the session: an edit confined
 //! to one leaf leaves the sibling block's cached outcome and abstracts
@@ -92,7 +93,7 @@ fn apply_edit(lanes: &mut Lanes, kind: u64, lane: usize, x: i64, w: i64, fresh: 
     }
 }
 
-/// `incremental == cold`, bit for bit, on geometry and pitches.
+/// `incremental == cold`, bit for bit, on every field of every outcome.
 fn assert_same(inc: &ChipLayout, cold: &ChipLayout) {
     assert_eq!(inc.cells.len(), cold.cells.len(), "assembly cell count");
     for ((n_inc, o_inc), (n_cold, o_cold)) in inc.cells.iter().zip(&cold.cells) {
@@ -102,6 +103,8 @@ fn assert_same(inc: &ChipLayout, cold: &ChipLayout) {
             o_inc.pitches, o_cold.pitches,
             "pitches of `{n_inc}` diverged"
         );
+        assert_eq!(o_inc.passes, o_cold.passes, "passes of `{n_inc}` diverged");
+        assert_eq!(o_inc.report, o_cold.report, "report of `{n_inc}` diverged");
         assert!(o_inc.converged && o_cold.converged);
     }
 }

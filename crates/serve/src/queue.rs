@@ -134,8 +134,8 @@ pub enum JobStatus {
     Done,
 }
 
-/// A finished job: the served result plus provenance and a metrics
-/// snapshot taken at fetch time.
+/// A finished job: the served result, whether it came from the store,
+/// and a metrics snapshot taken at fetch time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobOutput {
     /// The compacted, rendered result.

@@ -58,13 +58,11 @@ fn show(stats: &EditStats) {
         stats.cells_compacted, stats.cells_seen, stats.cell_hits
     );
     println!(
-        "  abstracts: {} derived, {} from cache; constraints: {} emitted, {} copied; sweeps: {} solved, {} memoized",
+        "  abstracts: {} derived, {} from cache; constraints: {} emitted; sweeps: {} solved",
         stats.abstracts_derived,
         stats.abstract_hits,
         stats.constraints_emitted,
-        stats.constraints_reused,
         stats.sweeps_solved,
-        stats.sweep_memo_hits,
     );
 }
 
@@ -158,12 +156,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let totals = session.stats();
     println!(
         "\nsession totals over {} calls: {} cells recompacted, {} replayed; \
-         {} constraints emitted, {} copied",
+         {} constraints emitted",
         totals.calls,
         totals.totals.cells_compacted,
         totals.totals.cell_hits,
         totals.totals.constraints_emitted,
-        totals.totals.constraints_reused,
     );
     Ok(())
 }

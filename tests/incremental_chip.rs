@@ -13,8 +13,8 @@ use rsg::layout::{
     drc, flatten, CellDefinition, CellId, CellTable, Instance, LayoutObject, Technology,
 };
 
-/// Bit-identity on everything a layout consumer sees: the compacted
-/// assembly cells (geometry + pitches, in order) and the leaf library.
+/// Bit-identity on every field: the compacted assembly cells (geometry,
+/// pitches, passes and sweep reports, in order) and the leaf library.
 fn assert_same_chip(inc: &ChipCompaction, cold: &ChipCompaction) {
     assert_eq!(inc.leaf, cold.leaf, "leaf-pass results diverged");
     assert_eq!(inc.chip.cells.len(), cold.chip.cells.len());
@@ -25,6 +25,8 @@ fn assert_same_chip(inc: &ChipCompaction, cold: &ChipCompaction) {
             o_inc.pitches, o_cold.pitches,
             "pitches of `{n_inc}` diverged"
         );
+        assert_eq!(o_inc.passes, o_cold.passes, "passes of `{n_inc}` diverged");
+        assert_eq!(o_inc.report, o_cold.report, "report of `{n_inc}` diverged");
     }
 }
 
