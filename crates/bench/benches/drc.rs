@@ -1,12 +1,14 @@
-//! Experiment E16 — DRC scaling, sweep vs pairwise.
+//! Experiment E16 — DRC scaling, bucket grid vs pairwise.
 //!
-//! `drc::check` sweeps a `GeomIndex`: each box visits only neighbours
-//! within its rule distance along the sweep axis, O(n log n + k). The
-//! retired all-pairs reference (`drc::check_pairwise`) visits every
-//! pair, O(n²). On a 2-D tiled layout the pairwise cost quadruples per
-//! size doubling while the sweep stays near-linear; the equivalence
-//! proptests in `crates/layout/tests/drc_equivalence.rs` prove both
-//! return the identical violation list.
+//! `drc::check` (the `drc/sweep/<n>` rows, named before the grid
+//! replaced the sweep) finds spacing partners through a 2-D bucket grid:
+//! each box visits only the cells within its rule distance in both
+//! axes, O(n + k). The retired all-pairs reference
+//! (`drc::check_pairwise`) visits every pair, O(n²). On a 2-D tiled
+//! layout the pairwise cost quadruples per size doubling while the grid
+//! check stays near-linear; the equivalence proptests in
+//! `crates/layout/tests/drc_equivalence.rs` prove both return the
+//! identical violation list.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsg_geom::{Rect, Vector};
@@ -51,7 +53,7 @@ fn bench_drc(c: &mut Criterion) {
         assert_eq!(
             drc::check(&boxes, &rules),
             drc::check_pairwise(&boxes, &rules),
-            "sweep diverged from pairwise at n={n}"
+            "grid check diverged from pairwise at n={n}"
         );
     }
 

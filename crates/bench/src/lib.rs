@@ -9,7 +9,7 @@
 //! * [`megachip_flat`] — a lattice of isolated [`TILE_BOX`]-sized
 //!   squares on a [`TILE_PITCH`] grid (gap ≥ every
 //!   `Technology::mead_conway(2)` spacing rule). Every box is separate
-//!   material, which is exactly what stresses the per-layer DRC sweep.
+//!   material, which is exactly what stresses full-chip DRC.
 //! * [`megachip_hier`] — the same mask layers organized as a four-deep
 //!   *wire-bundle* hierarchy (tile → row → block → chip): each tile
 //!   carries four horizontal bars (one per layer) built from **abutting**

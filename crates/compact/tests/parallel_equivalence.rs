@@ -1,6 +1,6 @@
 //! Serial ≡ parallel, pinned by property tests: on every random
 //! hierarchy, [`compact_hierarchy`], a persistent [`CompactSession`],
-//! and the per-layer DRC sweep must produce **bit-identical** results at
+//! and the DRC scan must produce **bit-identical** results at
 //! `Parallelism::Serial` and `Parallelism::Threads(n)` for
 //! n ∈ {1, 2, 4, 9} — geometry, pitches, violation lists, and error
 //! classes all match.
@@ -304,7 +304,7 @@ proptest! {
         }
     }
 
-    /// The per-layer DRC sweep: `Threads(n)` ≡ `Serial` on random flat
+    /// The DRC scan: `Threads(n)` ≡ `Serial` on random flat
     /// geometry that is *allowed to be dirty* — the violation lists
     /// (class, layers, boxes, order) must match exactly, not just their
     /// emptiness.
@@ -330,7 +330,7 @@ proptest! {
         prop_assert_eq!(&serial, &drc::check_flat(&flat, &tech.rules));
         for n in THREADS {
             let par = drc::check_flat_par(&flat, &tech.rules, Parallelism::Threads(n));
-            prop_assert_eq!(&par, &serial, "DRC sweep diverged at {} threads", n);
+            prop_assert_eq!(&par, &serial, "DRC scan diverged at {} threads", n);
         }
     }
 }

@@ -1,14 +1,14 @@
 //! A layer-bucketed, sweep-ordered spatial index over flat geometry.
 //!
-//! Every flat-geometry consumer in this workspace — the design-rule
-//! checker, the visibility scanline of paper §6.4.1, and the leaf
-//! compactor's cross-interface constraints — asks the same two questions
-//! of the same box soup: *which boxes come near this span along the
-//! sweep axis?* and *is this gap completely covered by material?*
-//! [`GeomIndex`] answers both from one structure built once in
-//! O(n log n): per-label buckets sorted along a chosen [`Axis`], each
-//! with a running maximum of high edges so windowed scans terminate as
-//! soon as no earlier box can still reach the query window.
+//! The constraint generators in this workspace — the visibility
+//! scanline of paper §6.4.1, the hierarchical cell pass, and the leaf
+//! compactor's cross-interface constraints — ask the same two questions
+//! of the same box soup: *which boxes lie after this edge along the
+//! sweep axis, overlapping it across?* and *is this gap completely
+//! covered by material?* [`GeomIndex`] answers both from one structure
+//! built once in O(n log n): per-label buckets sorted along a chosen
+//! [`Axis`], each with a running maximum of high edges so coverage scans
+//! terminate as soon as no earlier box can still reach the query window.
 //!
 //! The index is generic over the label type so this crate stays free of
 //! layer definitions; `rsg-layout` instantiates it as `GeomIndex<Layer>`.
@@ -70,10 +70,12 @@ impl<L> Bucket<L> {
 ///     ('b', Rect::from_coords(50, 0, 54, 10)),
 /// ];
 /// let index = GeomIndex::build(&items, Axis::X);
-/// // Boxes of label 'a' within distance 18 of the span [22, 23]:
-/// let near: Vec<usize> = index.neighbors_within('a', (22, 23), 18).collect();
-/// assert_eq!(near, vec![1, 0]); // descending low edge, both in range
-/// assert!(index.neighbors_within('b', (22, 23), 18).next().is_none());
+/// // Boxes of label 'a' starting at or after x = 4, overlapping y ∈ (0, 10):
+/// let after: Vec<usize> = index.ordered_after('a', 4, (0, 10), 0).collect();
+/// assert_eq!(after, vec![1]);
+/// assert!(index.ordered_after('b', 60, (0, 10), 0).next().is_none());
+/// // The gap between the two 'a' boxes is not covered by material:
+/// assert!(!index.interval_coverage(&['a'], (4, 20), (0, 10)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct GeomIndex<L> {
@@ -204,44 +206,6 @@ impl<L: Copy + Ord> GeomIndex<L> {
             .binary_search_by(|b| b.label.cmp(&label))
             .ok()
             .map(|k| &self.buckets[k])
-    }
-
-    /// Item indices on `label` whose along-axis span lies within distance
-    /// `d` of `span` (closed: a box exactly `d` away is included), in
-    /// descending low-edge order.
-    ///
-    /// This is the sweep window query: a binary search finds the last
-    /// box starting at or before `span.1 + d`, then the scan walks
-    /// backwards and stops as soon as the bucket's prefix maximum proves
-    /// no earlier box can still reach `span.0 - d`.
-    pub fn neighbors_within(
-        &self,
-        label: L,
-        span: (i64, i64),
-        d: i64,
-    ) -> impl Iterator<Item = usize> + '_ {
-        let (bucket, end) = match self.bucket(label) {
-            Some(b) => {
-                let end = b.lo.partition_point(|&lo| lo <= span.1 + d);
-                (Some(b), end)
-            }
-            None => (None, 0),
-        };
-        let min_hi = span.0 - d;
-        let mut pos = end;
-        std::iter::from_fn(move || {
-            let b = bucket?;
-            while pos > 0 {
-                pos -= 1;
-                if b.prefix_max_hi[pos] < min_hi {
-                    return None; // nothing earlier can reach the window
-                }
-                if b.hi[pos] >= min_hi {
-                    return Some(b.order[pos] as usize);
-                }
-            }
-            None
-        })
     }
 
     /// Item indices on `label` whose low edge along the axis is at or
@@ -492,36 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_window_and_early_exit() {
-        let idx = GeomIndex::build(&items(), Axis::X);
-        // Window [20, 24] at d = 0 touches boxes 1 and 2 (closed).
-        let mut near: Vec<usize> = idx.neighbors_within('p', (20, 24), 0).collect();
-        near.sort_unstable();
-        assert_eq!(near, vec![1, 2]);
-        // d = 16 also reaches box 0 (hi = 4 ≥ 20 − 16).
-        let mut near: Vec<usize> = idx.neighbors_within('p', (20, 24), 16).collect();
-        near.sort_unstable();
-        assert_eq!(near, vec![0, 1, 2]);
-        // Unknown label: empty.
-        assert!(idx.neighbors_within('z', (0, 100), 50).next().is_none());
-        // Far window: empty.
-        assert!(idx.neighbors_within('p', (200, 210), 3).next().is_none());
-    }
-
-    #[test]
-    fn neighbors_skip_short_boxes_but_keep_scanning() {
-        // A long box starts before a short one; the short one misses the
-        // window but the long one (earlier lo, later hi) must be found.
-        let items = vec![
-            ('p', Rect::from_coords(0, 0, 100, 4)),
-            ('p', Rect::from_coords(10, 0, 12, 4)),
-        ];
-        let idx = GeomIndex::build(&items, Axis::X);
-        let near: Vec<usize> = idx.neighbors_within('p', (90, 95), 0).collect();
-        assert_eq!(near, vec![0]);
-    }
-
-    #[test]
     fn coverage_full_and_gapped() {
         let idx = GeomIndex::build(&items(), Axis::X);
         // The three 'p' boxes tile [0, 24] over y ∈ [0, 10].
@@ -649,8 +583,8 @@ mod tests {
             ('p', Rect::from_coords(0, 4, 10, 20)),
         ];
         let idx = GeomIndex::build(&items, Axis::Y);
-        let near: Vec<usize> = idx.neighbors_within('p', (0, 4), 0).collect();
-        assert_eq!(near.len(), 2);
+        let after: Vec<usize> = idx.ordered_after('p', 4, (0, 10), 0).collect();
+        assert_eq!(after, vec![1]);
         assert!(idx.interval_coverage(&['p'], (0, 20), (2, 8)));
         assert!(!idx.interval_coverage(&['p'], (0, 21), (2, 8)));
     }

@@ -1,7 +1,7 @@
 //! Minimal deterministic parallel map over scoped threads.
 //!
-//! The batch leaf compactor, the hierarchy DAG walk, and the per-layer
-//! DRC sweep all fan independent jobs out across cores. The container
+//! The batch leaf compactor, the hierarchy DAG walk, and the DRC scan
+//! all fan independent jobs out across cores. The container
 //! this repository builds in has no registry access, so instead of
 //! `rayon` this module implements the one primitive needed — an
 //! order-preserving parallel map — on `std::thread::scope`. Workers

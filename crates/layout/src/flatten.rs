@@ -1,13 +1,12 @@
 //! Hierarchical flattening of a cell to absolute-coordinate boxes.
 //!
 //! [`flatten`] performs the single hierarchy walk of the whole flat
-//! pipeline and returns a [`FlatLayout`]: the box list *plus* a prebuilt
-//! [`GeomIndex`] over it, so every downstream consumer — DRC, statistics,
-//! CIF emission, compaction — shares one spatial view instead of
-//! re-deriving its own.
+//! pipeline and returns a [`FlatLayout`]: the box list, also held as the
+//! `(Layer, Rect)` slice that DRC and the compactor take, so no consumer
+//! converts it again.
 
 use crate::{CellDefinition, CellId, CellTable, Layer, LayoutError};
-use rsg_geom::{Axis, BoundingBox, GeomIndex, Isometry, Rect};
+use rsg_geom::{BoundingBox, Isometry, Rect};
 use std::collections::HashSet;
 
 /// A box in the flattened, absolute coordinate system.
@@ -21,8 +20,8 @@ pub struct FlatBox {
     pub depth: u32,
 }
 
-/// A flattened layout: absolute-coordinate boxes plus a prebuilt
-/// spatial index and the hierarchy-walk tallies.
+/// A flattened layout: absolute-coordinate boxes, the same boxes as
+/// `(Layer, Rect)` pairs, and the hierarchy-walk tallies.
 ///
 /// Returned by [`flatten`]; consumed by [`crate::drc::check_flat`],
 /// [`crate::stats::LayoutStats`], [`crate::write_cif_flat`], and the
@@ -32,24 +31,23 @@ pub struct FlatBox {
 #[derive(Debug, Clone)]
 pub struct FlatLayout {
     boxes: Vec<FlatBox>,
-    index: GeomIndex<Layer>,
+    rects: Vec<(Layer, Rect)>,
     total_instances: usize,
     distinct_cells: usize,
     max_depth: u32,
 }
 
 impl FlatLayout {
-    /// Builds a flat layout (and its index) directly from a box list —
-    /// the entry point for geometry that never lived in a hierarchy.
+    /// Builds a flat layout directly from a box list — the entry point
+    /// for geometry that never lived in a hierarchy.
     /// With no hierarchy walk behind it, instance and cell tallies are
     /// the single-cell defaults; depth comes from the boxes themselves.
     pub fn from_boxes(boxes: Vec<FlatBox>) -> FlatLayout {
-        let pairs: Vec<(Layer, Rect)> = boxes.iter().map(|b| (b.layer, b.rect)).collect();
-        let index = GeomIndex::build_from_vec(pairs, Axis::X);
+        let rects = boxes.iter().map(|b| (b.layer, b.rect)).collect();
         let max_depth = boxes.iter().map(|b| b.depth).max().unwrap_or(0);
         FlatLayout {
             boxes,
-            index,
+            rects,
             total_instances: 0,
             distinct_cells: 1,
             max_depth,
@@ -76,16 +74,10 @@ impl FlatLayout {
         self.boxes.is_empty()
     }
 
-    /// The prebuilt spatial index over all boxes (swept along
-    /// [`Axis::X`]).
-    pub fn index(&self) -> &GeomIndex<Layer> {
-        &self.index
-    }
-
     /// The boxes as `(layer, rect)` pairs — the slice shape the
     /// constraint generator and DRC take, with no per-caller conversion.
     pub fn layer_rects(&self) -> &[(Layer, Rect)] {
-        self.index.items()
+        &self.rects
     }
 
     /// Bounding box of all flat boxes.
@@ -175,11 +167,10 @@ pub fn flatten(table: &CellTable, root: CellId) -> Result<FlatLayout, LayoutErro
             boxes.push(FlatBox { layer, rect, depth });
         },
     )?;
-    let pairs: Vec<(Layer, Rect)> = boxes.iter().map(|b| (b.layer, b.rect)).collect();
-    let index = GeomIndex::build_from_vec(pairs, Axis::X);
+    let rects = boxes.iter().map(|b| (b.layer, b.rect)).collect();
     Ok(FlatLayout {
         boxes,
-        index,
+        rects,
         total_instances: walk.total_instances,
         distinct_cells: walk.reach.len(),
         max_depth: walk.max_depth,
@@ -344,15 +335,13 @@ mod tests {
     }
 
     #[test]
-    fn prebuilt_index_matches_boxes() {
+    fn layer_rects_match_boxes() {
         let (mut t, leaf) = leaf_table();
         t.get_mut(leaf)
             .unwrap()
             .add_box(Layer::Poly, Rect::from_coords(8, 0, 12, 2));
         let flat = flatten(&t, leaf).unwrap();
         assert_eq!(flat.layer_rects().len(), flat.len());
-        assert_eq!(flat.index().len(), flat.len());
-        assert_eq!(flat.index().axis(), rsg_geom::Axis::X);
         for (b, &(l, r)) in flat.iter().zip(flat.layer_rects()) {
             assert_eq!((b.layer, b.rect), (l, r));
         }

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("built `row8`:\n{stats}");
     let tech = rsg::layout::Technology::mead_conway(2);
     println!(
-        "sweep DRC: {} violations",
+        "DRC: {} violations",
         rsg::layout::drc::check_flat(&flat, &tech.rules).len()
     );
 

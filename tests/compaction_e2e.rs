@@ -249,7 +249,7 @@ fn flat_layout_feeds_the_leaf_compactor() {
     // The FlatLayout → leaf::compact bridge: flatten a two-instance
     // assembly, package the flat boxes as one leaf cell, compact it
     // under a self-interface, and referee the re-tiled result with the
-    // index-backed sweep DRC.
+    // bucket-grid DRC.
     let tech = Technology::mead_conway(2);
     let mut table = rsg::layout::CellTable::new();
     let tile = table.insert(library_cell()).unwrap();
