@@ -138,7 +138,7 @@ fn bench_incremental(c: &mut Criterion) {
     .expect("noop compacts");
     let s = check.last_stats();
     assert_eq!(s.cells_compacted, 0, "no-op edit recompacts nothing");
-    assert_eq!(s.abstracts_derived, 0, "no-op edit re-flattens nothing");
+    assert_eq!(s.abstracts_derived, 0, "no-op edit composes no abstract");
     assert_eq!(s.constraints_emitted, 0, "no-op edit re-emits nothing");
     assert_eq!(s.leaf_jobs, 0, "no-op edit re-solves no library job");
 

@@ -3,12 +3,14 @@
 //!
 //! The ceilings live in `BENCH_constraint_ceilings.json` beside
 //! `BENCH_compaction.json`: the pruned constraint count of the E13 8×8
-//! tiled array and of the E23 megachip flat lattice at 10⁵ boxes, and
-//! the candidate pairs the hierarchical cell pass enumerates on the
-//! E23 megachip walk at 10⁵ boxes and on the 16×16 multiplier chip. All
-//! workloads are deterministic, so the recorded values are exact — any
-//! increase means a generator, prune, or enumeration regression and
-//! fails CI (wired into ci.yml next to the megachip smoke). Run with
+//! tiled array and of the E23 megachip flat lattice at 10⁵ boxes; the
+//! candidate pairs the hierarchical cell pass enumerates, and the boxes
+//! the walk feeds to interface-abstract derivation
+//! (`ChipLayout::abstract_inputs`), on the E23 megachip walk at 10⁵
+//! boxes and on the 16×16 multiplier chip. All workloads are
+//! deterministic, so the recorded values are exact — any increase means
+//! a generator, prune, enumeration, or abstract-composition regression
+//! and fails CI (wired into ci.yml next to the megachip smoke). Run with
 //! `cargo test --release -p rsg-bench --test constraint_ceilings`.
 
 use rsg_bench::{megachip_flat, megachip_hier};
@@ -108,8 +110,8 @@ fn walk_candidates(chip: &ChipLayout) -> usize {
         .sum()
 }
 
-#[test]
-fn megachip_hier_100k_candidates_stay_under_recorded_ceiling() {
+/// The serial E23 megachip walk at 10⁵ boxes, and its flat box count.
+fn megachip_walk() -> (ChipLayout, usize) {
     let rules = &Technology::mead_conway(2).rules;
     let chip = megachip_hier(100_000).expect("generates");
     let out = compact_hierarchy(
@@ -120,31 +122,62 @@ fn megachip_hier_100k_candidates_stay_under_recorded_ceiling() {
         &HierOptions::default(),
     )
     .expect("compacts");
-    let count = walk_candidates(&out);
-    let ceiling = ceiling("megachip_hier_100k_candidates");
-    assert!(
-        count <= ceiling,
-        "megachip hier walk (n = {}) candidate count regressed: {count} > recorded ceiling {ceiling}",
-        chip.boxes
-    );
+    (out, chip.boxes)
 }
 
-#[test]
-fn multiplier_16x16_candidates_stay_under_recorded_ceiling() {
+/// The hierarchy walk of the 16×16 multiplier's `compact_chip`.
+fn multiplier_walk() -> ChipLayout {
     let rules = &Technology::mead_conway(2).rules;
     let mult = rsg_mult::generator::generate(16, 16).expect("generates");
-    let out = rsg_mult::compactor::compact_chip(
+    rsg_mult::compactor::compact_chip(
         mult.rsg.cells(),
         mult.top,
         rules,
         &BellmanFord::SORTED,
         Parallelism::Serial,
     )
-    .expect("compacts");
-    let count = walk_candidates(&out.chip);
+    .expect("compacts")
+    .chip
+}
+
+#[test]
+fn megachip_hier_100k_candidates_stay_under_recorded_ceiling() {
+    let (out, boxes) = megachip_walk();
+    let count = walk_candidates(&out);
+    let ceiling = ceiling("megachip_hier_100k_candidates");
+    assert!(
+        count <= ceiling,
+        "megachip hier walk (n = {boxes}) candidate count regressed: {count} > recorded ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn multiplier_16x16_candidates_stay_under_recorded_ceiling() {
+    let count = walk_candidates(&multiplier_walk());
     let ceiling = ceiling("multiplier_16x16_candidates");
     assert!(
         count <= ceiling,
         "16x16 multiplier chip candidate count regressed: {count} > recorded ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn megachip_hier_100k_abstract_inputs_stay_under_recorded_ceiling() {
+    let (out, boxes) = megachip_walk();
+    let count = out.abstract_inputs;
+    let ceiling = ceiling("megachip_hier_100k_abstract_inputs");
+    assert!(
+        count <= ceiling,
+        "megachip hier walk (n = {boxes}) abstract input count regressed: {count} > recorded ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn multiplier_16x16_abstract_inputs_stay_under_recorded_ceiling() {
+    let count = multiplier_walk().abstract_inputs;
+    let ceiling = ceiling("multiplier_16x16_abstract_inputs");
+    assert!(
+        count <= ceiling,
+        "16x16 multiplier chip abstract input count regressed: {count} > recorded ceiling {ceiling}"
     );
 }

@@ -6,13 +6,17 @@
 //! flattening the mask data. Three ideas carry the chapter-2 + chapter-6
 //! composition:
 //!
-//! * **Interface abstracts** ([`CellAbstract`]) — per-layer edge profiles
-//!   derived from each referenced definition's [`rsg_layout::FlatLayout`]
-//!   (one flatten per distinct `(definition, orientation)`, regardless of
-//!   how many instances call it). For each sweep [`Axis`] the abstract
-//!   records, per elementary across-strip, how far the cell's material on
-//!   each interacting layer extends — the only facts instance-to-instance
-//!   spacing ever needs.
+//! * **Interface abstracts** ([`CellAbstract`]) — per-layer edge
+//!   profiles: for each sweep [`Axis`] the abstract records, per
+//!   elementary across-strip, how far the cell's material on each
+//!   interacting layer extends — the only facts instance-to-instance
+//!   spacing ever needs. Each definition gets one `NORTH` abstract per
+//!   walk: a leaf derives it from its own boxes, an assembly composes it
+//!   from its compacted placement — direct boxes plus its children's
+//!   abstracts. A caller orients it per distinct `(child, orientation)`
+//!   in O(profile). Nothing is flattened, so an
+//!   abstract costs its definition's own boxes plus its children's
+//!   silhouettes, never its subtree.
 //! * **Instance-level constraints** — the same sweep/visibility kernel
 //!   that serves flat compaction runs on abstract boxes instead of flat
 //!   boxes: ordered, across-overlapping, non-hidden abstract box pairs
@@ -46,9 +50,9 @@ use crate::scratch::{ScanScratch, SweepScratch};
 use rsg_geom::{Axis, BoundingBox, GeomIndex, Isometry, Orientation, Point, Rect, Vector};
 use rsg_layout::hash::ContentHasher;
 use rsg_layout::{
-    flatten, CellDefinition, CellId, CellTable, DesignRules, Layer, LayoutError, LayoutObject,
+    CellDefinition, CellId, CellTable, DesignRules, Layer, LayoutError, LayoutObject,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Tuning knobs for the hierarchical compactor.
@@ -121,7 +125,8 @@ impl HierOptions {
 /// Hierarchical compaction failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HierError {
-    /// The referenced hierarchy could not be flattened into abstracts.
+    /// A referenced definition is missing, or the hierarchy is
+    /// recursive.
     Layout(LayoutError),
     /// The instance constraint system is infeasible (conflicting pins).
     Infeasible(String),
@@ -203,7 +208,14 @@ fn injected_error(fault: InjectedFault, axis: Axis) -> HierError {
 /// extremes of such strips, so the abstract is exact for the ordered,
 /// non-interleaved placements assemblies are built from, and it stays
 /// small: its size tracks the cell's *silhouette*, not its box count.
-#[derive(Debug, Clone)]
+///
+/// The profile is canonical — a function of the strip extremes alone, not
+/// of the boxes that produced them — so the profile of a union of
+/// profiles is the profile of the union. That is what lets an assembly
+/// compose its abstract from its children's ([`CellAbstract::composed`])
+/// and lets [`CellAbstract::oriented`] map an abstract to any
+/// orientation without going back to the boxes.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellAbstract {
     /// Profile boxes per sweep axis (`[x, y]`), local coordinates.
     profiles: [Vec<(Layer, Rect)>; 2],
@@ -218,33 +230,74 @@ pub struct CellAbstract {
 impl CellAbstract {
     /// Derives the abstract from a flat box list (local coordinates).
     pub fn from_boxes(boxes: &[(Layer, Rect)], rules: &DesignRules) -> CellAbstract {
-        let interacting: Vec<Layer> = Layer::ALL
-            .iter()
-            .copied()
-            .filter(|&l| {
-                Layer::ALL
-                    .iter()
-                    .any(|&m| rules.min_spacing(l, m).is_some())
-            })
-            .collect();
-        let live: Vec<(Layer, Rect)> = boxes
-            .iter()
-            .copied()
-            .filter(|&(l, r)| r.area() > 0 && interacting.contains(&l))
-            .collect();
-        let profiles = [profile_along(&live, Axis::X), profile_along(&live, Axis::Y)];
-        let bbox: BoundingBox = boxes
-            .iter()
-            .filter(|(_, r)| r.area() > 0)
-            .map(|&(_, r)| r)
-            .collect();
-        let material: BoundingBox = live.iter().map(|&(_, r)| r).collect();
+        let mut builder = AbstractBuilder::new(rules);
+        for &(l, r) in boxes {
+            builder.add_box(l, r);
+        }
+        builder.finish().0
+    }
+
+    /// The `NORTH` abstract of `cell`, composed bottom-up through the
+    /// definitions below it exactly as the hierarchy walk builds it: each
+    /// leaf from its own boxes, each assembly from its direct boxes and
+    /// its children's abstracts. Equal, field for field, to
+    /// [`CellAbstract::from_boxes`] over the flattened cell.
+    ///
+    /// # Errors
+    ///
+    /// [`HierError::Layout`] for a missing or recursive definition.
+    pub fn composed(
+        table: &CellTable,
+        cell: CellId,
+        rules: &DesignRules,
+    ) -> Result<CellAbstract, HierError> {
+        let mut abstracts = Abstracts::new(rules, &Limits::NONE);
+        for c in dfs_order(table, cell)? {
+            abstracts.build(c, table.require(c)?)?;
+        }
+        match abstracts.north(cell) {
+            Some(north) => Ok(north.as_ref().clone()),
+            None => Err(HierError::Internal(format!(
+                "no abstract composed for {cell:?}"
+            ))),
+        }
+    }
+
+    /// This abstract under orientation `o`, in O(profile): every profile
+    /// box is mapped by `o` — a quarter turn swaps the x and y profiles,
+    /// a mirror reflects them — and re-sorted into canonical order. An
+    /// isometry maps the strip extremes of the material to the strip
+    /// extremes of its image, so the result equals the abstract derived
+    /// from the oriented boxes.
+    pub fn oriented(&self, o: Orientation) -> CellAbstract {
+        let iso = Isometry::orient(o);
+        let profiles = Axis::BOTH.map(|axis| {
+            let mut profile: Vec<(Layer, Rect)> = self.placed_profile(axis, iso).collect();
+            profile.sort_unstable_by_key(|&(l, r)| (l, r.lo_across(axis)));
+            profile
+        });
         CellAbstract {
             profiles,
-            bbox: bbox.rect(),
-            material: material.rect(),
-            source_boxes: boxes.len(),
+            bbox: self.bbox.map(|r| r.transform(iso)),
+            material: self.material.map(|r| r.transform(iso)),
+            source_boxes: self.source_boxes,
         }
+    }
+
+    /// The profile boxes a sweep along `axis` sees of this cell placed by
+    /// `iso` (unsorted). A quarter turn swaps the roles of the profiles.
+    fn placed_profile(
+        &self,
+        axis: Axis,
+        iso: Isometry,
+    ) -> impl Iterator<Item = (Layer, Rect)> + '_ {
+        let source = match iso.orientation.rotation.quarter_turns() % 2 {
+            0 => axis,
+            _ => axis.other(),
+        };
+        self.profile(source)
+            .iter()
+            .map(move |&(l, r)| (l, r.transform(iso)))
     }
 
     /// The per-layer edge profile for a sweep axis.
@@ -276,25 +329,124 @@ const fn axis_index(axis: Axis) -> usize {
     }
 }
 
+/// The inputs of one abstract: direct boxes, read as they are, and
+/// placed child abstracts, read as their profiles. Bounding boxes and
+/// material compose as unions and `source_boxes` as a sum; the profiles
+/// are re-derived over the collected boxes at [`AbstractBuilder::finish`].
+struct AbstractBuilder {
+    /// Layers with at least one spacing rule; the rest is background.
+    interacting: Vec<Layer>,
+    /// Profile-derivation input per sweep axis (`[x, y]`).
+    inputs: [Vec<(Layer, Rect)>; 2],
+    bbox: BoundingBox,
+    material: BoundingBox,
+    source_boxes: usize,
+}
+
+impl AbstractBuilder {
+    fn new(rules: &DesignRules) -> AbstractBuilder {
+        let interacting = Layer::ALL
+            .iter()
+            .copied()
+            .filter(|&l| {
+                Layer::ALL
+                    .iter()
+                    .any(|&m| rules.min_spacing(l, m).is_some())
+            })
+            .collect();
+        AbstractBuilder {
+            interacting,
+            inputs: [Vec::new(), Vec::new()],
+            bbox: BoundingBox::new(),
+            material: BoundingBox::new(),
+            source_boxes: 0,
+        }
+    }
+
+    /// One flat box. Zero-area boxes count as source boxes but carry no
+    /// material; background layers widen only the bounding box.
+    fn add_box(&mut self, layer: Layer, rect: Rect) {
+        self.source_boxes += 1;
+        if rect.area() <= 0 {
+            return;
+        }
+        self.bbox.include_rect(rect);
+        if self.interacting.contains(&layer) {
+            self.material.include_rect(rect);
+            for input in &mut self.inputs {
+                input.push((layer, rect));
+            }
+        }
+    }
+
+    /// A child's abstract placed by its call isometry.
+    fn add_placed(&mut self, child: &CellAbstract, iso: Isometry) {
+        self.source_boxes += child.source_boxes;
+        if let Some(r) = child.bbox {
+            self.bbox.include_rect(r.transform(iso));
+        }
+        if let Some(r) = child.material {
+            self.material.include_rect(r.transform(iso));
+        }
+        for axis in Axis::BOTH {
+            self.inputs[axis_index(axis)].extend(child.placed_profile(axis, iso));
+        }
+    }
+
+    /// The abstract, plus the number of boxes fed to profile derivation.
+    fn finish(self) -> (CellAbstract, usize) {
+        let [x, y] = &self.inputs;
+        let fed = x.len() + y.len();
+        let abs = CellAbstract {
+            profiles: [profile_along(x, Axis::X), profile_along(y, Axis::Y)],
+            bbox: self.bbox.rect(),
+            material: self.material.rect(),
+            source_boxes: self.source_boxes,
+        };
+        (abs, fed)
+    }
+}
+
 /// Per-layer strip profile: for each elementary across-strip that holds
-/// material, one rect spanning the material's along-extremes.
+/// material, one rect spanning the material's along-extremes; adjacent
+/// strips with the same span merge into one rect. Output is sorted by
+/// layer, then across position.
+///
+/// Each rect updates only the strips it covers, found by binary search
+/// over the sorted cuts: O(n log n + Σ strips covered) per layer, never
+/// more than the strips × rects of testing every rect against every
+/// strip.
 fn profile_along(boxes: &[(Layer, Rect)], axis: Axis) -> Vec<(Layer, Rect)> {
     let mut layers: Vec<Layer> = boxes.iter().map(|&(l, _)| l).collect();
     layers.sort_unstable();
     layers.dedup();
     let mut out = Vec::new();
+    let mut rects: Vec<Rect> = Vec::new();
+    let mut cuts: Vec<i64> = Vec::new();
+    let mut span: Vec<(i64, i64)> = Vec::new();
     for layer in layers {
-        let rects: Vec<Rect> = boxes
-            .iter()
-            .filter(|&&(l, _)| l == layer)
-            .map(|&(_, r)| r)
-            .collect();
-        let mut cuts: Vec<i64> = rects
-            .iter()
-            .flat_map(|r| [r.lo_across(axis), r.hi_across(axis)])
-            .collect();
+        rects.clear();
+        rects.extend(boxes.iter().filter(|&&(l, _)| l == layer).map(|&(_, r)| r));
+        cuts.clear();
+        cuts.extend(
+            rects
+                .iter()
+                .flat_map(|r| [r.lo_across(axis), r.hi_across(axis)]),
+        );
         cuts.sort_unstable();
         cuts.dedup();
+        // span[k]: along-extremes of strip (cuts[k], cuts[k + 1]).
+        span.clear();
+        span.resize(cuts.len().saturating_sub(1), (i64::MAX, i64::MIN));
+        for r in &rects {
+            // Both edges are cuts, so the searches hit exactly.
+            let first = cuts.partition_point(|&c| c < r.lo_across(axis));
+            let end = cuts.partition_point(|&c| c < r.hi_across(axis));
+            for s in &mut span[first..end] {
+                s.0 = s.0.min(r.lo_along(axis));
+                s.1 = s.1.max(r.hi_along(axis));
+            }
+        }
         // Merged run of strips sharing one along-span.
         let mut run: Option<(i64, i64, i64, i64)> = None; // (lo, hi, c0, c1)
         let flush = |run: &mut Option<(i64, i64, i64, i64)>, out: &mut Vec<(Layer, Rect)>| {
@@ -302,16 +454,8 @@ fn profile_along(boxes: &[(Layer, Rect)], axis: Axis) -> Vec<(Layer, Rect)> {
                 out.push((layer, Rect::from_spans(axis, (lo, hi), (c0, c1))));
             }
         };
-        for w in cuts.windows(2) {
-            let (c0, c1) = (w[0], w[1]);
-            let mut lo = i64::MAX;
-            let mut hi = i64::MIN;
-            for r in &rects {
-                if r.lo_across(axis) < c1 && r.hi_across(axis) > c0 {
-                    lo = lo.min(r.lo_along(axis));
-                    hi = hi.max(r.hi_along(axis));
-                }
-            }
+        for (k, &(lo, hi)) in span.iter().enumerate() {
+            let (c0, c1) = (cuts[k], cuts[k + 1]);
             if lo > hi {
                 flush(&mut run, &mut out);
                 continue;
@@ -331,37 +475,123 @@ fn profile_along(boxes: &[(Layer, Rect)], axis: Axis) -> Vec<(Layer, Rect)> {
     out
 }
 
-/// One abstract derivation per distinct `(definition, orientation)` no
-/// matter how many instances call it — the economics the paper claims
-/// for hierarchy ("compact the cell A only once", applied to placement).
-/// The [`ShapeKey`] pool in [`compact_cell`] is the cache.
-pub(crate) fn derive_abstract(
-    table: &CellTable,
-    cell: CellId,
-    orientation: Orientation,
-    rules: &DesignRules,
-) -> Result<CellAbstract, LayoutError> {
-    let flat = flatten(table, cell)?;
-    let iso = Isometry::orient(orientation);
-    let boxes: Vec<(Layer, Rect)> = flat
-        .layer_rects()
-        .iter()
-        .map(|&(l, r)| (l, r.transform(iso)))
-        .collect();
-    Ok(CellAbstract::from_boxes(&boxes, rules))
+/// The `NORTH` interface abstract of every definition one compaction has
+/// reached — what [`compact_cell_with`] reads its instances' abstracts
+/// from. Each definition is built once per store: a leaf derives its
+/// abstract from its own boxes, an assembly composes its direct boxes
+/// with its children's stored abstracts placed by their call isometries.
+/// No abstract ever reads a child's flattened subtree, so building one
+/// costs the definition's own boxes plus its children's profiles.
+pub(crate) struct Abstracts<'a> {
+    rules: &'a DesignRules,
+    limits: &'a Limits,
+    north: HashMap<CellId, Arc<CellAbstract>>,
+    /// Definitions whose abstract came from a cache, not a build.
+    replayed: HashSet<CellId>,
+    /// Abstracts built by this store (leaves derived, assemblies
+    /// composed).
+    pub built: usize,
+    /// Boxes those builds fed to profile derivation, summed over both
+    /// sweep axes.
+    pub inputs: usize,
+    /// Reads of a replayed abstract by [`Abstracts::prepare`], one per
+    /// distinct child of each prepared definition.
+    pub replay_reads: usize,
 }
 
-/// Work-reuse counters filled by one hooked [`compact_cell_with`] run.
+impl<'a> Abstracts<'a> {
+    pub(crate) fn new(rules: &'a DesignRules, limits: &'a Limits) -> Abstracts<'a> {
+        Abstracts {
+            rules,
+            limits,
+            north: HashMap::new(),
+            replayed: HashSet::new(),
+            built: 0,
+            inputs: 0,
+            replay_reads: 0,
+        }
+    }
+
+    /// The stored `NORTH` abstract of `cell`, if any.
+    pub(crate) fn north(&self, cell: CellId) -> Option<&Arc<CellAbstract>> {
+        self.north.get(&cell)
+    }
+
+    /// Stores an abstract that was cached with `cell`'s outcome.
+    pub(crate) fn replay(&mut self, cell: CellId, north: Arc<CellAbstract>) {
+        self.north.insert(cell, north);
+        self.replayed.insert(cell);
+    }
+
+    /// Builds the abstract of every definition `def` instances that is
+    /// not stored yet, bottom-up through their subtrees. Inside the
+    /// hierarchy walk a child's own children are always stored by then,
+    /// so each missing child is built directly from its definition in
+    /// `table`.
+    pub(crate) fn prepare(
+        &mut self,
+        table: &CellTable,
+        def: &CellDefinition,
+    ) -> Result<(), HierError> {
+        let mut children: Vec<CellId> = def.instances().map(|i| i.cell).collect();
+        children.sort_unstable();
+        children.dedup();
+        for child in children {
+            if self.north.contains_key(&child) {
+                self.replay_reads += usize::from(self.replayed.contains(&child));
+                continue;
+            }
+            let child_def = table.require(child)?;
+            let ready = child_def
+                .instances()
+                .all(|i| self.north.contains_key(&i.cell));
+            let order = if ready {
+                vec![child]
+            } else {
+                dfs_order(table, child)?
+            };
+            for cell in order {
+                if !self.north.contains_key(&cell) {
+                    self.build(cell, table.require(cell)?)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Builds and stores `cell`'s abstract from its definition `def`,
+    /// whose children must all be stored.
+    fn build(&mut self, cell: CellId, def: &CellDefinition) -> Result<(), HierError> {
+        self.limits.check_deadline()?;
+        let mut builder = AbstractBuilder::new(self.rules);
+        for (l, r) in def.boxes() {
+            builder.add_box(l, r);
+        }
+        for inst in def.instances() {
+            let child = self.north.get(&inst.cell).ok_or_else(|| {
+                HierError::Internal(format!(
+                    "abstract of `{}` composed before its child {:?}",
+                    def.name(),
+                    inst.cell
+                ))
+            })?;
+            builder.add_placed(child, inst.isometry());
+        }
+        let (abs, fed) = builder.finish();
+        self.built += 1;
+        self.inputs += fed;
+        self.north.insert(cell, Arc::new(abs));
+        Ok(())
+    }
+}
+
+/// Work counters filled by one hooked [`compact_cell_with`] run.
 ///
 /// `constraints_emitted` counts the sweep kernel's spacing, frame, and
 /// weld output (welds as 2, like [`HierSweepStats::constraints`]); the
 /// cheap structural pins and pitch constraints are not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ReuseCounters {
-    /// Interface abstracts derived by flattening this run.
-    pub abstracts_derived: usize,
-    /// Interface abstracts answered from the content-hash cache.
-    pub abstract_hits: usize,
+pub(crate) struct WorkCounters {
     /// Kernel constraints computed this run.
     pub constraints_emitted: usize,
     /// Sweeps that ran the pitch fixpoint + solver.
@@ -385,20 +615,11 @@ pub(crate) struct Emission {
 /// Seams of the hierarchical engine for the incremental session. The
 /// default implementations are inert, so [`NoHooks`] reproduces the
 /// plain [`compact_cell`] behavior bit for bit with no bookkeeping;
-/// `incremental::CompactSession` implements the trait to cache interface
-/// abstracts by content hash and to count work.
+/// `incremental::CompactSession` implements the trait to count work and
+/// to inject faults.
 pub(crate) trait CompactHooks {
-    /// The interface abstract for `(cell, orientation)`.
-    fn abstract_for(
-        &mut self,
-        table: &CellTable,
-        cell: CellId,
-        orientation: Orientation,
-        rules: &DesignRules,
-    ) -> Result<Arc<CellAbstract>, LayoutError>;
-
-    /// Reuse counters to fill, when the caller wants them.
-    fn counters(&mut self) -> Option<&mut ReuseCounters> {
+    /// Work counters to fill, when the caller wants them.
+    fn counters(&mut self) -> Option<&mut WorkCounters> {
         None
     }
 
@@ -411,20 +632,10 @@ pub(crate) trait CompactHooks {
     }
 }
 
-/// The inert hook set: derives abstracts on demand, caches nothing.
+/// The inert hook set: counts nothing, injects nothing.
 pub(crate) struct NoHooks;
 
-impl CompactHooks for NoHooks {
-    fn abstract_for(
-        &mut self,
-        table: &CellTable,
-        cell: CellId,
-        orientation: Orientation,
-        rules: &DesignRules,
-    ) -> Result<Arc<CellAbstract>, LayoutError> {
-        Ok(Arc::new(derive_abstract(table, cell, orientation, rules)?))
-    }
-}
+impl CompactHooks for NoHooks {}
 
 /// Identity of an item's shape, the pitch-class grouping key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -531,6 +742,14 @@ pub struct ChipLayout {
     pub top: CellId,
     /// `(cell name, outcome)` for every compacted assembly cell.
     pub cells: Vec<(String, HierOutcome)>,
+    /// Boxes the walk fed to interface-abstract derivation, summed over
+    /// both sweep axes: each leaf's own material once, and per composed
+    /// assembly its direct material plus its children's placed profile
+    /// boxes. A deterministic work counter — it grows with definitions
+    /// and silhouettes, not with flattened subtrees. Only abstracts a
+    /// caller reads are composed (never the top's); abstracts replayed
+    /// from a session cache add nothing.
+    pub abstract_inputs: usize,
 }
 
 impl ChipLayout {
@@ -664,11 +883,15 @@ pub(crate) struct Cluster {
 /// classes. Leaf definitions are untouched — nothing is flattened into
 /// the result.
 ///
+/// The instances' abstracts are composed bottom-up from the definitions
+/// below `root`; [`compact_hierarchy`] shares one such build across the
+/// whole walk instead.
+///
 /// # Errors
 ///
-/// Returns [`HierError`] when a referenced definition cannot be
-/// flattened for its abstract, when pins conflict (infeasible), or when
-/// the pitch fixpoint / axis alternation fails to stabilize.
+/// Returns [`HierError`] when a referenced definition is missing or
+/// recursive, when pins conflict (infeasible), or when the pitch
+/// fixpoint / axis alternation fails to stabilize.
 pub fn compact_cell(
     table: &CellTable,
     root: CellId,
@@ -676,15 +899,21 @@ pub fn compact_cell(
     solver: &dyn Solver,
     opts: &HierOptions,
 ) -> Result<HierOutcome, HierError> {
-    compact_cell_with(table, root, rules, solver, opts, &mut NoHooks)
+    let mut abstracts = Abstracts::new(rules, &opts.limits);
+    abstracts.prepare(table, table.require(root)?)?;
+    compact_cell_with(table, root, &abstracts, rules, solver, opts, &mut NoHooks)
 }
 
-/// [`compact_cell`] with hooks — the incremental session's entry. The
-/// hooks only supply abstracts (cached or derived, always identical) and
-/// observe, so every hook set computes exactly what [`NoHooks`] does.
+/// [`compact_cell`] against an already-prepared abstract store, with
+/// hooks — the hierarchy walk's entry. Every child definition `root`
+/// instances must be in `abstracts`; each distinct `(child, orientation)`
+/// is oriented from the child's `NORTH` abstract once per call. The hooks
+/// only observe and inject faults, so every hook set computes exactly
+/// what [`NoHooks`] does.
 pub(crate) fn compact_cell_with(
     table: &CellTable,
     root: CellId,
+    abstracts: &Abstracts,
     rules: &DesignRules,
     solver: &dyn Solver,
     opts: &HierOptions,
@@ -706,8 +935,17 @@ pub(crate) fn compact_cell_with(
                 let shape = match shape_of.get(&key) {
                     Some(&s) => s,
                     None => {
-                        let a = hooks.abstract_for(table, inst.cell, inst.orientation, rules)?;
-                        shapes.push(a);
+                        let north = abstracts.north(inst.cell).ok_or_else(|| {
+                            HierError::Internal(format!(
+                                "no abstract for child {:?} of `{}`",
+                                inst.cell,
+                                def.name()
+                            ))
+                        })?;
+                        shapes.push(match inst.orientation {
+                            Orientation::NORTH => north.clone(),
+                            o => Arc::new(north.oriented(o)),
+                        });
                         shape_of.insert(key, shapes.len() - 1);
                         shapes.len() - 1
                     }
@@ -1425,6 +1663,14 @@ fn sweep_axis(
 /// whole-chip flow (leaves were compacted by the leaf pass; assemblies
 /// compose from interfaces, never from flattened masks).
 ///
+/// The interface abstracts follow the same economics: each leaf derives
+/// its `NORTH` abstract from its own boxes once, each called assembly
+/// composes its abstract once from its compacted placement and its
+/// children's abstracts, and a caller orients them per distinct
+/// `(child, orientation)`. No step flattens a subtree;
+/// [`ChipLayout::abstract_inputs`] counts the boxes the walk fed to
+/// profile derivation.
+///
 /// # Errors
 ///
 /// Propagates [`HierError`] from any level; a cyclic hierarchy surfaces
@@ -1448,13 +1694,21 @@ pub fn compact_hierarchy(
         solver,
         opts,
     };
-    walk_levels(table, top, opts.parallelism.threads(), &mut flow)
+    let mut abstracts = Abstracts::new(rules, &opts.limits);
+    walk_levels(
+        table,
+        top,
+        opts.parallelism.threads(),
+        &mut abstracts,
+        &mut flow,
+    )
 }
 
 /// What [`walk_levels`] does with one ready cell before any worker runs.
 pub(crate) enum Resolved<M> {
-    /// The outcome is already known (a cache replay).
-    Replayed(HierOutcome),
+    /// The outcome is already known (a cache replay), and so is the
+    /// cell's `NORTH` abstract if it was cached with it.
+    Replayed(HierOutcome, Option<Arc<CellAbstract>>),
     /// The cell must be compacted; `M` is everything a worker needs.
     Miss(M),
 }
@@ -1475,8 +1729,15 @@ pub(crate) trait LevelFlow: Sync {
         cell: CellId,
     ) -> Result<Resolved<Self::Miss>, HierError>;
 
-    /// Step 2, on a worker: compact one miss against `table`.
-    fn compute(&self, table: &CellTable, cell: CellId, miss: &Self::Miss) -> Self::Done;
+    /// Step 2, on a worker: compact one miss against `table`, reading
+    /// its children's abstracts from `abstracts`.
+    fn compute(
+        &self,
+        table: &CellTable,
+        abstracts: &Abstracts,
+        cell: CellId,
+        miss: &Self::Miss,
+    ) -> Self::Done;
 
     /// Step 3, serial, in level order: fold one computed miss back into
     /// the flow. `Err` fails the cell and poisons its callers.
@@ -1503,8 +1764,22 @@ impl LevelFlow for PlainFlow<'_> {
         Ok(Resolved::Miss(()))
     }
 
-    fn compute(&self, table: &CellTable, cell: CellId, _: &()) -> Self::Done {
-        compact_cell(table, cell, self.rules, self.solver, self.opts)
+    fn compute(
+        &self,
+        table: &CellTable,
+        abstracts: &Abstracts,
+        cell: CellId,
+        _: &(),
+    ) -> Self::Done {
+        compact_cell_with(
+            table,
+            cell,
+            abstracts,
+            self.rules,
+            self.solver,
+            self.opts,
+            &mut NoHooks,
+        )
     }
 
     fn commit(&mut self, _: CellId, _: &(), done: Self::Done) -> Result<HierOutcome, HierError> {
@@ -1535,6 +1810,13 @@ pub(crate) fn converged(
 /// and commit in level order after each batch — at one worker a miss's
 /// commit is therefore visible to the next miss, as in a serial walk.
 ///
+/// Before a level's misses run, [`Abstracts::prepare`] builds every
+/// abstract they read that is not stored yet — leaves from their boxes,
+/// lower assemblies from their committed placement — and a replay
+/// stores the cached one. Each definition's abstract is built at most
+/// once per walk, always on this serial step and only when a caller
+/// reads it, so the top's never is.
+///
 /// A failed cell poisons its callers; every other cell is still
 /// computed, and the error reported is the one of the first failing
 /// cell in DFS postorder — the cell a serial walk would have stopped at.
@@ -1543,6 +1825,7 @@ pub(crate) fn walk_levels<F: LevelFlow>(
     table: &CellTable,
     top: CellId,
     threads: usize,
+    abstracts: &mut Abstracts,
     flow: &mut F,
 ) -> Result<ChipLayout, HierError> {
     let order = dfs_order(table, top)?;
@@ -1560,13 +1843,24 @@ pub(crate) fn walk_levels<F: LevelFlow>(
                 continue;
             }
             match flow.resolve(&out_table, cell)? {
-                Resolved::Replayed(outcome) => finished.push((cell, outcome)),
-                Resolved::Miss(miss) => misses.push((cell, miss)),
+                Resolved::Replayed(outcome, north) => {
+                    if let Some(north) = north {
+                        abstracts.replay(cell, north);
+                    }
+                    finished.push((cell, outcome));
+                }
+                Resolved::Miss(miss) => match abstracts.prepare(&out_table, def) {
+                    Ok(()) => misses.push((cell, miss)),
+                    Err(e) => {
+                        failed.insert(cell, Some(e));
+                    }
+                },
             }
         }
         for batch in misses.chunks(threads.max(1)) {
+            let ready: &Abstracts = abstracts;
             let done = par_map(batch, threads, |(cell, miss)| {
-                flow.compute(&out_table, *cell, miss)
+                flow.compute(&out_table, ready, *cell, miss)
             });
             for ((cell, miss), done) in batch.iter().zip(done) {
                 let done = done.map_err(|panic| HierError::Internal(panic.to_string()));
@@ -1604,6 +1898,7 @@ pub(crate) fn walk_levels<F: LevelFlow>(
         table: out_table,
         top,
         cells,
+        abstract_inputs: abstracts.inputs,
     })
 }
 
@@ -1677,8 +1972,9 @@ fn dfs_order(table: &CellTable, top: CellId) -> Result<Vec<CellId>, HierError> {
 mod tests {
     use super::*;
     use crate::backend::{BellmanFord, Topological};
+    use proptest::prelude::*;
     use proptest::test_runner::Rng;
-    use rsg_layout::{drc, Instance, Technology};
+    use rsg_layout::{drc, flatten, Instance, Technology};
 
     fn rules() -> DesignRules {
         Technology::mead_conway(2).rules.clone()
@@ -1719,6 +2015,22 @@ mod tests {
         );
         assert_eq!(a.bbox(), Some(Rect::from_coords(0, 0, 20, 20)));
         assert_eq!(a.material(), Some(Rect::from_coords(0, 0, 14, 10)));
+        assert_eq!(a.source_boxes(), 3);
+    }
+
+    #[test]
+    fn zero_area_boxes_count_but_carry_no_material() {
+        let bar = (Layer::Poly, Rect::from_coords(0, 0, 4, 10));
+        let boxes = vec![
+            bar,
+            (Layer::Poly, Rect::from_coords(30, 0, 30, 10)),
+            (Layer::Metal1, Rect::from_coords(0, 40, 14, 40)),
+        ];
+        let a = CellAbstract::from_boxes(&boxes, &rules());
+        assert_eq!(a.profile(Axis::X), &[bar]);
+        assert_eq!(a.profile(Axis::Y), &[bar]);
+        assert_eq!(a.bbox(), Some(bar.1));
+        assert_eq!(a.material(), Some(bar.1));
         assert_eq!(a.source_boxes(), 3);
     }
 
@@ -2196,5 +2508,258 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&k| k > 0), "coverage {seen:?}");
+    }
+
+    /// The flatten-based reference the composed abstracts replaced: one
+    /// `(definition, orientation)` abstract from the definition's whole
+    /// flattened subtree.
+    fn derive_abstract(
+        table: &CellTable,
+        cell: CellId,
+        orientation: Orientation,
+        rules: &DesignRules,
+    ) -> CellAbstract {
+        let flat = flatten(table, cell).unwrap();
+        let iso = Isometry::orient(orientation);
+        let boxes: Vec<(Layer, Rect)> = flat
+            .layer_rects()
+            .iter()
+            .map(|&(l, r)| (l, r.transform(iso)))
+            .collect();
+        CellAbstract::from_boxes(&boxes, rules)
+    }
+
+    /// The strip fill [`profile_along`] replaced: every rect of a layer
+    /// tested against every elementary strip.
+    fn quadratic_profile_along(boxes: &[(Layer, Rect)], axis: Axis) -> Vec<(Layer, Rect)> {
+        let mut layers: Vec<Layer> = boxes.iter().map(|&(l, _)| l).collect();
+        layers.sort_unstable();
+        layers.dedup();
+        let mut out = Vec::new();
+        for layer in layers {
+            let rects: Vec<Rect> = boxes
+                .iter()
+                .filter(|&&(l, _)| l == layer)
+                .map(|&(_, r)| r)
+                .collect();
+            let mut cuts: Vec<i64> = rects
+                .iter()
+                .flat_map(|r| [r.lo_across(axis), r.hi_across(axis)])
+                .collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            let mut run: Option<(i64, i64, i64, i64)> = None;
+            for w in cuts.windows(2) {
+                let (c0, c1) = (w[0], w[1]);
+                let mut lo = i64::MAX;
+                let mut hi = i64::MIN;
+                for r in &rects {
+                    if r.lo_across(axis) < c1 && r.hi_across(axis) > c0 {
+                        lo = lo.min(r.lo_along(axis));
+                        hi = hi.max(r.hi_along(axis));
+                    }
+                }
+                match run {
+                    _ if lo > hi => {
+                        if let Some((lo, hi, c0, c1)) = run.take() {
+                            out.push((layer, Rect::from_spans(axis, (lo, hi), (c0, c1))));
+                        }
+                    }
+                    Some((rlo, rhi, _, ref mut rc1)) if rlo == lo && rhi == hi && *rc1 == c0 => {
+                        *rc1 = c1;
+                    }
+                    _ => {
+                        if let Some((lo, hi, c0, c1)) = run.take() {
+                            out.push((layer, Rect::from_spans(axis, (lo, hi), (c0, c1))));
+                        }
+                        run = Some((lo, hi, c0, c1));
+                    }
+                }
+            }
+            if let Some((lo, hi, c0, c1)) = run {
+                out.push((layer, Rect::from_spans(axis, (lo, hi), (c0, c1))));
+            }
+        }
+        out
+    }
+
+    /// Ruled layers plus two rule-free ones (Well, Implant).
+    const MIXED_LAYERS: [Layer; 6] = [
+        Layer::Poly,
+        Layer::Metal1,
+        Layer::Diffusion,
+        Layer::Metal2,
+        Layer::Well,
+        Layer::Implant,
+    ];
+
+    /// Small, heavily overlapping boxes on mixed layers; widths and
+    /// heights start at 0, so zero-area boxes and zero-width slivers
+    /// are common.
+    fn mixed_boxes(max: usize) -> impl Strategy<Value = Vec<(Layer, Rect)>> {
+        proptest::collection::vec(
+            (0usize..6, -12i64..24, -12i64..24, 0i64..14, 0i64..14),
+            0..max,
+        )
+        .prop_map(|boxes| {
+            boxes
+                .into_iter()
+                .map(|(l, x, y, w, h)| (MIXED_LAYERS[l], Rect::from_coords(x, y, x + w, y + h)))
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1500))]
+
+        #[test]
+        fn profile_along_matches_the_quadratic_reference(boxes in mixed_boxes(40)) {
+            for axis in Axis::BOTH {
+                prop_assert_eq!(
+                    profile_along(&boxes, axis),
+                    quadratic_profile_along(&boxes, axis),
+                    "{} profile of {:?}", axis, boxes
+                );
+            }
+        }
+
+        #[test]
+        fn orienting_a_north_abstract_equals_deriving_it_oriented(boxes in mixed_boxes(24)) {
+            let r = rules();
+            let north = CellAbstract::from_boxes(&boxes, &r);
+            for o in Orientation::ALL {
+                let iso = Isometry::orient(o);
+                let turned: Vec<(Layer, Rect)> =
+                    boxes.iter().map(|&(l, b)| (l, b.transform(iso))).collect();
+                prop_assert_eq!(
+                    north.oriented(o),
+                    CellAbstract::from_boxes(&turned, &r),
+                    "orientation {:?} of {:?}", o, boxes
+                );
+            }
+        }
+    }
+
+    /// A random three-level hierarchy: a few leaves; mid-level cells
+    /// that instance leaves (and sometimes another mid cell) in all
+    /// eight orientations and carry direct boxes; a top that instances
+    /// both, with direct boxes of its own. Children are shared across
+    /// callers and across orientations.
+    fn random_hierarchy(rng: &mut Rng) -> (CellTable, CellId) {
+        let mut table = CellTable::new();
+        let random_box = |rng: &mut Rng| {
+            let (x, y) = (pick(rng, 30) - 8, pick(rng, 30) - 8);
+            (
+                MIXED_LAYERS[pick(rng, 6) as usize],
+                Rect::from_coords(x, y, x + pick(rng, 12), y + pick(rng, 12)),
+            )
+        };
+        let random_call = |rng: &mut Rng, cell: CellId| {
+            Instance::new(
+                cell,
+                Point::new(pick(rng, 80) - 40, pick(rng, 80) - 40),
+                Orientation::ALL[pick(rng, 8) as usize],
+            )
+        };
+        let mut below: Vec<CellId> = Vec::new();
+        for k in 0..2 + pick(rng, 3) {
+            let mut leaf = CellDefinition::new(format!("leaf{k}"));
+            for _ in 0..1 + pick(rng, 6) {
+                let (l, b) = random_box(rng);
+                leaf.add_box(l, b);
+            }
+            below.push(table.insert(leaf).unwrap());
+        }
+        for level in 0..3 {
+            let mut next = Vec::new();
+            for k in 0..1 + pick(rng, 3) {
+                let mut cell = CellDefinition::new(format!("cell{level}_{k}"));
+                for _ in 0..pick(rng, 4) {
+                    let (l, b) = random_box(rng);
+                    cell.add_box(l, b);
+                }
+                for _ in 0..1 + pick(rng, 5) {
+                    let child = below[pick(rng, below.len() as u64) as usize];
+                    cell.add_instance(random_call(rng, child));
+                }
+                next.push(table.insert(cell).unwrap());
+            }
+            below.extend(next);
+        }
+        let top = *below.last().unwrap();
+        (table, top)
+    }
+
+    #[test]
+    fn composed_abstracts_match_flatten_derived_on_random_hierarchies() {
+        let r = rules();
+        let mut rng = Rng::from_name("composed_abstracts_match_flatten_derived");
+        let mut oriented_children = 0;
+        for _ in 0..150 {
+            let (table, top) = random_hierarchy(&mut rng);
+            let mut abstracts = Abstracts::new(&r, &Limits::NONE);
+            abstracts
+                .prepare(&table, table.require(top).unwrap())
+                .unwrap();
+            abstracts.build(top, table.require(top).unwrap()).unwrap();
+            assert_eq!(
+                abstracts.built,
+                dfs_order(&table, top).unwrap().len(),
+                "each definition is built once"
+            );
+            for cell in dfs_order(&table, top).unwrap() {
+                let north = abstracts.north(cell).unwrap();
+                for o in Orientation::ALL {
+                    let want = derive_abstract(&table, cell, o, &r);
+                    assert_eq!(north.oriented(o), want, "cell {cell:?} under {o:?}");
+                }
+                oriented_children += table
+                    .require(cell)
+                    .unwrap()
+                    .instances()
+                    .filter(|i| i.orientation != Orientation::NORTH)
+                    .count();
+            }
+            assert_eq!(
+                CellAbstract::composed(&table, top, &r).unwrap(),
+                derive_abstract(&table, top, Orientation::NORTH, &r)
+            );
+        }
+        assert!(oriented_children > 0);
+    }
+
+    #[test]
+    fn flat_boxes_report_the_flattened_box_count() {
+        let r = rules();
+        let mut rng = Rng::from_name("flat_boxes_report_the_flattened_box_count");
+        for _ in 0..40 {
+            let (table, top) = random_hierarchy(&mut rng);
+            let opts = HierOptions {
+                max_passes: 1,
+                ..HierOptions::default()
+            };
+            for cell in dfs_order(&table, top).unwrap() {
+                if table.require(cell).unwrap().instances().next().is_none() {
+                    continue;
+                }
+                // The budget checkpoint runs before any solve, so even a
+                // cell whose placement cannot be solved reports it.
+                let tight = HierOptions {
+                    limits: Limits {
+                        max_flat_boxes: Some(0),
+                        ..Limits::NONE
+                    },
+                    ..opts
+                };
+                let flat = flatten(&table, cell).unwrap().len();
+                match compact_cell(&table, cell, &r, &bf(), &tight) {
+                    Err(HierError::Exhausted(e)) => assert_eq!(e.observed, flat as u64),
+                    other => assert!(flat == 0, "{other:?}"),
+                }
+                if let Ok(out) = compact_cell(&table, cell, &r, &bf(), &opts) {
+                    assert_eq!(out.report.flat_boxes, flat);
+                }
+            }
+        }
     }
 }

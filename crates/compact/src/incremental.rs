@@ -19,8 +19,12 @@
 //!   is what turns "one leaf changed" into "one root-path recompacted":
 //!   dirtiness propagates upward through the hashes alone, no explicit
 //!   dirty bits;
-//! * **interface abstracts** by `(child output geometry, orientation,
-//!   rules)` — re-derived only for definitions the edit reached.
+//! * **interface abstracts** ride with the cell outcomes: an entry keeps
+//!   the compacted cell's `NORTH` abstract once a caller has needed it,
+//!   so a replayed child still feeds its recompacted callers. Only
+//!   definitions the edit reached compose a new abstract, and leaves
+//!   derive theirs from their own boxes when a recompacted caller needs
+//!   them.
 //!
 //! The session keeps no positional state: a cell that misses every cache
 //! runs exactly the plain flow's computation.
@@ -70,14 +74,13 @@
 use crate::backend::Solver;
 use crate::fault::{FaultPlan, FaultSite, InjectedFault};
 use crate::hier::{
-    compact_cell_with, converged, derive_abstract, substitute_library, walk_levels, CellAbstract,
+    compact_cell_with, converged, substitute_library, walk_levels, Abstracts, CellAbstract,
     ChipCompaction, ChipError, ChipLayout, CompactHooks, HierError, HierOptions, HierOutcome,
-    LevelFlow, Resolved, ReuseCounters,
+    LevelFlow, Resolved, WorkCounters,
 };
 use crate::leaf::{self, CompactionResult, LibraryJob};
-use rsg_geom::Orientation;
-use rsg_layout::hash::{deep_hashes, hash_cell, mix, ContentHasher};
-use rsg_layout::{CellDefinition, CellId, CellTable, DesignRules, LayoutError};
+use rsg_layout::hash::{hash_cell, mix, ContentHasher};
+use rsg_layout::{CellDefinition, CellId, CellTable, DesignRules};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -87,7 +90,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// the hierarchy; leaves are the leaf pass's business and counted by
 /// `leaf_jobs`/`leaf_hits` instead. A no-op edit shows up as
 /// `cells_compacted == 0`, `abstracts_derived == 0`,
-/// `constraints_emitted == 0` — nothing was re-flattened and nothing was
+/// `constraints_emitted == 0` — no abstract was composed and nothing was
 /// re-swept.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EditStats {
@@ -101,9 +104,13 @@ pub struct EditStats {
     pub leaf_jobs: usize,
     /// Leaf-library jobs replayed from the cache.
     pub leaf_hits: usize,
-    /// Interface abstracts derived by flattening.
+    /// `NORTH` interface abstracts built this call for recompacted
+    /// callers: leaves derived from their own boxes, assemblies composed
+    /// from their children's abstracts.
     pub abstracts_derived: usize,
-    /// Interface abstracts answered from the content-hash cache.
+    /// Child abstracts that recompacted cells read from a replayed
+    /// outcome instead of building them (one per distinct child per
+    /// recompacted cell).
     pub abstract_hits: usize,
     /// Kernel constraints computed by the sweeps.
     pub constraints_emitted: usize,
@@ -114,9 +121,7 @@ pub struct EditStats {
 }
 
 impl EditStats {
-    fn absorb(&mut self, c: &ReuseCounters) {
-        self.abstracts_derived += c.abstracts_derived;
-        self.abstract_hits += c.abstract_hits;
+    fn absorb(&mut self, c: &WorkCounters) {
         self.constraints_emitted += c.constraints_emitted;
         self.sweeps_solved += c.sweeps_solved;
         self.solver_passes += c.solver_passes;
@@ -137,6 +142,9 @@ struct CellEntry {
     outcome: HierOutcome,
     /// Deep content hash of the compacted output cell.
     out_hash: u64,
+    /// `NORTH` interface abstract of the compacted output cell, once a
+    /// caller has needed it (a top cell's never is).
+    north: Option<Arc<CellAbstract>>,
 }
 
 /// A persistent incremental-compaction session.
@@ -147,10 +155,8 @@ struct CellEntry {
 /// hash (the solve context included) and never invalidated by edits.
 #[derive(Debug, Clone, Default)]
 pub struct CompactSession {
-    /// `(deep input hash, context)` → compacted outcome.
+    /// `(deep input hash, context)` → compacted outcome and abstract.
     cells: HashMap<u64, Arc<CellEntry>>,
-    /// `(child output hash, orientation, rules)` → interface abstract.
-    abstracts: HashMap<u64, Arc<CellAbstract>>,
     /// `(job content, rules, solver)` → leaf-library result.
     leaves: HashMap<u64, Arc<CompactionResult>>,
     /// Deterministic fault-injection schedule for subsequent calls.
@@ -245,7 +251,7 @@ impl CompactSession {
     /// Incremental [`crate::hier::compact_hierarchy`]: identical results,
     /// but definitions whose deep content hash (own geometry + children's
     /// compacted geometry) matches a cached run are replayed instead of
-    /// recompacted, and recompacted cells reuse cached abstracts.
+    /// recompacted, together with their interface abstracts.
     ///
     /// # Errors
     ///
@@ -373,13 +379,23 @@ impl CompactSession {
             solver,
             opts,
             context: context_of(rules, solver, opts),
-            rules_hash: rules.content_hash(),
             faults: faults.as_ref(),
             forgetting,
             hash_of: HashMap::new(),
+            committed: Vec::new(),
         };
-        let chip = walk_levels(table, top, threads, &mut flow);
+        let mut abstracts = Abstracts::new(rules, &opts.limits);
+        let chip = walk_levels(table, top, threads, &mut abstracts, &mut flow);
+        // A callee's abstract is composed when its first caller is
+        // prepared, after its own commit: attach it to the entry now.
+        for (cell, key) in std::mem::take(&mut flow.committed) {
+            if let (Some(north), Some(entry)) = (abstracts.north(cell), self.cells.get_mut(&key)) {
+                Arc::make_mut(entry).north = Some(north.clone());
+            }
+        }
         self.faults = faults.map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner));
+        self.last.abstracts_derived += abstracts.built;
+        self.last.abstract_hits += abstracts.replay_reads;
         chip
     }
 }
@@ -395,19 +411,20 @@ struct SessionFlow<'a> {
     solver: &'a dyn Solver,
     opts: &'a HierOptions,
     context: u64,
-    rules_hash: u64,
     /// Armed fault schedule of the session, if any (one worker only).
     faults: Option<&'a Mutex<FaultPlan>>,
     /// Injected amnesia: answer every cache lookup with a miss.
     forgetting: bool,
     /// Deep output hash per visited cell (leaves: input == output).
     hash_of: HashMap<CellId, u64>,
+    /// `(cell, outcome-cache key)` of every cell committed this walk.
+    committed: Vec<(CellId, u64)>,
 }
 
 impl LevelFlow for SessionFlow<'_> {
     /// The outcome-cache key.
     type Miss = u64;
-    type Done = (Result<HierOutcome, HierError>, Shard);
+    type Done = (Result<HierOutcome, HierError>, WorkCounters);
 
     fn resolve(
         &mut self,
@@ -432,31 +449,46 @@ impl LevelFlow for SessionFlow<'_> {
         if let Some(entry) = session.cells.get(&key).filter(|_| !self.forgetting) {
             session.last.cell_hits += 1;
             self.hash_of.insert(cell, entry.out_hash);
-            return Ok(Resolved::Replayed(entry.outcome.clone()));
+            return Ok(Resolved::Replayed(
+                entry.outcome.clone(),
+                entry.north.clone(),
+            ));
         }
         session.last.cells_compacted += 1;
         Ok(Resolved::Miss(key))
     }
 
-    fn compute(&self, table: &CellTable, cell: CellId, _: &Self::Miss) -> Self::Done {
-        let mut hooks = ShardHooks {
+    fn compute(
+        &self,
+        table: &CellTable,
+        abstracts: &Abstracts,
+        cell: CellId,
+        _: &Self::Miss,
+    ) -> Self::Done {
+        let mut hooks = MissHooks {
             flow: self,
-            shard: Shard::default(),
+            counters: WorkCounters::default(),
         };
-        let outcome =
-            compact_cell_with(table, cell, self.rules, self.solver, self.opts, &mut hooks);
-        (outcome, hooks.shard)
+        let outcome = compact_cell_with(
+            table,
+            cell,
+            abstracts,
+            self.rules,
+            self.solver,
+            self.opts,
+            &mut hooks,
+        );
+        (outcome, hooks.counters)
     }
 
     fn commit(
         &mut self,
         cell: CellId,
         key: &Self::Miss,
-        (outcome, shard): Self::Done,
+        (outcome, counters): Self::Done,
     ) -> Result<HierOutcome, HierError> {
         let session = &mut *self.session;
-        session.abstracts.extend(shard.abstracts);
-        session.last.absorb(&shard.counters);
+        session.last.absorb(&counters);
         let outcome = converged(outcome?, self.opts)?;
         let out_hash = checked_hash(&outcome.cell, &self.hash_of)?;
         session.cells.insert(
@@ -464,66 +496,26 @@ impl LevelFlow for SessionFlow<'_> {
             Arc::new(CellEntry {
                 outcome: outcome.clone(),
                 out_hash,
+                north: None,
             }),
         );
+        self.committed.push((cell, *key));
         self.hash_of.insert(cell, out_hash);
         Ok(outcome)
     }
 }
 
-/// Everything one miss writes, kept private to its worker until the
-/// commit: the abstracts it derived (content-addressed, so merge order
-/// only affects counters, never values) and its reuse counters.
-#[derive(Default)]
-struct Shard {
-    abstracts: HashMap<u64, Arc<CellAbstract>>,
-    counters: ReuseCounters,
-}
-
 /// The session's [`CompactHooks`] for one [`compact_cell_with`] run:
-/// reads go to the session caches first, then to the run's own inserts;
-/// writes stay in the [`Shard`] until the commit.
-struct ShardHooks<'a> {
+/// its counters stay private to the worker until the commit, and faults
+/// come from the session's armed plan.
+struct MissHooks<'a> {
     flow: &'a SessionFlow<'a>,
-    shard: Shard,
+    counters: WorkCounters,
 }
 
-impl CompactHooks for ShardHooks<'_> {
-    fn abstract_for(
-        &mut self,
-        table: &CellTable,
-        cell: CellId,
-        orientation: Orientation,
-        rules: &DesignRules,
-    ) -> Result<Arc<CellAbstract>, LayoutError> {
-        // The walk hashes children before parents, so the referenced
-        // cell's output hash is always present; the deep-hash fallback
-        // only fires for hook reuse outside the session walk.
-        let src = match self.flow.hash_of.get(&cell) {
-            Some(&h) => h,
-            None => deep_hashes(table, cell)?[&cell],
-        };
-        let sig = mix(&[
-            src,
-            orientation.rotation as u64,
-            orientation.mirror_y as u64,
-            self.flow.rules_hash,
-        ]);
-        let cached = (self.flow.session.abstracts.get(&sig))
-            .or_else(|| self.shard.abstracts.get(&sig))
-            .filter(|_| !self.flow.forgetting);
-        if let Some(cached) = cached {
-            self.shard.counters.abstract_hits += 1;
-            return Ok(cached.clone());
-        }
-        self.shard.counters.abstracts_derived += 1;
-        let derived = Arc::new(derive_abstract(table, cell, orientation, rules)?);
-        self.shard.abstracts.insert(sig, derived.clone());
-        Ok(derived)
-    }
-
-    fn counters(&mut self) -> Option<&mut ReuseCounters> {
-        Some(&mut self.shard.counters)
+impl CompactHooks for MissHooks<'_> {
+    fn counters(&mut self) -> Option<&mut WorkCounters> {
+        Some(&mut self.counters)
     }
 
     fn fault(&mut self, site: FaultSite) -> Option<InjectedFault> {

@@ -16,6 +16,7 @@ use proptest::prelude::*;
 use rsg_compact::backend::BellmanFord;
 use rsg_compact::hier::{compact_hierarchy, ChipLayout, HierOptions};
 use rsg_compact::incremental::CompactSession;
+use rsg_compact::par::Parallelism;
 use rsg_geom::{Orientation, Point, Rect};
 use rsg_layout::{drc, flatten, CellDefinition, CellId, CellTable, Instance, Layer, Technology};
 
@@ -231,12 +232,14 @@ fn one_leaf_edit_leaves_sibling_cache_untouched() {
     let stats = session.last_stats();
     assert_eq!(stats.cells_compacted, 2, "only block_b and chip re-run");
     assert_eq!(stats.cell_hits, 1, "block_a replays from the cache");
-    // block_a's leaf_a abstract was already cached; only leaf_b's (and
-    // the blocks' own, for the top) get re-derived.
-    assert!(
-        stats.abstract_hits > 0,
+    // block_a's abstract replays with its outcome, and the top reads it
+    // from there; only leaf_b and block_b build theirs (nothing reads
+    // the top's).
+    assert_eq!(
+        stats.abstract_hits, 1,
         "unchanged abstracts must come from the cache"
     );
+    assert_eq!(stats.abstracts_derived, 2, "leaf_b and block_b");
 
     // And the replay is still the from-scratch answer.
     let cold = compact_hierarchy(&table, top, &tech.rules, &solver, &opts).unwrap();
@@ -250,7 +253,8 @@ fn one_leaf_edit_leaves_sibling_cache_untouched() {
     let stats = session.last_stats();
     assert_eq!(stats.cells_compacted, 0, "no-op edit recompacts nothing");
     assert_eq!(stats.cell_hits, 3);
-    assert_eq!(stats.abstracts_derived, 0, "no-op edit re-flattens nothing");
+    assert_eq!(stats.abstracts_derived, 0, "no-op edit composes nothing");
+    assert_eq!(stats.abstract_hits, 0, "no-op edit reads no abstract");
     assert_eq!(stats.constraints_emitted, 0, "no-op edit re-emits nothing");
     assert_eq!(stats.sweeps_solved, 0);
     assert_eq!(session.stats().calls, before.calls + 1);
@@ -285,10 +289,10 @@ fn error_classes_match_cold() {
     assert_eq!(inc.unwrap_err(), cold.unwrap_err());
 }
 
-/// At one worker every miss sees the cache inserts of the misses
-/// committed before it, within a dependency level too: two same-level
-/// blocks that instance the same leaf in the same orientation derive
-/// that abstract once, and the second block's lookup is a hit.
+/// A walk builds each called definition's abstract once, at one worker
+/// and at several: two same-level blocks that instance the same leaf
+/// share its abstract, and each block's own is composed once for the
+/// top. The counters do not depend on the parallelism.
 #[test]
 fn one_worker_derives_each_abstract_once() {
     let tech = Technology::mead_conway(2);
@@ -313,16 +317,31 @@ fn one_worker_derives_each_abstract_once() {
     ));
     let top = t.insert(top).unwrap();
 
-    let mut session = CompactSession::new();
-    session
-        .compact_hierarchy(&t, top, &tech.rules, &solver, &HierOptions::default())
-        .unwrap();
-    let stats = session.last_stats();
-    // Distinct (child, orientation) pairs: (leaf, N), (block_a, N),
-    // (block_b, N). Lookups: one per block, two for the top.
-    assert_eq!(stats.abstracts_derived, 3);
-    assert_eq!(
-        stats.abstract_hits, 1,
-        "block_b reuses block_a's leaf abstract"
-    );
+    let mut serial = None;
+    for parallelism in [
+        Parallelism::Serial,
+        Parallelism::Threads(2),
+        Parallelism::Threads(4),
+    ] {
+        let opts = HierOptions {
+            parallelism,
+            ..HierOptions::default()
+        };
+        let mut session = CompactSession::new();
+        session
+            .compact_hierarchy(&t, top, &tech.rules, &solver, &opts)
+            .unwrap();
+        let stats = session.last_stats();
+        // One build per called definition: the leaf from its boxes,
+        // block_a and block_b by composition (nothing calls chip). A cold
+        // call replays nothing.
+        assert_eq!(
+            stats.abstracts_derived, 3,
+            "block_b reuses block_a's leaf abstract ({parallelism:?})"
+        );
+        assert_eq!(stats.abstract_hits, 0, "{parallelism:?}");
+        // Abstracts are built on the walk's serial steps, so every
+        // counter is the same at every parallelism.
+        assert_eq!(*serial.get_or_insert(stats), stats, "{parallelism:?}");
+    }
 }

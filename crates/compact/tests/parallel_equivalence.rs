@@ -157,6 +157,8 @@ fn dfs_reference(
         table: out,
         top,
         cells,
+        // A work counter of the shared walk, never compared here.
+        abstract_inputs: 0,
     })
 }
 

@@ -13,7 +13,7 @@
 //!    depend on the personality) and only the definitions that can see
 //!    the new crosspoints re-run,
 //! 3. recompact the unchanged design — a **no-op** edit is a pure
-//!    replay: nothing is re-flattened, re-swept, or re-solved,
+//!    replay: no abstract is composed, nothing is re-swept or re-solved,
 //! 4. every step is checked bit-identical against the from-scratch
 //!    flow and DRC-clean under the independent flat referee.
 //!
@@ -58,7 +58,7 @@ fn show(stats: &EditStats) {
         stats.cells_compacted, stats.cells_seen, stats.cell_hits
     );
     println!(
-        "  abstracts: {} derived, {} from cache; constraints: {} emitted; sweeps: {} solved",
+        "  abstracts: {} built, {} read from replayed cells; constraints: {} emitted; sweeps: {} solved",
         stats.abstracts_derived,
         stats.abstract_hits,
         stats.constraints_emitted,
@@ -148,7 +148,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = session.last_stats();
     show(&stats);
     assert_eq!(stats.cells_compacted, 0, "a no-op edit recompacts nothing");
-    assert_eq!(stats.abstracts_derived, 0, "…re-flattens nothing");
+    assert_eq!(stats.abstracts_derived, 0, "…composes no abstract");
     assert_eq!(stats.constraints_emitted, 0, "…re-emits nothing");
     assert_eq!(stats.sweeps_solved, 0, "…re-solves nothing");
     verify("noop", &inc, &cold2);

@@ -20,8 +20,10 @@ mod common;
 
 use common::{full_adder_pla, quickstart_layout};
 use rsg::compact::backend::BellmanFord;
+use rsg::compact::hier::CellAbstract;
 use rsg::compact::leaf::Parallelism;
-use rsg::layout::Technology;
+use rsg::geom::{Isometry, Orientation};
+use rsg::layout::{flatten, CellTable, Technology};
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -137,4 +139,65 @@ fn golden_multiplier_compacted() {
         "multiplier_4x4_compacted.cif",
         &rsg::layout::write_cif(&compacted.chip.table, compacted.chip.top).unwrap(),
     );
+}
+
+/// Every definition of every golden design, before and after
+/// compaction: the interface abstract the hierarchy walk composes from
+/// children's abstracts equals, field for field and in all eight
+/// orientations, the one derived from the definition's flattened
+/// subtree.
+#[test]
+fn golden_designs_compose_their_flatten_derived_abstracts() {
+    let tech = Technology::mead_conway(2);
+    let rules = &tech.rules;
+    let solver = BellmanFord::SORTED;
+    let (quickstart, _) = quickstart_layout();
+    let pla = full_adder_pla();
+    let pla_out = rsg::hpla::compactor::compact_chip(
+        pla.rsg.cells(),
+        pla.top,
+        rules,
+        &solver,
+        Parallelism::Serial,
+    )
+    .unwrap();
+    let mult = rsg::mult::generator::generate(4, 4).unwrap();
+    let mult_out = rsg::mult::compactor::compact_chip(
+        mult.rsg.cells(),
+        mult.top,
+        rules,
+        &solver,
+        Parallelism::Serial,
+    )
+    .unwrap();
+    let designs: [(&str, &CellTable); 5] = [
+        ("quickstart_row8", &quickstart),
+        ("pla_full_adder", pla.rsg.cells()),
+        ("pla_full_adder_compacted", &pla_out.chip.table),
+        ("multiplier_4x4", mult.rsg.cells()),
+        ("multiplier_4x4_compacted", &mult_out.chip.table),
+    ];
+    for (design, table) in designs {
+        let mut assemblies = 0;
+        for (id, def) in table.iter() {
+            assemblies += usize::from(def.instances().next().is_some());
+            let composed = CellAbstract::composed(table, id, rules).unwrap();
+            let flat = flatten(table, id).unwrap();
+            for o in Orientation::ALL {
+                let iso = Isometry::orient(o);
+                let boxes: Vec<_> = flat
+                    .layer_rects()
+                    .iter()
+                    .map(|&(l, r)| (l, r.transform(iso)))
+                    .collect();
+                assert_eq!(
+                    composed.oriented(o),
+                    CellAbstract::from_boxes(&boxes, rules),
+                    "{design}: `{}` under {o:?}",
+                    def.name()
+                );
+            }
+        }
+        assert!(assemblies > 0, "{design} has no assembly to compose");
+    }
 }
