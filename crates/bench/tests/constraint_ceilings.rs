@@ -4,18 +4,20 @@
 //! The ceilings live in `BENCH_constraint_ceilings.json` beside
 //! `BENCH_compaction.json`: the pruned constraint count of the E13 8×8
 //! tiled array and of the E23 megachip flat lattice at 10⁵ boxes; the
-//! candidate pairs the hierarchical cell pass enumerates, and the boxes
-//! the walk feeds to interface-abstract derivation
+//! candidate pairs the hierarchical cell pass enumerates, the
+//! hidden-edge oracle queries it makes (`HierSweepStats::hidden_tests`),
+//! and the boxes the walk feeds to interface-abstract derivation
 //! (`ChipLayout::abstract_inputs`), on the E23 megachip walk at 10⁵
 //! boxes and on the 16×16 multiplier chip. All workloads are
 //! deterministic, so the recorded values are exact — any increase means
-//! a generator, prune, enumeration, or abstract-composition regression
-//! and fails CI (wired into ci.yml next to the megachip smoke). Run with
+//! a generator, prune, enumeration, oracle-gate, or abstract-composition
+//! regression and fails CI (wired into ci.yml next to the megachip
+//! smoke). Run with
 //! `cargo test --release -p rsg-bench --test constraint_ceilings`.
 
 use rsg_bench::{megachip_flat, megachip_hier};
 use rsg_compact::backend::BellmanFord;
-use rsg_compact::hier::{compact_hierarchy, ChipLayout, HierOptions};
+use rsg_compact::hier::{compact_hierarchy, ChipLayout, HierOptions, HierSweepStats};
 use rsg_compact::par::Parallelism;
 use rsg_compact::scanline::{generate_with, Method, Prune};
 use rsg_geom::{Axis, Rect, Vector};
@@ -100,14 +102,25 @@ fn megachip_flat_100k_stays_under_recorded_ceiling() {
     );
 }
 
-/// Candidate pairs the hierarchical cell pass enumerated, summed over
-/// every compacted cell and axis sweep of a walk.
-fn walk_candidates(chip: &ChipLayout) -> usize {
+/// A per-sweep counter of the hierarchical cell pass, summed over every
+/// compacted cell and axis sweep of a walk.
+fn walk_sum(chip: &ChipLayout, counter: impl Fn(&HierSweepStats) -> usize) -> usize {
     chip.cells
         .iter()
         .flat_map(|(_, o)| &o.report.sweeps)
-        .map(|s| s.candidates)
+        .map(counter)
         .sum()
+}
+
+/// Candidate pairs the hierarchical cell pass enumerated over a walk.
+fn walk_candidates(chip: &ChipLayout) -> usize {
+    walk_sum(chip, |s| s.candidates)
+}
+
+/// Hidden-edge oracle queries the hierarchical cell pass made over a
+/// walk.
+fn walk_hidden_tests(chip: &ChipLayout) -> usize {
+    walk_sum(chip, |s| s.hidden_tests)
 }
 
 /// The serial E23 megachip walk at 10⁵ boxes, and its flat box count.
@@ -158,6 +171,27 @@ fn multiplier_16x16_candidates_stay_under_recorded_ceiling() {
     assert!(
         count <= ceiling,
         "16x16 multiplier chip candidate count regressed: {count} > recorded ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn megachip_hier_100k_hidden_tests_stay_under_recorded_ceiling() {
+    let (out, boxes) = megachip_walk();
+    let count = walk_hidden_tests(&out);
+    let ceiling = ceiling("megachip_hier_100k_hidden_tests");
+    assert!(
+        count <= ceiling,
+        "megachip hier walk (n = {boxes}) hidden-test count regressed: {count} > recorded ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn multiplier_16x16_hidden_tests_stay_under_recorded_ceiling() {
+    let count = walk_hidden_tests(&multiplier_walk());
+    let ceiling = ceiling("multiplier_16x16_hidden_tests");
+    assert!(
+        count <= ceiling,
+        "16x16 multiplier chip hidden-test count regressed: {count} > recorded ceiling {ceiling}"
     );
 }
 

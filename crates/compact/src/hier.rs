@@ -601,15 +601,16 @@ pub(crate) struct WorkCounters {
 }
 
 /// The sweep kernel's output for one axis, keyed by *cluster index*:
-/// collapsed max spacing/frame weights and exact welds. `BTreeMap` keeps
-/// iteration (and thus constraint emission into the solver) in sorted
-/// pair order.
+/// collapsed max spacing/frame weights and exact welds. Both lists are
+/// sorted by pair with one entry per pair, so constraints reach the
+/// solver in sorted pair order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Emission {
-    /// Ordered cluster pair → strongest required separation.
-    pub weights: BTreeMap<(usize, usize), i64>,
-    /// Ordered cluster pair → exact weld offset (connected material).
-    pub welds: BTreeMap<(usize, usize), i64>,
+    /// Ordered cluster pair and its strongest required separation.
+    pub weights: Vec<((usize, usize), i64)>,
+    /// Ordered cluster pair and its exact weld offset (connected
+    /// material).
+    pub welds: Vec<((usize, usize), i64)>,
 }
 
 /// Seams of the hierarchical engine for the incremental session. The
@@ -685,7 +686,12 @@ pub struct HierSweepStats {
     /// and spacing candidates) — a deterministic measure of enumeration
     /// work.
     pub candidates: usize,
-    /// Difference constraints generated (spacing + frames + pins).
+    /// Hidden-edge oracle queries the spacing walk made: only candidates
+    /// whose weight would raise their cluster pair's maximum ask.
+    pub hidden_tests: usize,
+    /// Difference constraints generated: one per spacing/frame cluster
+    /// pair, two per weld and per pin (exact offsets), one per
+    /// pitch-class member pair.
     pub constraints: usize,
     /// Pitch-fixpoint rounds until the class pitches stabilized.
     pub pitch_rounds: usize,
@@ -1271,7 +1277,8 @@ fn axis_structure(
     AxisStructure { pins, classes }
 }
 
-/// The emission's origin-spacing edges, optionally transitively reduced.
+/// Marks in `keep` which of the emission's origin-spacing edges survive
+/// the optional transitive reduction (all of them when `prune` is off).
 ///
 /// An edge `(a, b, w_ab)` is dropped when a kept interposed cluster `c`
 /// carries edges `(a, c, w_ac)` and `(c, b, w_cb)` with
@@ -1279,27 +1286,31 @@ fn axis_structure(
 /// `x_b − x_a ≥ w_ac + w_cb ≥ w_ab` in every feasible solution, so the
 /// dropped edge never binds (cluster extents are pre-folded into the
 /// origin weights, so no width term appears). Edges are visited in
-/// `BTreeMap` order and chains only use edges not yet dropped;
+/// their sorted pair order and chains only use edges not yet dropped;
 /// soundness follows by reverse induction on drop order, exactly as for
-/// the flat scanline prune (DESIGN.md).
+/// the flat scanline prune (DESIGN.md). `starts` is a recycled offsets
+/// buffer.
 fn pruned_weight_edges(
     n: usize,
-    weights: &BTreeMap<(usize, usize), i64>,
+    edges: &[((usize, usize), i64)],
     prune: bool,
-) -> Vec<((usize, usize), i64)> {
-    let mut edges: Vec<((usize, usize), i64)> = weights.iter().map(|(&p, &w)| (p, w)).collect();
+    starts: &mut Vec<usize>,
+    keep: &mut Vec<bool>,
+) {
+    keep.clear();
+    keep.resize(edges.len(), true);
     if !prune || edges.len() < 3 {
-        return edges;
+        return;
     }
     // `edges` is sorted by (a, b): bucket offsets by source cluster.
-    let mut starts = vec![0usize; n + 1];
-    for &((a, _), _) in &edges {
+    starts.clear();
+    starts.resize(n + 1, 0);
+    for &((a, _), _) in edges {
         starts[a + 1] += 1;
     }
     for a in 0..n {
         starts[a + 1] += starts[a];
     }
-    let mut keep = vec![true; edges.len()];
     for idx in 0..edges.len() {
         let ((a, b), w_ab) = edges[idx];
         for m in starts[a]..starts[a + 1] {
@@ -1331,15 +1342,6 @@ fn pruned_weight_edges(
             }
         }
     }
-    let mut w = 0;
-    for idx in 0..edges.len() {
-        if keep[idx] {
-            edges[w] = edges[idx];
-            w += 1;
-        }
-    }
-    edges.truncate(w);
-    edges
 }
 
 /// Absolute abstract boxes of one sweep, loaded into the scan arena's
@@ -1382,16 +1384,31 @@ fn sweep_geometry(
     (owner, frames)
 }
 
-/// Raises the `(a, b)` weight to `w`.
-fn bump(e: &mut Emission, a: usize, b: usize, w: i64) {
-    let cur = e.weights.entry((a, b)).or_insert(i64::MIN);
-    *cur = (*cur).max(w);
+/// Raises the row's weight for partner cluster `b` to `w`, listing `b`
+/// as touched on its first weight (`i64::MIN` marks an empty slot).
+fn raise(row: &mut [i64], touched: &mut Vec<usize>, b: usize, w: i64) {
+    if row[b] == i64::MIN {
+        touched.push(b);
+    }
+    row[b] = row[b].max(w);
 }
+
+/// Work counters of one [`enumerate_pairs`] call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct PairWork {
+    /// Frame, weld, and spacing candidates the index walks produced.
+    candidates: usize,
+    /// Hidden-edge oracle queries made.
+    hidden_tests: usize,
+}
+
+/// Spacing candidates between two deadline checks inside enumeration.
+const DEADLINE_STRIDE: usize = 4096;
 
 /// The sweep kernel: frame, weld, and spacing emission between the
 /// clusters of the abstract boxes in `scan.index` (`owner[k]` owns box
 /// `k`; `bases` are the clusters' along-origins). Returns the emission
-/// and the number of candidate pairs the index walks produced.
+/// and the walks' work counters.
 ///
 /// Every walk is index-driven, never all-pairs:
 ///
@@ -1400,47 +1417,51 @@ fn bump(e: &mut Emission, a: usize, b: usize, w: i64) {
 ///   overlapping across spans.
 /// * **Welds** — same-layer boxes of distinct clusters that touch are
 ///   one net; [`GeomIndex::touching_after`] reaches each touching pair.
-///   A weld's offset depends only on its two clusters, so the map comes
+///   A weld's offset depends only on its two clusters, so the list comes
 ///   out the same whichever box pair finds it first.
 /// * **Spacing** — [`crate::scanline::spacing_candidates`] with the rule
 ///   distance as across slack: the DRC gap is L∞, so a diagonal pair
 ///   whose across gap is under the rule still needs the full along
 ///   spacing.
 ///
-/// Weights are maxima, so the emission is the same in any visiting order.
+/// Frame and spacing weights collapse to one maximum per cluster pair,
+/// gathered one source cluster at a time in a dense row (`scan.row`):
+/// the cluster's frame weights first, then its boxes' spacing
+/// candidates. A candidate whose weight does not exceed the row's value
+/// for its partner cannot change the maximum, hidden or not, so only
+/// the others ask the hidden-edge oracle. The row is flushed whenever
+/// the source changes; `sweep_geometry` emits boxes cluster by cluster,
+/// so each source is normally one run, and a final sort with max-dedup
+/// covers owners that are not contiguous. Weights are maxima, so the
+/// emission is the same in any visiting order.
+///
+/// # Errors
+///
+/// [`Exhausted`] when `limits`' deadline has passed, checked before the
+/// first box's spacing walk and then once per [`DEADLINE_STRIDE`]
+/// spacing candidates.
 fn enumerate_pairs(
     scan: &mut ScanScratch,
     rules: &DesignRules,
     owner: &[usize],
     frames: &[Option<Rect>],
     bases: &[i64],
-) -> (Emission, usize) {
+    limits: &Limits,
+) -> Result<(Emission, PairWork), Exhausted> {
     let ScanScratch {
         index,
         cand,
         profiles,
+        row,
+        touched,
         ..
     } = scan;
     let axis = index.axis();
-    let mut emission = Emission::default();
-    let mut candidates = 0;
-
-    // Frames: ordered material bounding boxes may abut but not overlap —
-    // the hierarchical engine never compacts *into* a leaf.
-    let (findex, fowner) = present_index(frames, axis);
-    for (k, &((), fa)) in findex.items().iter().enumerate() {
-        let across = (fa.lo_across(axis), fa.hi_across(axis));
-        for kb in findex.ordered_after((), fa.hi_along(axis), across, 0) {
-            candidates += 1;
-            let (a, b) = (fowner[k], fowner[kb]);
-            if a == b {
-                continue;
-            }
-            let fb = findex.items()[kb].1;
-            let w = (fa.hi_along(axis) - bases[a]) - (fb.lo_along(axis) - bases[b]);
-            bump(&mut emission, a, b, w);
-        }
-    }
+    let mut work = PairWork::default();
+    let (mut weights, mut welds) = (Vec::new(), Vec::new());
+    row.clear();
+    row.resize(bases.len(), i64::MIN);
+    touched.clear();
 
     // Welds: same-layer material touching across a cluster boundary is
     // one electrical net. Like the flat engine's connectivity
@@ -1449,32 +1470,79 @@ fn enumerate_pairs(
     // a connected bus apart.
     for i in 0..index.len() {
         for j in index.touching_after(i) {
-            candidates += 1;
+            work.candidates += 1;
             let (a, b) = (owner[i].min(owner[j]), owner[i].max(owner[j]));
             if a != b {
-                emission.welds.insert((a, b), bases[b] - bases[a]);
+                welds.push(((a, b), bases[b] - bases[a]));
             }
         }
     }
+    welds.sort_unstable();
+    welds.dedup();
 
-    // Spacing between abstract boxes of distinct clusters, hidden pairs
-    // pruned through the same oracle the flat scanline uses.
+    // Frames (ordered material bounding boxes may abut but not overlap —
+    // the hierarchical engine never compacts *into* a leaf) and spacing
+    // between abstract boxes of distinct clusters, hidden pairs pruned
+    // through the same oracle the flat scanline uses.
+    let (findex, fowner) = present_index(frames, axis);
     let mut cursor = VisibilityCursor::with_cache(index, std::mem::take(profiles));
-    for (i, &(_, ra)) in index.items().iter().enumerate() {
-        spacing_candidates(index, rules, i, |s| s, cand);
-        candidates += cand.len();
-        for &(j, s) in cand.iter() {
-            let (a, b) = (owner[i], owner[j]);
-            if a == b || cursor.hidden_between(i, j) {
-                continue;
+    let (mut f, mut i) = (0, 0);
+    let (mut spacing, mut next_check) = (0, 0);
+    while f < fowner.len() || i < owner.len() {
+        let a = fowner
+            .get(f)
+            .copied()
+            .unwrap_or(usize::MAX)
+            .min(owner.get(i).copied().unwrap_or(usize::MAX));
+        if fowner.get(f) == Some(&a) {
+            let fa = findex.items()[f].1;
+            let across = (fa.lo_across(axis), fa.hi_across(axis));
+            for kb in findex.ordered_after((), fa.hi_along(axis), across, 0) {
+                work.candidates += 1;
+                let b = fowner[kb];
+                if a != b {
+                    let fb = findex.items()[kb].1;
+                    let w = (fa.hi_along(axis) - bases[a]) - (fb.lo_along(axis) - bases[b]);
+                    raise(row, touched, b, w);
+                }
             }
-            let rb = index.items()[j].1;
-            let w = s + (ra.hi_along(axis) - bases[a]) - (rb.lo_along(axis) - bases[b]);
-            bump(&mut emission, a, b, w);
+            f += 1;
+        }
+        while owner.get(i) == Some(&a) {
+            if spacing >= next_check {
+                limits.check_deadline()?;
+                next_check = spacing + DEADLINE_STRIDE;
+            }
+            spacing_candidates(index, rules, i, |s| s, cand);
+            spacing += cand.len();
+            let ra = index.items()[i].1;
+            for &(j, s) in cand.iter() {
+                let b = owner[j];
+                if a == b {
+                    continue;
+                }
+                let rb = index.items()[j].1;
+                let w = s + (ra.hi_along(axis) - bases[a]) - (rb.lo_along(axis) - bases[b]);
+                if w <= row[b] {
+                    continue;
+                }
+                work.hidden_tests += 1;
+                if !cursor.hidden_between(i, j) {
+                    raise(row, touched, b, w);
+                }
+            }
+            i += 1;
+        }
+        for b in touched.drain(..) {
+            weights.push(((a, b), std::mem::replace(&mut row[b], i64::MIN)));
         }
     }
     *profiles = cursor.into_cache();
-    (emission, candidates)
+    work.candidates += spacing;
+    // Sorted by pair, each pair's maximum first, so the dedup keeps it.
+    weights.sort_unstable_by_key(|&(pair, w)| (pair, std::cmp::Reverse(w)));
+    weights.dedup_by_key(|&mut (pair, _)| pair);
+    Ok((Emission { weights, welds }, work))
 }
 
 /// One axis sweep: constraint generation on abstracts, pitch fixpoint,
@@ -1507,7 +1575,7 @@ fn sweep_axis(
         .iter()
         .map(|c| along(positions[c.rep], axis))
         .collect();
-    let (emission, candidates) = enumerate_pairs(scan, rules, &owner, &frames, &bases);
+    let (emission, work) = enumerate_pairs(scan, rules, &owner, &frames, &bases, &opts.limits)?;
 
     // Normalized initial coordinates (clusters are never empty here, but
     // an empty sweep normalizes to 0 rather than panicking).
@@ -1533,15 +1601,17 @@ fn sweep_axis(
     // The emission is transitively reduced here at system-build time: an
     // origin edge already implied by a tighter kept two-hop chain never
     // reaches the solver. Same greedy rule as the flat scanline prune
-    // (edges in BTreeMap order, chains through not-yet-dropped edges),
+    // (edges in sorted pair order, chains through not-yet-dropped edges),
     // so the kept set is deterministic and solution-identical.
     let mut lambdas: Vec<i64> = structure.classes.iter().map(|_| floor).collect();
     sys.reset(axis);
     let vars: Vec<_> = (0..n).map(|ci| sys.add_var(bases[ci] - min_base)).collect();
-    for &((a, b), w) in &pruned_weight_edges(n, &emission.weights, opts.prune) {
+    let ScanScratch { starts, keep, .. } = scan;
+    pruned_weight_edges(n, &emission.weights, opts.prune, starts, keep);
+    for (&((a, b), w), _) in emission.weights.iter().zip(keep.iter()).filter(|(_, &k)| k) {
         sys.require(vars[a], vars[b], w);
     }
-    for (&(a, b), &d) in &emission.welds {
+    for &((a, b), d) in &emission.welds {
         sys.require_exact(vars[a], vars[b], d);
     }
     for &(a, b) in &structure.pins {
@@ -1648,7 +1718,8 @@ fn sweep_axis(
             axis,
             clusters: n,
             abstract_boxes: owner.len(),
-            candidates,
+            candidates: work.candidates,
+            hidden_tests: work.hidden_tests,
             constraints,
             pitch_rounds: rounds,
             solver_passes: passes,
@@ -2323,7 +2394,12 @@ mod tests {
         bases: &[i64],
     ) -> Emission {
         let axis = index.axis();
-        let mut emission = Emission::default();
+        let mut weights: BTreeMap<(usize, usize), i64> = BTreeMap::new();
+        let mut welds: BTreeMap<(usize, usize), i64> = BTreeMap::new();
+        let mut bump = |a: usize, b: usize, w: i64| {
+            let cur = weights.entry((a, b)).or_insert(i64::MIN);
+            *cur = (*cur).max(w);
+        };
         for (a, fa) in frames.iter().enumerate() {
             let Some(fa) = *fa else { continue };
             for (b, fb) in frames.iter().enumerate() {
@@ -2340,7 +2416,7 @@ mod tests {
                     continue;
                 }
                 let w = (fa.hi_along(axis) - bases[a]) - (fb.lo_along(axis) - bases[b]);
-                bump(&mut emission, a, b, w);
+                bump(a, b, w);
             }
         }
         let pboxes = index.items();
@@ -2353,7 +2429,7 @@ mod tests {
                 }
                 if la == lb && ra.intersect(rb).is_some() {
                     if a < b {
-                        emission.welds.insert((a, b), bases[b] - bases[a]);
+                        welds.insert((a, b), bases[b] - bases[a]);
                     }
                     continue;
                 }
@@ -2372,10 +2448,13 @@ mod tests {
                     continue;
                 }
                 let w = s + (ra.hi_along(axis) - bases[a]) - (rb.lo_along(axis) - bases[b]);
-                bump(&mut emission, a, b, w);
+                bump(a, b, w);
             }
         }
-        emission
+        Emission {
+            weights: weights.into_iter().collect(),
+            welds: welds.into_iter().collect(),
+        }
     }
 
     /// The all-pairs clustering [`rigid_clusters`] replaced: every item
@@ -2458,9 +2537,12 @@ mod tests {
     fn indexed_cell_pass_matches_the_all_pairs_reference() {
         let r = rules();
         let mut rng = Rng::from_name("indexed_cell_pass_matches_the_all_pairs_reference");
+        // A separate stream draws the relabelings, so the assemblies are
+        // the same as without them.
+        let mut relabel = Rng::from_name("indexed_cell_pass_relabeled_clusters");
         // Cases exercised: welds, diagonal pairs inside the L∞ window,
-        // zero-extent frames.
-        let mut seen = [0usize; 3];
+        // zero-extent frames, owners that are not contiguous.
+        let mut seen = [0usize; 4];
         for _ in 0..400 {
             let (items, shapes) = random_assembly(&mut rng, &r);
             let clusters = rigid_clusters(&items, &shapes);
@@ -2485,8 +2567,35 @@ mod tests {
                     .map(|c| along(positions[c.rep], axis))
                     .collect();
                 let want = all_pairs_emission(&scan.index, &r, &owner, &frames, &bases);
-                let (got, _) = enumerate_pairs(&mut scan, &r, &owner, &frames, &bases);
+                let (got, work) =
+                    enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &Limits::NONE).unwrap();
                 assert_eq!(got, want, "{axis} sweep diverged");
+                assert!(work.hidden_tests <= work.candidates, "{work:?}");
+
+                // The same sweep with the clusters relabeled by a random
+                // permutation: the boxes keep their order, so their owners
+                // are no longer non-decreasing and the emission has to be
+                // merged across repeated source runs.
+                let n = bases.len();
+                let mut perm: Vec<usize> = (0..n).collect();
+                for k in (1..n).rev() {
+                    perm.swap(k, pick(&mut relabel, k as u64 + 1) as usize);
+                }
+                let owner_p: Vec<usize> = owner.iter().map(|&c| perm[c]).collect();
+                let (mut frames_p, mut bases_p) = (vec![None; n], vec![0; n]);
+                for c in 0..n {
+                    frames_p[perm[c]] = frames[c];
+                    bases_p[perm[c]] = bases[c];
+                }
+                if owner_p.windows(2).any(|w| w[0] > w[1]) {
+                    seen[3] += 1;
+                }
+                let want = all_pairs_emission(&scan.index, &r, &owner_p, &frames_p, &bases_p);
+                let (got, work) =
+                    enumerate_pairs(&mut scan, &r, &owner_p, &frames_p, &bases_p, &Limits::NONE)
+                        .unwrap();
+                assert_eq!(got, want, "{axis} relabeled sweep diverged");
+                assert!(work.hidden_tests <= work.candidates, "{work:?}");
 
                 seen[0] += want.welds.len();
                 let boxes = scan.index.items();
@@ -2508,6 +2617,29 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&k| k > 0), "coverage {seen:?}");
+    }
+
+    #[test]
+    fn enumeration_stops_at_an_expired_deadline() {
+        let r = rules();
+        let mut rng = Rng::from_name("enumeration_stops_at_an_expired_deadline");
+        let (items, shapes) = random_assembly(&mut rng, &r);
+        let clusters = rigid_clusters(&items, &shapes);
+        let positions: Vec<Point> = items.iter().map(|i| i.pos).collect();
+        let mut scan = ScanScratch::new();
+        let (owner, frames) =
+            sweep_geometry(Axis::X, &items, &shapes, &clusters, &positions, &mut scan);
+        let bases: Vec<i64> = clusters
+            .iter()
+            .map(|c| along(positions[c.rep], Axis::X))
+            .collect();
+        let expired = Limits {
+            deadline: Some(std::time::Instant::now() - std::time::Duration::from_secs(1)),
+            ..Limits::NONE
+        };
+        let err = enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &expired).unwrap_err();
+        assert_eq!(err.resource, crate::limits::Resource::Deadline);
+        assert!(enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &Limits::NONE).is_ok());
     }
 
     /// The flatten-based reference the composed abstracts replaced: one

@@ -207,6 +207,7 @@ pub(crate) fn append_constraints_with(
         keep,
         starts,
         profiles,
+        ..
     } = scratch;
 
     // One spatial index serves candidate enumeration (spacing and

@@ -41,6 +41,12 @@ pub struct ScanScratch {
     pub(crate) starts: Vec<usize>,
     /// The serial visibility cursor's profile cache.
     pub(crate) profiles: Vec<(Layer, CoverageProfile)>,
+    /// The hierarchical sweep's dense weight row: per partner cluster,
+    /// the strongest weight the current source cluster has emitted so
+    /// far (`i64::MIN` for none).
+    pub(crate) row: Vec<i64>,
+    /// The partner clusters holding a weight in `row`.
+    pub(crate) touched: Vec<usize>,
 }
 
 impl ScanScratch {
@@ -54,6 +60,8 @@ impl ScanScratch {
             keep: Vec::new(),
             starts: Vec::new(),
             profiles: Vec::new(),
+            row: Vec::new(),
+            touched: Vec::new(),
         }
     }
 }
