@@ -41,6 +41,8 @@ fn layout_system() -> ConstraintSystem {
         &tech.rules,
         rsg_compact::scanline::Method::Visibility,
         rsg_geom::Axis::X,
+        rsg_compact::scanline::Prune::Apply,
+        rsg_compact::par::Parallelism::Serial,
     );
     sys
 }

@@ -16,9 +16,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsg_compact::backend::{Balanced, BellmanFord, Solver};
 use rsg_compact::leaf::{
-    compact, compact_batch, LeafInterface, LibraryJob, Parallelism, PitchKind,
+    compact, compact_batch, LeafInterface, LeafOptions, LibraryJob, Parallelism, PitchKind,
 };
-use rsg_compact::scanline::{generate, generate_with, Method, Prune};
+use rsg_compact::scanline::{generate, Method, Prune};
 use rsg_compact::solver::{solve, EdgeOrder};
 use rsg_geom::{Axis, Rect, Vector};
 use rsg_layout::{CellDefinition, Layer, Technology};
@@ -116,7 +116,7 @@ fn bench_flat_vs_leaf(c: &mut Criterion) {
     // transitively-reduced emission the solver now sees by default.
     for n in [2usize, 4, 8] {
         let boxes = tiled(n);
-        let (full, _) = generate_with(
+        let (full, _) = generate(
             &boxes,
             &tech.rules,
             Method::Visibility,
@@ -124,7 +124,14 @@ fn bench_flat_vs_leaf(c: &mut Criterion) {
             Prune::Keep,
             Parallelism::Serial,
         );
-        let (pruned, _) = generate(&boxes, &tech.rules, Method::Visibility, Axis::X);
+        let (pruned, _) = generate(
+            &boxes,
+            &tech.rules,
+            Method::Visibility,
+            Axis::X,
+            Prune::Apply,
+            Parallelism::Serial,
+        );
         println!(
             "flat {n}x{n}: {} vars, {} constraints unpruned, {} pruned",
             full.num_vars(),
@@ -137,6 +144,7 @@ fn bench_flat_vs_leaf(c: &mut Criterion) {
         &interfaces,
         &tech.rules,
         &BellmanFord::SORTED,
+        &LeafOptions::default(),
     )
     .unwrap();
     println!(
@@ -149,7 +157,14 @@ fn bench_flat_vs_leaf(c: &mut Criterion) {
         let boxes = tiled(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &boxes, |b, boxes| {
             b.iter(|| {
-                let (sys, _) = generate(boxes, &tech.rules, Method::Visibility, Axis::X);
+                let (sys, _) = generate(
+                    boxes,
+                    &tech.rules,
+                    Method::Visibility,
+                    Axis::X,
+                    Prune::Apply,
+                    Parallelism::Serial,
+                );
                 black_box(solve(&sys, EdgeOrder::Sorted).unwrap().extent())
             })
         });
@@ -163,7 +178,7 @@ fn bench_flat_vs_leaf(c: &mut Criterion) {
     let boxes = tiled(16);
     group.bench_with_input(BenchmarkId::new("unpruned", 16), &boxes, |b, boxes| {
         b.iter(|| {
-            let (sys, _) = generate_with(
+            let (sys, _) = generate(
                 boxes,
                 &tech.rules,
                 Method::Visibility,
@@ -183,6 +198,7 @@ fn bench_flat_vs_leaf(c: &mut Criterion) {
                 &interfaces,
                 &tech.rules,
                 &BellmanFord::SORTED,
+                &LeafOptions::default(),
             )
             .unwrap();
             black_box(out.pitches)
@@ -193,7 +209,14 @@ fn bench_flat_vs_leaf(c: &mut Criterion) {
 fn bench_backends(c: &mut Criterion) {
     let tech = Technology::mead_conway(2);
     let boxes = tiled(8);
-    let (sys, _) = generate(&boxes, &tech.rules, Method::Visibility, Axis::X);
+    let (sys, _) = generate(
+        &boxes,
+        &tech.rules,
+        Method::Visibility,
+        Axis::X,
+        Prune::Apply,
+        Parallelism::Serial,
+    );
     let mut group = c.benchmark_group("compaction/backend");
     for backend in [
         &BellmanFord::SORTED as &dyn Solver,

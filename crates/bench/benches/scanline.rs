@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsg_compact::par::Parallelism;
-use rsg_compact::scanline::{generate, generate_with, Method, Prune};
+use rsg_compact::scanline::{generate, Method, Prune};
 use rsg_geom::{Axis, Rect};
 use rsg_layout::{Layer, Technology};
 use std::hint::black_box;
@@ -32,7 +32,7 @@ fn bench_methods(c: &mut Criterion) {
     // (E24) would otherwise absorb.
     for n in [8usize, 16, 32, 64] {
         let boxes = fragmented(n);
-        let (band, _) = generate_with(
+        let (band, _) = generate(
             &boxes,
             &rules,
             Method::Band,
@@ -40,7 +40,14 @@ fn bench_methods(c: &mut Criterion) {
             Prune::Keep,
             Parallelism::Serial,
         );
-        let (vis, _) = generate(&boxes, &rules, Method::Visibility, Axis::X);
+        let (vis, _) = generate(
+            &boxes,
+            &rules,
+            Method::Visibility,
+            Axis::X,
+            Prune::Apply,
+            Parallelism::Serial,
+        );
         println!(
             "fragmented bus n={n}: band={} constraints, visibility={}",
             band.constraints().len(),
@@ -54,7 +61,7 @@ fn bench_methods(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("band", n), &boxes, |b, boxes| {
             b.iter(|| {
                 black_box(
-                    generate_with(
+                    generate(
                         boxes,
                         &rules,
                         Method::Band,
@@ -71,10 +78,17 @@ fn bench_methods(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("visibility", n), &boxes, |b, boxes| {
             b.iter(|| {
                 black_box(
-                    generate(boxes, &rules, Method::Visibility, Axis::X)
-                        .0
-                        .constraints()
-                        .len(),
+                    generate(
+                        boxes,
+                        &rules,
+                        Method::Visibility,
+                        Axis::X,
+                        Prune::Apply,
+                        Parallelism::Serial,
+                    )
+                    .0
+                    .constraints()
+                    .len(),
                 )
             })
         });
@@ -83,10 +97,17 @@ fn bench_methods(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("visibility-y", n), &boxes, |b, boxes| {
             b.iter(|| {
                 black_box(
-                    generate(boxes, &rules, Method::Visibility, Axis::Y)
-                        .0
-                        .constraints()
-                        .len(),
+                    generate(
+                        boxes,
+                        &rules,
+                        Method::Visibility,
+                        Axis::Y,
+                        Prune::Apply,
+                        Parallelism::Serial,
+                    )
+                    .0
+                    .constraints()
+                    .len(),
                 )
             })
         });

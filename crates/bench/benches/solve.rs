@@ -4,15 +4,12 @@
 //! acyclic chains (both costs shrink once the CSR graph is cached on the
 //! system; the topological pass does strictly less work per solve).
 //!
-//! E18: the alternating x/y engine with and without warm-started
-//! sweeps. The harness prints the total relaxation passes of both modes
-//! — the warm run seeds each sweep with the previous alternation's
-//! positions, so the steady state costs one verification pass per sweep
-//! instead of a full cold relaxation. Results are asserted bit-for-bit
-//! identical in-bench.
+//! E18: the alternating x/y engine to its fixpoint. The harness prints
+//! the alternation count and the total relaxation passes; every sweep
+//! solves cold.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rsg_compact::engine::{compact_xy_with, WarmStart};
+use rsg_compact::engine::compact_xy;
 use rsg_compact::BellmanFord;
 use rsg_geom::{Rect, Vector};
 use rsg_layout::{CellDefinition, Layer, Technology};
@@ -76,68 +73,31 @@ fn tiled_array() -> Vec<(Layer, Rect)> {
     out
 }
 
-fn bench_engine_cold_vs_warm(c: &mut Criterion) {
+fn bench_engine(c: &mut Criterion) {
     let tech = Technology::mead_conway(2);
     let boxes = tiled_array();
 
     // Correctness gate + the E18 pass-count table.
-    let cold = compact_xy_with(
-        &boxes,
-        &tech.rules,
-        &BellmanFord::SORTED,
-        10,
-        WarmStart::Cold,
-    )
-    .unwrap();
-    let warm = compact_xy_with(
-        &boxes,
-        &tech.rules,
-        &BellmanFord::SORTED,
-        10,
-        WarmStart::Warm,
-    )
-    .unwrap();
-    assert_eq!(cold.boxes, warm.boxes, "E18 equivalence");
+    let out = compact_xy(&boxes, &tech.rules, &BellmanFord::SORTED, 10).unwrap();
+    assert!(out.converged, "E18 fixpoint");
     println!(
-        "engine tiled 4x4: alternations={} cold relaxation passes={} warm={}",
-        cold.passes + 1,
-        cold.report.total_solver_passes(),
-        warm.report.total_solver_passes()
+        "engine tiled 4x4: alternations={} relaxation passes={}",
+        out.passes + 1,
+        out.report.total_solver_passes()
     );
 
     let mut group = c.benchmark_group("engine");
-    group.bench_function("cold", |b| {
+    group.bench_function("xy", |b| {
         b.iter(|| {
             black_box(
-                compact_xy_with(
-                    &boxes,
-                    &tech.rules,
-                    &BellmanFord::SORTED,
-                    10,
-                    WarmStart::Cold,
-                )
-                .unwrap()
-                .passes,
-            )
-        })
-    });
-    group.bench_function("warm", |b| {
-        b.iter(|| {
-            black_box(
-                compact_xy_with(
-                    &boxes,
-                    &tech.rules,
-                    &BellmanFord::SORTED,
-                    10,
-                    WarmStart::Warm,
-                )
-                .unwrap()
-                .passes,
+                compact_xy(&boxes, &tech.rules, &BellmanFord::SORTED, 10)
+                    .unwrap()
+                    .passes,
             )
         })
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_topo_vs_bellman, bench_engine_cold_vs_warm);
+criterion_group!(benches, bench_topo_vs_bellman, bench_engine);
 criterion_main!(benches);

@@ -6,12 +6,13 @@
 //! tiled array and of the E23 megachip flat lattice at 10⁵ boxes; the
 //! candidate pairs the hierarchical cell pass enumerates, the
 //! hidden-edge oracle queries it makes (`HierSweepStats::hidden_tests`),
+//! the relaxation passes its solves take (`HierSweepStats::solver_passes`),
 //! and the boxes the walk feeds to interface-abstract derivation
 //! (`ChipLayout::abstract_inputs`), on the E23 megachip walk at 10⁵
 //! boxes and on the 16×16 multiplier chip. All workloads are
 //! deterministic, so the recorded values are exact — any increase means
-//! a generator, prune, enumeration, oracle-gate, or abstract-composition
-//! regression and fails CI (wired into ci.yml next to the megachip
+//! a generator, prune, enumeration, oracle-gate, solver, or
+//! abstract-composition regression and fails CI (wired into ci.yml next to the megachip
 //! smoke). Run with
 //! `cargo test --release -p rsg-bench --test constraint_ceilings`.
 
@@ -19,7 +20,7 @@ use rsg_bench::{megachip_flat, megachip_hier};
 use rsg_compact::backend::BellmanFord;
 use rsg_compact::hier::{compact_hierarchy, ChipLayout, HierOptions, HierSweepStats};
 use rsg_compact::par::Parallelism;
-use rsg_compact::scanline::{generate_with, Method, Prune};
+use rsg_compact::scanline::{generate, Method, Prune};
 use rsg_geom::{Axis, Rect, Vector};
 use rsg_layout::{Layer, Technology};
 
@@ -69,7 +70,7 @@ fn tiled(n: usize) -> Vec<(Layer, Rect)> {
 
 fn pruned_count(boxes: &[(Layer, Rect)]) -> usize {
     let rules = &Technology::mead_conway(2).rules;
-    let (sys, _) = generate_with(
+    let (sys, _) = generate(
         boxes,
         rules,
         Method::Visibility,
@@ -121,6 +122,12 @@ fn walk_candidates(chip: &ChipLayout) -> usize {
 /// walk.
 fn walk_hidden_tests(chip: &ChipLayout) -> usize {
     walk_sum(chip, |s| s.hidden_tests)
+}
+
+/// Relaxation passes the hierarchical cell pass's solves took over a
+/// walk.
+fn walk_solver_passes(chip: &ChipLayout) -> usize {
+    walk_sum(chip, |s| s.solver_passes)
 }
 
 /// The serial E23 megachip walk at 10⁵ boxes, and its flat box count.
@@ -213,5 +220,26 @@ fn multiplier_16x16_abstract_inputs_stay_under_recorded_ceiling() {
     assert!(
         count <= ceiling,
         "16x16 multiplier chip abstract input count regressed: {count} > recorded ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn megachip_hier_100k_solver_passes_stay_under_recorded_ceiling() {
+    let (out, boxes) = megachip_walk();
+    let count = walk_solver_passes(&out);
+    let ceiling = ceiling("megachip_hier_100k_solver_passes");
+    assert!(
+        count <= ceiling,
+        "megachip hier walk (n = {boxes}) solver pass count regressed: {count} > recorded ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn multiplier_16x16_solver_passes_stay_under_recorded_ceiling() {
+    let count = walk_solver_passes(&multiplier_walk());
+    let ceiling = ceiling("multiplier_16x16_solver_passes");
+    assert!(
+        count <= ceiling,
+        "16x16 multiplier chip solver pass count regressed: {count} > recorded ceiling {ceiling}"
     );
 }

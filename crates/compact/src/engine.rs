@@ -7,14 +7,8 @@
 //! sweeps to a fixpoint — the classic two-pass 1-D compaction the paper
 //! sketches in §6.4.
 //!
-//! The alternation is a *warm-started* fixpoint by default: each sweep
-//! seeds its solve with the positions the same axis solved one
-//! alternation earlier (exact — the solver's support sweep guarantees
-//! the bit-for-bit least solution regardless of the seed), so the steady
-//! state costs one verification pass per sweep instead of a full cold
-//! relaxation. [`compact_xy_with`] exposes the cold path for the E18
-//! comparison, and every run returns a [`CompactReport`]: per-sweep
-//! constraint counts, relaxation passes, and the extent trajectory.
+//! Every run returns a [`CompactReport`]: per-sweep constraint counts,
+//! relaxation passes, and the extent trajectory.
 
 use crate::backend::{SolveError, Solver};
 use crate::par::Parallelism;
@@ -58,7 +52,7 @@ pub fn compact_axis(
     axis: Axis,
     solver: &dyn Solver,
 ) -> Result<Vec<(Layer, Rect)>, SolveError> {
-    Ok(sweep(boxes, rules, axis, solver, None, &mut SweepScratch::new())?.0)
+    Ok(sweep(boxes, rules, axis, solver, &mut SweepScratch::new())?.0)
 }
 
 /// Statistics of one axis sweep inside [`compact_xy`].
@@ -78,18 +72,15 @@ pub struct SweepStats {
 
 /// Per-sweep trace of an alternating compaction: constraint counts,
 /// relaxation passes, and the extent trajectory — the raw material of
-/// experiment E18 (cold vs warm fixpoint cost).
+/// experiment E18 (fixpoint cost).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CompactReport {
     /// One entry per axis sweep, in execution order (x, y, x, y, …).
     pub sweeps: Vec<SweepStats>,
-    /// Whether the run reused previous positions as solver seeds.
-    pub warm: bool,
 }
 
 impl CompactReport {
-    /// Total relaxation passes across every sweep — the E18 headline
-    /// number warm starting reduces.
+    /// Total relaxation passes across every sweep.
     pub fn total_solver_passes(&self) -> usize {
         self.sweeps.iter().map(|s| s.solver_passes).sum()
     }
@@ -123,50 +114,26 @@ pub struct XyOutcome {
     pub report: CompactReport,
 }
 
-/// Whether [`compact_xy_with`] seeds each sweep's solve from the
-/// previous alternation's positions for the same axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WarmStart {
-    /// Every sweep cold-solves from zero — the pre-refactor behaviour,
-    /// kept for the E18 comparison.
-    Cold,
-    /// Each sweep seeds the solver with the positions the same axis
-    /// produced one alternation earlier. Results are bit-for-bit
-    /// identical to [`WarmStart::Cold`]; only the relaxation work
-    /// changes.
-    Warm,
-}
-
-/// The boxes, solved positions, and stats of one traced sweep.
-type SweepResult = (Vec<(Layer, Rect)>, Vec<i64>, SweepStats);
-
-/// One traced sweep: generate (into the reusable arena), solve
-/// (optionally warm), apply.
+/// One traced sweep: generate (into the reusable arena), solve, apply.
 fn sweep(
     boxes: &[(Layer, Rect)],
     rules: &DesignRules,
     axis: Axis,
     solver: &dyn Solver,
-    warm: Option<&[i64]>,
     scratch: &mut SweepScratch,
-) -> Result<SweepResult, SolveError> {
-    let vars = scanline::generate_scratch(
-        scratch,
+) -> Result<(Vec<(Layer, Rect)>, SweepStats), SolveError> {
+    let SweepScratch { sys, scan } = scratch;
+    sys.reset(axis);
+    let vars = scanline::append_boxes(
+        sys,
         boxes,
         rules,
         Method::Visibility,
-        axis,
         Prune::Apply,
         Parallelism::Serial,
+        scan,
     );
-    let sys = &scratch.sys;
-    let out = match warm {
-        // A seed is only meaningful while the variable layout matches
-        // (two edge variables per box, in box order — stable across
-        // alternations for a fixed box list).
-        Some(seed) if seed.len() == sys.num_vars() => solver.solve_system_warm(sys, &[], seed)?,
-        _ => solver.solve_system(sys, &[])?,
-    };
+    let out = solver.solve_system(sys, &[])?;
     let extent = {
         let max = out.positions.iter().copied().max().unwrap_or(0);
         let min = out.positions.iter().copied().min().unwrap_or(0);
@@ -179,13 +146,14 @@ fn sweep(
         solver_passes: out.passes,
         extent,
     };
-    let new_boxes = apply_positions(boxes, &vars, &out.positions, axis);
-    Ok((new_boxes, out.positions, stats))
+    Ok((apply_positions(boxes, &vars, &out.positions, axis), stats))
 }
 
-/// Alternating x/y compaction until a fixpoint (or `max_passes`), §6.4,
-/// warm-starting each sweep from the previous alternation — see
-/// [`compact_xy_with`] for the cold variant.
+/// Alternating x/y compaction until a fixpoint (or `max_passes`), §6.4.
+///
+/// Each pass sweeps [`Axis::X`] then [`Axis::Y`]; the result is a
+/// fixpoint of both sweeps when `converged` is set, i.e. re-running
+/// either sweep leaves the layout unchanged (idempotence).
 ///
 /// # Errors
 ///
@@ -196,60 +164,16 @@ pub fn compact_xy(
     solver: &dyn Solver,
     max_passes: usize,
 ) -> Result<XyOutcome, SolveError> {
-    compact_xy_with(boxes, rules, solver, max_passes, WarmStart::Warm)
-}
-
-/// Alternating x/y compaction until a fixpoint (or `max_passes`), §6.4.
-///
-/// Each pass sweeps [`Axis::X`] then [`Axis::Y`]; the result is a
-/// fixpoint of both sweeps when `converged` is set, i.e. re-running
-/// either sweep leaves the layout unchanged (idempotence). The returned
-/// boxes are identical for both [`WarmStart`] modes; the
-/// [`CompactReport`] records how much relaxation work each mode spent.
-///
-/// # Errors
-///
-/// Propagates [`SolveError`] from the backend.
-pub fn compact_xy_with(
-    boxes: &[(Layer, Rect)],
-    rules: &DesignRules,
-    solver: &dyn Solver,
-    max_passes: usize,
-    warm: WarmStart,
-) -> Result<XyOutcome, SolveError> {
     let mut cur = boxes.to_vec();
-    let mut report = CompactReport {
-        sweeps: Vec::new(),
-        warm: warm == WarmStart::Warm,
-    };
-    let mut seed_x: Option<Vec<i64>> = None;
-    let mut seed_y: Option<Vec<i64>> = None;
-    // One sweep arena per axis, reused across alternations: buffers are
-    // cleared, not reallocated, and the converging re-sweep (same boxes,
-    // same constraints) gets its CSR graph back without a rebuild.
-    let mut scratch_x = SweepScratch::new();
-    let mut scratch_y = SweepScratch::new();
+    let mut report = CompactReport::default();
+    // One sweep arena, reused across sweeps: buffers are cleared, not
+    // reallocated.
+    let mut scratch = SweepScratch::new();
     for pass in 0..max_passes {
-        let warm_x = if warm == WarmStart::Warm {
-            seed_x.as_deref()
-        } else {
-            None
-        };
-        let (after_x, pos_x, stats_x) =
-            sweep(&cur, rules, Axis::X, solver, warm_x, &mut scratch_x)?;
-        seed_x = Some(pos_x);
+        let (after_x, stats_x) = sweep(&cur, rules, Axis::X, solver, &mut scratch)?;
         report.sweeps.push(stats_x);
-
-        let warm_y = if warm == WarmStart::Warm {
-            seed_y.as_deref()
-        } else {
-            None
-        };
-        let (next, pos_y, stats_y) =
-            sweep(&after_x, rules, Axis::Y, solver, warm_y, &mut scratch_y)?;
-        seed_y = Some(pos_y);
+        let (next, stats_y) = sweep(&after_x, rules, Axis::Y, solver, &mut scratch)?;
         report.sweeps.push(stats_y);
-
         if next == cur {
             return Ok(XyOutcome {
                 boxes: cur,
@@ -331,30 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_and_cold_produce_identical_boxes() {
-        let boxes = vec![
-            (Layer::Poly, Rect::from_coords(0, 0, 4, 20)),
-            (Layer::Poly, Rect::from_coords(30, 0, 34, 20)),
-            (Layer::Metal1, Rect::from_coords(0, 40, 20, 46)),
-            (Layer::Metal1, Rect::from_coords(40, 44, 60, 50)),
-        ];
-        let r = rules();
-        let cold = compact_xy_with(&boxes, &r, &BellmanFord::SORTED, 10, WarmStart::Cold).unwrap();
-        let warm = compact_xy_with(&boxes, &r, &BellmanFord::SORTED, 10, WarmStart::Warm).unwrap();
-        assert_eq!(
-            cold.boxes, warm.boxes,
-            "warm start must not change the result"
-        );
-        assert_eq!(cold.passes, warm.passes);
-        assert!(
-            warm.report.total_solver_passes() <= cold.report.total_solver_passes(),
-            "warm {} vs cold {}",
-            warm.report.total_solver_passes(),
-            cold.report.total_solver_passes()
-        );
-    }
-
-    #[test]
     fn report_traces_every_sweep() {
         let boxes = vec![
             (Layer::Diffusion, Rect::from_coords(0, 0, 8, 8)),
@@ -362,7 +262,6 @@ mod tests {
         ];
         let r = rules();
         let out = compact_xy(&boxes, &r, &BellmanFord::SORTED, 10).unwrap();
-        assert!(out.report.warm);
         // x, y alternating, starting with x; 2 sweeps per alternation
         // including the converging one.
         assert_eq!(out.report.sweeps.len(), 2 * (out.passes + 1));

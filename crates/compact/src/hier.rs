@@ -28,10 +28,10 @@
 //!   pair along a row (or column) fold into one pitch variable per class,
 //!   solved to its least value by a monotone fixpoint over rsg-solve
 //!   (each round solves a pure difference system through any
-//!   [`Solver`] backend, warm-started from the previous round; the class
-//!   pitch rises to the worst member gap until stable). Every member pair
-//!   of a class therefore lands at *exactly* the same pitch — the PLA and
-//!   multiplier arrays stay pitch-matched by construction.
+//!   [`Solver`] backend; the class pitch rises to the worst member gap
+//!   until stable). Every member pair of a class therefore lands at
+//!   *exactly* the same pitch — the PLA and multiplier arrays stay
+//!   pitch-matched by construction.
 //!
 //! [`compact_cell`] compacts one assembly cell; [`compact_hierarchy`]
 //! walks a whole chip bottom-up (children before callers, as the paper
@@ -45,7 +45,7 @@ use crate::backend::{SolveError, Solver};
 use crate::fault::{injected_exhaustion, FaultSite, InjectedFault};
 use crate::limits::{Exhausted, Limits};
 use crate::par::{par_map, Parallelism};
-use crate::scanline::{spacing_candidates, VisibilityCursor};
+use crate::scanline::{spacing_candidates, Prune, VisibilityCursor};
 use crate::scratch::{ScanScratch, SweepScratch};
 use rsg_geom::{Axis, BoundingBox, GeomIndex, Isometry, Orientation, Point, Rect, Vector};
 use rsg_layout::hash::ContentHasher;
@@ -78,8 +78,8 @@ pub struct HierOptions {
     /// an origin edge `a → b` implied by a tighter kept chain
     /// `a → c → b` is dropped. Solution-identical (same origins, same
     /// pitches — see DESIGN.md, "Constraint pruning + sweep arenas");
-    /// `false` keeps the full emission for equivalence testing.
-    pub prune: bool,
+    /// [`Prune::Keep`] keeps the full emission for equivalence testing.
+    pub prune: Prune,
 }
 
 impl Default for HierOptions {
@@ -89,7 +89,7 @@ impl Default for HierOptions {
             max_pitch_rounds: 32,
             limits: Limits::NONE,
             parallelism: Parallelism::Serial,
-            prune: true,
+            prune: Prune::Apply,
         }
     }
 }
@@ -1005,17 +1005,26 @@ pub(crate) fn compact_cell_with(
         axis_structure(table, Axis::Y, &items, &clusters),
     ];
 
+    let cx = CellContext {
+        items: &items,
+        shapes: &shapes,
+        clusters: &clusters,
+        structure: &structure,
+        rules,
+        solver,
+        opts,
+    };
     let mut positions: Vec<Point> = items.iter().map(|i| i.pos).collect();
     let mut report = HierReport {
         sweeps: Vec::new(),
         flat_boxes,
     };
-    let mut warm: [Option<Vec<i64>>; 2] = [None, None];
     let mut final_pitch: [Vec<HierPitch>; 2] = [Vec::new(), Vec::new()];
-    // One sweep arena per axis: the constraint system, its CSR graph,
-    // and the oracle index are cleared and refilled across alternation
-    // passes instead of rebuilt cold (a converged re-sweep reuses the
-    // previous pass's graph wholesale).
+    // One sweep arena per axis: the constraint system, its CSR graph's
+    // buffers and the oracle index are cleared and refilled across
+    // alternation passes instead of reallocated. Per axis, not shared:
+    // one shared arena raised peak RSS (DESIGN.md, "Solver-side
+    // slimming").
     let mut scratch: [SweepScratch; 2] = [SweepScratch::new(), SweepScratch::new()];
     let mut passes = 0;
     let mut converged = false;
@@ -1023,16 +1032,9 @@ pub(crate) fn compact_cell_with(
         let before = positions.clone();
         for axis in Axis::BOTH {
             let (stats, pitches) = sweep_axis(
+                &cx,
                 axis,
-                &items,
-                &shapes,
-                &clusters,
-                &structure[axis_index(axis)],
                 &mut positions,
-                rules,
-                solver,
-                &mut warm[axis_index(axis)],
-                opts,
                 hooks,
                 &mut scratch[axis_index(axis)],
             )?;
@@ -1293,13 +1295,13 @@ fn axis_structure(
 fn pruned_weight_edges(
     n: usize,
     edges: &[((usize, usize), i64)],
-    prune: bool,
+    prune: Prune,
     starts: &mut Vec<usize>,
     keep: &mut Vec<bool>,
 ) {
     keep.clear();
     keep.resize(edges.len(), true);
-    if !prune || edges.len() < 3 {
+    if prune == Prune::Keep || edges.len() < 3 {
         return;
     }
     // `edges` is sorted by (a, b): bucket offsets by source cluster.
@@ -1545,26 +1547,42 @@ fn enumerate_pairs(
     Ok((Emission { weights, welds }, work))
 }
 
+/// What every axis sweep of one assembly cell reads: its movable items
+/// and their shapes, the rigid clusters, each axis's pins and pitch
+/// classes, and the run's rules, backend and options. Built once per
+/// cell in [`compact_cell_with`].
+struct CellContext<'a> {
+    items: &'a [Item],
+    shapes: &'a [Arc<CellAbstract>],
+    clusters: &'a [Cluster],
+    structure: &'a [AxisStructure; 2],
+    rules: &'a DesignRules,
+    solver: &'a dyn Solver,
+    opts: &'a HierOptions,
+}
+
 /// One axis sweep: constraint generation on abstracts, pitch fixpoint,
 /// position update. Returns the stats and the solved pitch classes.
-#[allow(clippy::too_many_arguments)]
 fn sweep_axis(
+    cx: &CellContext,
     axis: Axis,
-    items: &[Item],
-    shapes: &[Arc<CellAbstract>],
-    clusters: &[Cluster],
-    structure: &AxisStructure,
     positions: &mut [Point],
-    rules: &DesignRules,
-    solver: &dyn Solver,
-    warm: &mut Option<Vec<i64>>,
-    opts: &HierOptions,
     hooks: &mut dyn CompactHooks,
     scratch: &mut SweepScratch,
 ) -> Result<(HierSweepStats, Vec<HierPitch>), HierError> {
     if let Some(f) = hooks.fault(FaultSite::Sweep) {
         return Err(injected_error(f, axis));
     }
+    let CellContext {
+        items,
+        shapes,
+        clusters,
+        rules,
+        solver,
+        opts,
+        ..
+    } = *cx;
+    let structure = &cx.structure[axis_index(axis)];
     let n = clusters.len();
     let SweepScratch { sys, scan } = scratch;
 
@@ -1593,10 +1611,10 @@ fn sweep_axis(
     opts.limits.check_constraints(constraints)?;
 
     // Pitch fixpoint: the difference system is built once (refilled into
-    // the sweep arena — an identical refill reuses the previous pass's
-    // CSR graph); each round solves it, then every class pitch rises to
-    // its worst member gap until stable, patching only the changed class
-    // weights in place.
+    // the sweep arena); each round solves it from zero, then every class
+    // pitch rises to its worst member gap until stable, patching only
+    // the changed class weights in place (`set_weight` keeps the CSR
+    // graph instead of rebuilding it).
     //
     // The emission is transitively reduced here at system-build time: an
     // origin edge already implied by a tighter kept two-hop chain never
@@ -1640,10 +1658,7 @@ fn sweep_axis(
         if let Some(f) = hooks.fault(FaultSite::Solve) {
             return Err(injected_error(f, axis));
         }
-        let out = match warm.as_deref() {
-            Some(seed) if seed.len() == n => solver.solve_system_warm(sys, &[], seed)?,
-            _ => solver.solve_system(sys, &[])?,
-        };
+        let out = solver.solve_system(sys, &[])?;
         passes += out.passes;
         // Checkpoints: cumulative relaxation passes and the deadline.
         opts.limits.check_passes(passes)?;
@@ -1672,7 +1687,6 @@ fn sweep_axis(
             }
         }
         lambdas = next;
-        *warm = Some(out.positions.clone());
         if stable {
             break out;
         }

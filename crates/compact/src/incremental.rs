@@ -78,7 +78,7 @@ use crate::hier::{
     ChipCompaction, ChipError, ChipLayout, CompactHooks, HierError, HierOptions, HierOutcome,
     LevelFlow, Resolved, WorkCounters,
 };
-use crate::leaf::{self, CompactionResult, LibraryJob};
+use crate::leaf::{self, CompactionResult, LeafOptions, LibraryJob};
 use rsg_layout::hash::{hash_cell, mix, ContentHasher};
 use rsg_layout::{CellDefinition, CellId, CellTable, DesignRules};
 use std::collections::HashMap;
@@ -343,13 +343,11 @@ impl CompactSession {
                     return Ok(cached.as_ref().clone());
                 }
                 self.last.leaf_jobs += 1;
-                let result = leaf::compact_limited(
-                    &job.cells,
-                    &job.interfaces,
-                    rules,
-                    solver,
-                    &opts.limits,
-                )?;
+                let leaf_opts = LeafOptions {
+                    limits: opts.limits,
+                    ..LeafOptions::default()
+                };
+                let result = leaf::compact(&job.cells, &job.interfaces, rules, solver, &leaf_opts)?;
                 self.leaves.insert(key, Arc::new(result.clone()));
                 Ok(result)
             })

@@ -154,104 +154,58 @@ struct VBox {
     pitch: Option<PitchId>,
 }
 
+/// How [`compact`] runs. The default is no budgets, serial generation
+/// and the prune applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LeafOptions {
+    /// Resource budgets: checkpoints fire after the flat box count is
+    /// known, after constraint generation, and (for the deadline) at
+    /// entry — deterministic points, so an exhausted run always fails
+    /// identically.
+    pub limits: Limits,
+    /// Workers for constraint *generation*: the intra-cell spacing scans
+    /// and the per-interface cross scans run their pair filters in
+    /// parallel, emitting into the system in the serial order. The
+    /// result — success or error — is bit-identical at any thread
+    /// count; only wall-clock changes. [`compact_batch`] sets this
+    /// itself for single-job batches.
+    pub parallelism: Parallelism,
+    /// The intra-cell transitive-reduction prune. [`Prune::Keep`] hands
+    /// the full spacing emission to the solver; the result (cells,
+    /// pitches, and [`PitchBinding`]s) is identical either way, which
+    /// the equivalence proptests pin.
+    pub prune: Prune,
+}
+
+impl Default for LeafOptions {
+    fn default() -> LeafOptions {
+        LeafOptions {
+            limits: Limits::NONE,
+            parallelism: Parallelism::Serial,
+            prune: Prune::Apply,
+        }
+    }
+}
+
 /// Compacts a cell library in x under every declared interface, solving
-/// through the given backend. Equivalent to [`compact_limited`] with
-/// [`Limits::NONE`].
+/// through the given backend.
 ///
 /// # Errors
 ///
-/// Returns [`LeafError`] on infeasible constraint systems or malformed
-/// input.
+/// Returns [`LeafError`] on infeasible systems, malformed input, or an
+/// exhausted budget.
 pub fn compact(
     cells: &[CellDefinition],
     interfaces: &[LeafInterface],
     rules: &DesignRules,
     solver: &dyn Solver,
+    opts: &LeafOptions,
 ) -> Result<CompactionResult, LeafError> {
-    compact_limited(cells, interfaces, rules, solver, &Limits::NONE)
-}
-
-/// [`compact`] under resource budgets: checkpoints fire after the flat
-/// box count is known, after constraint generation, and (for the
-/// deadline) at entry — deterministic points, so an exhausted run always
-/// fails identically.
-///
-/// # Errors
-///
-/// Returns [`LeafError`] on infeasible systems, malformed input, or an
-/// exhausted budget.
-pub fn compact_limited(
-    cells: &[CellDefinition],
-    interfaces: &[LeafInterface],
-    rules: &DesignRules,
-    solver: &dyn Solver,
-    limits: &Limits,
-) -> Result<CompactionResult, LeafError> {
-    compact_limited_par(
-        cells,
-        interfaces,
-        rules,
-        solver,
+    let LeafOptions {
         limits,
-        Parallelism::Serial,
-    )
-}
-
-/// [`compact_limited`] with constraint *generation* fanned across worker
-/// threads: the intra-cell spacing scans and the per-interface cross
-/// scans run their pair filters in parallel, emitting into the system in
-/// the serial order. The result — success or error — is bit-identical
-/// to [`compact_limited`] at any thread count; only wall-clock changes.
-///
-/// Use this for one big library on an otherwise idle machine;
-/// [`compact_batch`] applies it automatically to single-job batches
-/// (many-job batches keep their job-level fan-out instead).
-///
-/// # Errors
-///
-/// Returns [`LeafError`] on infeasible systems, malformed input, or an
-/// exhausted budget.
-pub fn compact_limited_par(
-    cells: &[CellDefinition],
-    interfaces: &[LeafInterface],
-    rules: &DesignRules,
-    solver: &dyn Solver,
-    limits: &Limits,
-    par: Parallelism,
-) -> Result<CompactionResult, LeafError> {
-    compact_limited_impl(cells, interfaces, rules, solver, limits, par, Prune::Apply)
-}
-
-/// [`compact_limited_par`] with the intra-cell transitive-reduction
-/// prune disabled — the full spacing emission reaches the solver. The
-/// result (cells, pitches, and [`PitchBinding`]s) is identical to the
-/// pruned path; this entry exists so the equivalence proptests can pin
-/// that claim rather than assume it.
-///
-/// # Errors
-///
-/// Returns [`LeafError`] on infeasible systems, malformed input, or an
-/// exhausted budget.
-pub fn compact_limited_unpruned(
-    cells: &[CellDefinition],
-    interfaces: &[LeafInterface],
-    rules: &DesignRules,
-    solver: &dyn Solver,
-    limits: &Limits,
-    par: Parallelism,
-) -> Result<CompactionResult, LeafError> {
-    compact_limited_impl(cells, interfaces, rules, solver, limits, par, Prune::Keep)
-}
-
-fn compact_limited_impl(
-    cells: &[CellDefinition],
-    interfaces: &[LeafInterface],
-    rules: &DesignRules,
-    solver: &dyn Solver,
-    limits: &Limits,
-    par: Parallelism,
-    prune: Prune,
-) -> Result<CompactionResult, LeafError> {
+        parallelism: par,
+        prune,
+    } = *opts;
     let axis = Axis::X;
     limits.check_deadline()?;
     // Ingest validation: coordinate budget (so interior arithmetic is
@@ -287,19 +241,11 @@ fn compact_limited_impl(
     let mut cell_boxes: Vec<Vec<(Layer, Rect)>> = Vec::with_capacity(cells.len());
     for cell in cells {
         let boxes: Vec<(Layer, Rect)> = cell.boxes().collect();
-        let vars: Vec<BoxVars> = boxes
-            .iter()
-            .map(|(_, r)| BoxVars {
-                left: sys.add_var(r.lo_along(axis)),
-                right: sys.add_var(r.hi_along(axis)),
-            })
-            .collect();
-        // Intra-cell constraints: widths, connectivity, visibility
-        // spacing (transitively-reduced — solution-identical).
-        scanline::append_constraints_with(
+        // Edge variables plus the intra-cell constraints: widths,
+        // connectivity, visibility spacing.
+        let vars = scanline::append_boxes(
             &mut sys,
             &boxes,
-            &vars,
             rules,
             Method::Visibility,
             prune,
@@ -479,7 +425,7 @@ impl LibraryJob {
 ///
 /// Each job is a closed constraint system, so the jobs are
 /// embarrassingly parallel and the output (including every error) is
-/// byte-identical to mapping [`compact`] serially — [`Parallelism`] only
+/// byte-identical to mapping [`compact`] serially with default options — [`Parallelism`] only
 /// changes wall-clock time. This is the batch entry point for compacting
 /// a whole generator library (the paper's "compact the cell A only
 /// once" economics, multiplied across a cell catalogue).
@@ -502,15 +448,12 @@ pub fn compact_batch(
     } else {
         Parallelism::Serial
     };
+    let opts = LeafOptions {
+        parallelism: inner,
+        ..LeafOptions::default()
+    };
     crate::par::par_map(jobs, parallelism.threads(), |job| {
-        compact_limited_par(
-            &job.cells,
-            &job.interfaces,
-            rules,
-            solver,
-            &Limits::NONE,
-            inner,
-        )
+        compact(&job.cells, &job.interfaces, rules, solver, &opts)
     })
     .into_iter()
     .map(|slot| match slot {
@@ -670,7 +613,7 @@ mod tests {
             y_offset: 0,
             name: "lambda_a".into(),
         }];
-        let out = compact(&[cell], &ifaces, &rules(), &bf()).unwrap();
+        let out = compact(&[cell], &ifaces, &rules(), &bf(), &LeafOptions::default()).unwrap();
         assert_eq!(out.unknowns, 4 + 1, "4 edges + 1 pitch");
         // Pitch compacts to the minimum: second box at min poly spacing
         // from first, then wrap: λ = 16-12... solved geometry: boxes 4
@@ -719,8 +662,22 @@ mod tests {
         };
         let r = rules();
         // Heavy weight on l3 → shrink l3 at l2's expense, and vice versa.
-        let favor_l3 = compact(&[cell.clone()], &mk(1, 10), &r, &bf()).unwrap();
-        let favor_l2 = compact(&[cell.clone()], &mk(10, 1), &r, &bf()).unwrap();
+        let favor_l3 = compact(
+            &[cell.clone()],
+            &mk(1, 10),
+            &r,
+            &bf(),
+            &LeafOptions::default(),
+        )
+        .unwrap();
+        let favor_l2 = compact(
+            &[cell.clone()],
+            &mk(10, 1),
+            &r,
+            &bf(),
+            &LeafOptions::default(),
+        )
+        .unwrap();
         let (l2a, l3a) = (favor_l3.pitches[0].1, favor_l3.pitches[1].1);
         let (l2b, l3b) = (favor_l2.pitches[0].1, favor_l2.pitches[1].1);
         assert!(l3a < l3b, "favoring l3 shrinks it: {l3a} vs {l3b}");
@@ -758,7 +715,7 @@ mod tests {
                 name: "vert".into(),
             },
         ];
-        let out = compact(&[a, b], &ifaces, &rules(), &bf()).unwrap();
+        let out = compact(&[a, b], &ifaces, &rules(), &bf(), &LeafOptions::default()).unwrap();
         // Intra: A's two diff boxes pull to 6λ spacing (6 at λ=2): second
         // box at 12..18. A–B pitch: B clears A's right box by 6.
         let a_boxes: Vec<(Layer, Rect)> = out.cells[0].boxes().collect();
@@ -786,7 +743,7 @@ mod tests {
             name: "l".into(),
         }];
         let r = rules();
-        let out = compact(&[cell], &ifaces, &r, &bf()).unwrap();
+        let out = compact(&[cell], &ifaces, &r, &bf(), &LeafOptions::default()).unwrap();
         let lambda = out.pitches[0].1;
         // Tile 3 instances and scan the flat result: no violations.
         let mut flat: Vec<(Layer, Rect)> = Vec::new();
@@ -795,7 +752,14 @@ mod tests {
                 flat.push((l, rect.translate(rsg_geom::Vector::new(k * lambda, 0))));
             }
         }
-        let (sys, vars) = scanline::generate(&flat, &r, Method::Visibility, Axis::X);
+        let (sys, vars) = scanline::generate(
+            &flat,
+            &r,
+            Method::Visibility,
+            Axis::X,
+            Prune::Apply,
+            Parallelism::Serial,
+        );
         let positions: Vec<i64> = flat
             .iter()
             .flat_map(|(_, rect)| [rect.lo().x, rect.hi().x])
@@ -829,7 +793,7 @@ mod tests {
         let r = rules();
         // Metal1 and poly never interact in the Mead–Conway set: without
         // the floor this pitch collapsed to 0 (the pinned quirk).
-        let out = compact(&[a, b], &ifaces, &r, &bf()).unwrap();
+        let out = compact(&[a, b], &ifaces, &r, &bf(), &LeafOptions::default()).unwrap();
         assert_eq!(out.pitches, vec![("cross".to_string(), r.spacing_floor())]);
         assert_eq!(out.bindings.len(), 1);
         let binding = &out.bindings[0];
@@ -856,7 +820,7 @@ mod tests {
             y_offset: 0,
             name: "lambda_a".into(),
         }];
-        let out = compact(&[cell], &ifaces, &rules(), &bf()).unwrap();
+        let out = compact(&[cell], &ifaces, &rules(), &bf(), &LeafOptions::default()).unwrap();
         let binding = &out.bindings[0];
         assert_eq!(binding.name, "lambda_a");
         assert_eq!(binding.value, 16);
@@ -883,7 +847,7 @@ mod tests {
             y_offset: 0,
             name: "tight".into(),
         }];
-        let err = compact(&[cell], &ifaces, &rules(), &bf()).unwrap_err();
+        let err = compact(&[cell], &ifaces, &rules(), &bf(), &LeafOptions::default()).unwrap_err();
         assert!(matches!(err, LeafError::Infeasible(_)), "{err}");
     }
 
@@ -960,7 +924,16 @@ mod tests {
         let r = rules();
         let expected: Vec<CompactionResult> = jobs
             .iter()
-            .map(|job| compact(&job.cells, &job.interfaces, &r, &bf()).unwrap())
+            .map(|job| {
+                compact(
+                    &job.cells,
+                    &job.interfaces,
+                    &r,
+                    &bf(),
+                    &LeafOptions::default(),
+                )
+                .unwrap()
+            })
             .collect();
         // Self-check: the jobs really are pairwise distinguishable, so a
         // permuted or collated batch cannot pass by accident.

@@ -14,9 +14,8 @@
 //!   coverage is answered from an [`rsg_geom::GeomIndex`] instead of
 //!   rescanning every box per candidate pair,
 //! * [`engine`] — flat compaction along either axis plus the
-//!   alternating-axis fixpoint [`engine::compact_xy`] (§6.4), now
-//!   warm-starting each sweep from the previous pass's positions and
-//!   reporting a per-pass [`engine::CompactReport`],
+//!   alternating-axis fixpoint [`engine::compact_xy`] (§6.4), reporting
+//!   a per-sweep [`engine::CompactReport`],
 //! * [`leaf`] — the leaf-cell compactor proper: intra-cell plus
 //!   interface-folded inter-cell constraints, solved for edge positions
 //!   *and* pitches simultaneously, with [`leaf::compact_batch`] fanning
@@ -24,14 +23,14 @@
 //! * [`layers`] — pseudo-layer handling: contact expansion (Fig 6.9) and
 //!   transistor-gate detection (§6.4.3),
 //! * [`incremental`] — a persistent [`incremental::CompactSession`] that
-//!   caches leaf results, interface abstracts, constraint emission, and
-//!   sweep solves by content hash, so recompacting after a one-leaf edit
-//!   re-does work only where the edit is visible — bit-identical to the
-//!   from-scratch flow.
+//!   caches leaf results and per-cell outcomes (with the interface
+//!   abstracts riding on them) by content hash, so recompacting after a
+//!   one-leaf edit re-does work only where the edit is visible —
+//!   bit-identical to the from-scratch flow.
 //!
 //! The solving layer itself — [`ConstraintSystem`] with its CSR
 //! [`rsg_solve::ConstraintGraph`], the longest-path [`solver`]s
-//! (sorted Bellman-Ford, one-pass topological, warm-started), the
+//! (sorted Bellman-Ford, one-pass topological, balanced), the
 //! [`simplex`] pitch LP, and the pluggable [`backend`] trait — lives in
 //! the [`rsg_solve`] crate and is re-exported here, so
 //! `rsg_compact::{ConstraintSystem, VarId, Solver, ...}` paths keep
@@ -40,7 +39,8 @@
 //! # Example
 //!
 //! ```
-//! use rsg_compact::{scanline, solver, ConstraintSystem};
+//! use rsg_compact::scanline::{self, Method, Prune};
+//! use rsg_compact::{par::Parallelism, solver};
 //! use rsg_geom::{Axis, Rect};
 //! use rsg_layout::{Layer, Technology};
 //!
@@ -49,8 +49,14 @@
 //!     (Layer::Poly, Rect::from_coords(0, 0, 4, 20)),
 //!     (Layer::Poly, Rect::from_coords(30, 0, 34, 20)), // far right: slack
 //! ];
-//! let (sys, vars) =
-//!     scanline::generate(&boxes, &tech.rules, scanline::Method::Visibility, Axis::X);
+//! let (sys, vars) = scanline::generate(
+//!     &boxes,
+//!     &tech.rules,
+//!     Method::Visibility,
+//!     Axis::X,
+//!     Prune::Apply,
+//!     Parallelism::Serial,
+//! );
 //! let sol = solver::solve(&sys, solver::EdgeOrder::Sorted).unwrap();
 //! // Left-packed: the right box pulls in to the 2λ poly spacing.
 //! let left_edge_of_right_box = sol.position(vars[1].left);

@@ -83,6 +83,9 @@ pub struct Limits {
     /// Cap on the constraint count of any one generated system.
     pub max_constraints: Option<u64>,
     /// Cap on cumulative solver relaxation passes within one cell sweep.
+    /// Every pitch-fixpoint round solves from zero, so a sweep spends
+    /// its rounds times the passes one cold solve needs (about two with
+    /// sorted edges).
     pub max_solve_passes: Option<u64>,
     /// Wall-clock deadline; checked at the same checkpoints as the
     /// counts. Excluded from incremental context hashes (wall-clock

@@ -35,7 +35,7 @@
 //! perpendicular axis (frozen during the sweep).
 
 use crate::par::Parallelism;
-use crate::scratch::{ScanScratch, SweepScratch};
+use crate::scratch::ScanScratch;
 use crate::{ConstraintSystem, VarId};
 use rsg_geom::{Axis, CoverageProfile, GeomIndex, Rect};
 use rsg_layout::{DesignRules, Layer};
@@ -80,125 +80,57 @@ pub enum Prune {
 /// Edges perpendicular to the sweep "play no role in the constraint
 /// representation and are assumed to shrink or expand in response" —
 /// coordinates across the axis are untouched throughout.
+///
+/// With [`Prune::Keep`] the full spacing emission is kept (the
+/// reference the pruning-equivalence tests compare against). `par` fans
+/// the spacing scan across workers; the emitted system is
+/// **bit-identical** at any thread count: workers scan disjoint ranges
+/// of low boxes against the shared read-only index and their constraint
+/// blocks are appended in range order, reproducing the serial emission
+/// order exactly (the prune pass then runs serially over that list).
 pub fn generate(
     boxes: &[(Layer, Rect)],
     rules: &DesignRules,
     method: Method,
     axis: Axis,
-) -> (ConstraintSystem, Vec<BoxVars>) {
-    generate_par(boxes, rules, method, axis, Parallelism::Serial)
-}
-
-/// [`generate`] with the spacing scan fanned across worker threads.
-///
-/// The emitted system is **bit-identical** to the serial one at any
-/// thread count: workers scan disjoint ranges of low boxes against the
-/// shared read-only index and their constraint blocks are appended in
-/// range order, reproducing the serial emission order exactly (the
-/// prune pass then runs serially over that shared list).
-pub fn generate_par(
-    boxes: &[(Layer, Rect)],
-    rules: &DesignRules,
-    method: Method,
-    axis: Axis,
-    par: Parallelism,
-) -> (ConstraintSystem, Vec<BoxVars>) {
-    generate_with(boxes, rules, method, axis, Prune::Apply, par)
-}
-
-/// [`generate_par`] with explicit [`Prune`] control — the entry point
-/// the pruning-equivalence tests and benches use to obtain the unpruned
-/// reference system.
-pub fn generate_with(
-    boxes: &[(Layer, Rect)],
-    rules: &DesignRules,
-    method: Method,
-    axis: Axis,
     prune: Prune,
     par: Parallelism,
 ) -> (ConstraintSystem, Vec<BoxVars>) {
-    let mut scratch = SweepScratch::new();
-    let vars = generate_scratch(&mut scratch, boxes, rules, method, axis, prune, par);
-    (std::mem::take(&mut scratch.sys), vars)
-}
-
-/// [`generate_with`] into a reusable [`SweepScratch`]: the system is
-/// reset (keeping its buffers and, when the refill matches the previous
-/// sweep, its CSR graph) and lives inside the scratch afterwards.
-pub(crate) fn generate_scratch(
-    scratch: &mut SweepScratch,
-    boxes: &[(Layer, Rect)],
-    rules: &DesignRules,
-    method: Method,
-    axis: Axis,
-    prune: Prune,
-    par: Parallelism,
-) -> Vec<BoxVars> {
-    let SweepScratch { sys, scan } = scratch;
-    sys.reset(axis);
-    let vars: Vec<BoxVars> = boxes
-        .iter()
-        .map(|(_, r)| {
-            let left = sys.add_var(r.lo_along(axis));
-            let right = sys.add_var(r.hi_along(axis));
-            BoxVars { left, right }
-        })
-        .collect();
-    append_constraints_with(sys, boxes, &vars, rules, method, prune, par, scan);
-    vars
-}
-
-/// Appends the width, connectivity, and spacing constraints for `boxes`
-/// (whose edge variables were already allocated as `vars`) into an
-/// existing system — the building block the leaf compactor reuses per
-/// cell. The sweep axis is taken from [`ConstraintSystem::axis`].
-pub fn append_constraints(
-    sys: &mut ConstraintSystem,
-    boxes: &[(Layer, Rect)],
-    vars: &[BoxVars],
-    rules: &DesignRules,
-    method: Method,
-) {
-    append_constraints_par(sys, boxes, vars, rules, method, Parallelism::Serial);
-}
-
-/// [`append_constraints`] with the spacing scan fanned across workers —
-/// see [`generate_par`] for the determinism contract.
-pub fn append_constraints_par(
-    sys: &mut ConstraintSystem,
-    boxes: &[(Layer, Rect)],
-    vars: &[BoxVars],
-    rules: &DesignRules,
-    method: Method,
-    par: Parallelism,
-) {
-    let mut scratch = ScanScratch::new();
-    append_constraints_with(
-        sys,
+    let mut sys = ConstraintSystem::new_along(axis);
+    let vars = append_boxes(
+        &mut sys,
         boxes,
-        vars,
         rules,
         method,
-        Prune::Apply,
+        prune,
         par,
-        &mut scratch,
+        &mut ScanScratch::new(),
     );
+    (sys, vars)
 }
 
-/// The full generator: width + connectivity + (pruned) spacing, drawing
-/// every buffer from `scratch`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn append_constraints_with(
+/// Allocates the two edge variables of each box (low then high, in box
+/// order) along [`ConstraintSystem::axis`] and appends the width,
+/// connectivity and (pruned) spacing constraints between them, drawing
+/// every buffer from `scratch` — the building block [`generate`], the
+/// flat engine and the leaf compactor (once per cell) share.
+pub(crate) fn append_boxes(
     sys: &mut ConstraintSystem,
     boxes: &[(Layer, Rect)],
-    vars: &[BoxVars],
     rules: &DesignRules,
     method: Method,
     prune: Prune,
     par: Parallelism,
     scratch: &mut ScanScratch,
-) {
+) -> Vec<BoxVars> {
     let axis = sys.axis();
+    let vars: Vec<BoxVars> = boxes
+        .iter()
+        .map(|(_, r)| BoxVars {
+            left: sys.add_var(r.lo_along(axis)),
+            right: sys.add_var(r.hi_along(axis)),
+        })
+        .collect();
     let ScanScratch {
         index,
         items,
@@ -219,7 +151,7 @@ pub(crate) fn append_constraints_with(
     *items = stale;
 
     // Width preservation.
-    for ((_, r), bv) in boxes.iter().zip(vars) {
+    for ((_, r), bv) in boxes.iter().zip(&vars) {
         sys.require_exact(bv.left, bv.right, r.extent_along(axis));
     }
 
@@ -309,6 +241,7 @@ pub(crate) fn append_constraints_with(
     for &(i, j, spacing) in spacings.iter() {
         sys.require(vars[i].right, vars[j].left, spacing);
     }
+    vars
 }
 
 /// Collects `(i, j, spacing)` triples for low boxes in `range`, in the
@@ -565,8 +498,22 @@ mod tests {
         let boxes = fragmented_bus(n);
         let r = rules();
 
-        let (band, _) = generate(&boxes, &r, Method::Band, Axis::X);
-        let (vis, vv) = generate(&boxes, &r, Method::Visibility, Axis::X);
+        let (band, _) = generate(
+            &boxes,
+            &r,
+            Method::Band,
+            Axis::X,
+            Prune::Apply,
+            Parallelism::Serial,
+        );
+        let (vis, vv) = generate(
+            &boxes,
+            &r,
+            Method::Visibility,
+            Axis::X,
+            Prune::Apply,
+            Parallelism::Serial,
+        );
         assert!(band.constraints().len() > vis.constraints().len());
 
         // Visibility: the bus survives at its natural length.
@@ -591,8 +538,15 @@ mod tests {
             (Layer::Poly, Rect::from_coords(20, 0, 24, 10)),
         ];
         let r = rules();
-        let (vis, _) = generate(&boxes, &r, Method::Visibility, Axis::X);
-        let (band, _) = generate_with(
+        let (vis, _) = generate(
+            &boxes,
+            &r,
+            Method::Visibility,
+            Axis::X,
+            Prune::Apply,
+            Parallelism::Serial,
+        );
+        let (band, _) = generate(
             &boxes,
             &r,
             Method::Band,
@@ -621,7 +575,7 @@ mod tests {
             (Layer::Poly, Rect::from_coords(30, 0, 34, 20)),
         ];
         let r = rules();
-        let (vis, vars) = generate_with(
+        let (vis, vars) = generate(
             &boxes,
             &r,
             Method::Visibility,
@@ -643,7 +597,14 @@ mod tests {
             (Layer::Metal1, Rect::from_coords(0, 0, 6, 10)),
             (Layer::Poly, Rect::from_coords(10, 0, 14, 10)),
         ];
-        let (sys, _) = generate(&boxes, &rules(), Method::Visibility, Axis::X);
+        let (sys, _) = generate(
+            &boxes,
+            &rules(),
+            Method::Visibility,
+            Axis::X,
+            Prune::Apply,
+            Parallelism::Serial,
+        );
         // Only the 4 width constraints (2 per box).
         assert_eq!(sys.constraints().len(), 4);
     }
@@ -654,7 +615,14 @@ mod tests {
             (Layer::Poly, Rect::from_coords(0, 0, 4, 10)),
             (Layer::Poly, Rect::from_coords(10, 20, 14, 30)),
         ];
-        let (sys, _) = generate(&boxes, &rules(), Method::Band, Axis::X);
+        let (sys, _) = generate(
+            &boxes,
+            &rules(),
+            Method::Band,
+            Axis::X,
+            Prune::Apply,
+            Parallelism::Serial,
+        );
         assert_eq!(sys.constraints().len(), 4);
     }
 
@@ -668,7 +636,14 @@ mod tests {
             (Layer::Metal1, Rect::from_coords(60, 0, 70, 6)),
         ];
         let r = rules();
-        let (sys, vars) = generate(&boxes, &r, Method::Visibility, Axis::X);
+        let (sys, vars) = generate(
+            &boxes,
+            &r,
+            Method::Visibility,
+            Axis::X,
+            Prune::Apply,
+            Parallelism::Serial,
+        );
         let sol = solve(&sys, EdgeOrder::Sorted).unwrap();
         // Boxes 0 and 1 stay rigidly attached (overlap preserved).
         assert_eq!(
@@ -691,7 +666,14 @@ mod tests {
             (Layer::Diffusion, Rect::from_coords(5, 0, 17, 8)),
             (Layer::Diffusion, Rect::from_coords(40, 2, 49, 6)),
         ];
-        let (sys, vars) = generate(&boxes, &rules(), Method::Visibility, Axis::X);
+        let (sys, vars) = generate(
+            &boxes,
+            &rules(),
+            Method::Visibility,
+            Axis::X,
+            Prune::Apply,
+            Parallelism::Serial,
+        );
         let sol = solve(&sys, EdgeOrder::Sorted).unwrap();
         assert_eq!(sol.position(vars[0].right) - sol.position(vars[0].left), 12);
         assert_eq!(sol.position(vars[1].right) - sol.position(vars[1].left), 9);
@@ -712,10 +694,9 @@ mod tests {
         let r = rules();
         for method in [Method::Band, Method::Visibility] {
             for prune in [Prune::Apply, Prune::Keep] {
-                let (sys_y, _) =
-                    generate_with(&boxes, &r, method, Axis::Y, prune, Parallelism::Serial);
+                let (sys_y, _) = generate(&boxes, &r, method, Axis::Y, prune, Parallelism::Serial);
                 let (sys_xt, _) =
-                    generate_with(&transposed, &r, method, Axis::X, prune, Parallelism::Serial);
+                    generate(&transposed, &r, method, Axis::X, prune, Parallelism::Serial);
                 assert_eq!(sys_y.axis(), Axis::Y);
                 assert_eq!(sys_y.constraints(), sys_xt.constraints());
                 assert_eq!(sys_y.num_vars(), sys_xt.num_vars());
@@ -730,7 +711,14 @@ mod tests {
             (Layer::Metal1, Rect::from_coords(0, 40, 20, 46)), // far above: slack
         ];
         let r = rules();
-        let (sys, vars) = generate(&boxes, &r, Method::Visibility, Axis::Y);
+        let (sys, vars) = generate(
+            &boxes,
+            &r,
+            Method::Visibility,
+            Axis::Y,
+            Prune::Apply,
+            Parallelism::Serial,
+        );
         let sol = solve(&sys, EdgeOrder::Sorted).unwrap();
         let spacing = r.min_spacing(Layer::Metal1, Layer::Metal1).unwrap();
         assert_eq!(
@@ -750,8 +738,15 @@ mod tests {
             (Layer::Poly, Rect::from_coords(34, 0, 38, 10)),
         ];
         let r = rules();
-        let (pruned, pv) = generate(&boxes, &r, Method::Visibility, Axis::X);
-        let (full, fv) = generate_with(
+        let (pruned, pv) = generate(
+            &boxes,
+            &r,
+            Method::Visibility,
+            Axis::X,
+            Prune::Apply,
+            Parallelism::Serial,
+        );
+        let (full, fv) = generate(
             &boxes,
             &r,
             Method::Visibility,
@@ -776,7 +771,7 @@ mod tests {
         }
         let r = rules();
         for prune in [Prune::Apply, Prune::Keep] {
-            let (serial, _) = generate_with(
+            let (serial, _) = generate(
                 &boxes,
                 &r,
                 Method::Visibility,
@@ -784,7 +779,7 @@ mod tests {
                 prune,
                 Parallelism::Serial,
             );
-            let (par, _) = generate_with(
+            let (par, _) = generate(
                 &boxes,
                 &r,
                 Method::Visibility,

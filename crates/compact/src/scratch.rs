@@ -3,16 +3,13 @@
 //! One compaction run is many sweeps over the same boxes: `compact_xy`
 //! alternates axes until a fixpoint, the hierarchical walker re-sweeps
 //! every cluster per pass, and the pitch fixpoint re-solves dozens of
-//! times. Before this module each sweep rebuilt everything from cold —
-//! constraint system, CSR graph, spatial index, candidate buffers — so
-//! the allocator sat squarely on the hot path at megachip scale.
+//! times. Rebuilding the constraint system, CSR graph, spatial index and
+//! candidate buffers from nothing per sweep put the allocator on the hot
+//! path at megachip scale.
 //!
 //! [`SweepScratch`] keeps those allocations alive between sweeps:
-//! clear-and-refill instead of drop-and-rebuild. The constraint system
-//! inside goes further than capacity reuse — via
-//! [`ConstraintSystem::reset`] it snapshots the previous sweep's content,
-//! and a refill that reproduces it byte-for-byte (the converged final
-//! alternation) gets the previous CSR graph back without any rebuild.
+//! clear-and-refill instead of drop-and-rebuild. [`ConstraintSystem::reset`]
+//! parks the retired CSR graph so the next build recycles its buffers.
 
 use crate::ConstraintSystem;
 use rsg_geom::{Axis, CoverageProfile, GeomIndex, Rect};
@@ -73,12 +70,8 @@ impl Default for ScanScratch {
 }
 
 /// Arena for a full sweep: the constraint system (with its cached CSR
-/// graph and double-buffered content snapshot) plus the scan buffers.
-///
-/// [`crate::engine::compact_xy`] holds one per axis so that each
-/// refill's snapshot comparison runs against the *same axis's* previous
-/// sweep; the hierarchical walker and the leaf compactor thread one
-/// through their fixpoint rounds the same way.
+/// graph) plus the scan buffers. [`crate::engine::compact_xy`] threads
+/// one through every sweep; the hierarchical walker holds one per axis.
 #[derive(Debug, Default)]
 pub struct SweepScratch {
     pub(crate) sys: ConstraintSystem,

@@ -22,7 +22,7 @@ use rsg_compact::backend::BellmanFord;
 use rsg_compact::hier::{compact_cell, compact_hierarchy, ChipLayout, HierError, HierOptions};
 use rsg_compact::incremental::CompactSession;
 use rsg_compact::par::Parallelism;
-use rsg_geom::{Orientation, Point, Rect};
+use rsg_geom::{BoundingBox, Orientation, Point, Rect};
 use rsg_layout::{
     drc, CellDefinition, CellId, CellTable, DesignRules, FlatBox, FlatLayout, Instance, Layer,
     LayoutError, Technology,
@@ -51,11 +51,36 @@ fn lane_cell(name: &str, lanes: &[(usize, i64, i64, i64)]) -> CellDefinition {
     c
 }
 
+/// The union of the images of `bbs` under all eight orientations about
+/// the origin: a grid cell this size, with an instance's origin at the
+/// cell corner minus its low corner, holds any of the children in any
+/// orientation.
+fn oriented_reach(bbs: &[Rect]) -> Rect {
+    let mut reach = BoundingBox::new();
+    for &bb in bbs {
+        for o in Orientation::ALL {
+            reach.include_rect(bb.transform_orientation(o));
+        }
+    }
+    reach.rect().expect("non-empty")
+}
+
 /// A three-level chip with real per-level width: two leaf definitions,
 /// one grid block over each, and a top row alternating the blocks. The
 /// dependency-level scheduler sees both blocks as one two-wide wave, so
-/// every `Threads(n)` run genuinely fans out.
-fn chip(lanes_a: &Lanes, lanes_b: &Lanes, nx: i64, ny: i64, blocks: i64) -> (CellTable, CellId) {
+/// every `Threads(n)` run genuinely fans out. Instance `k` of each cell
+/// takes orientation `Orientation::ALL[orients[k % orients.len()]]`,
+/// on a grid pitched 8 past the children's oriented reach so the
+/// input stays legal.
+fn chip(
+    lanes_a: &Lanes,
+    lanes_b: &Lanes,
+    nx: i64,
+    ny: i64,
+    blocks: i64,
+    orients: &[usize],
+) -> (CellTable, CellId) {
+    let orient = |k: i64| Orientation::ALL[orients[k as usize % orients.len()]];
     let mut t = CellTable::new();
     let a = lane_cell("leaf_a", lanes_a);
     let b = lane_cell("leaf_b", lanes_b);
@@ -65,14 +90,15 @@ fn chip(lanes_a: &Lanes, lanes_b: &Lanes, nx: i64, ny: i64, blocks: i64) -> (Cel
     let b_id = t.insert(b).unwrap();
 
     let block = |t: &mut CellTable, name: &str, leaf: CellId, bb: Rect| {
-        let (px, py) = (bb.hi().x + 8, bb.hi().y + 8);
+        let reach = oriented_reach(&[bb]);
+        let (px, py) = (reach.width() + 8, reach.height() + 8);
         let mut blk = CellDefinition::new(name);
         for row in 0..ny {
             for col in 0..nx {
                 blk.add_instance(Instance::new(
                     leaf,
-                    Point::new(col * px, row * py),
-                    Orientation::NORTH,
+                    Point::new(col * px - reach.lo().x, row * py - reach.lo().y),
+                    orient(row * nx + col),
                 ));
             }
         }
@@ -80,17 +106,20 @@ fn chip(lanes_a: &Lanes, lanes_b: &Lanes, nx: i64, ny: i64, blocks: i64) -> (Cel
     };
     let blk_a = block(&mut t, "block_a", a_id, bb_a);
     let blk_b = block(&mut t, "block_b", b_id, bb_b);
+    let blk_bbs = [blk_a, blk_b].map(|id| {
+        let flat = rsg_layout::flatten(&t, id).unwrap();
+        flat.bbox().rect().expect("non-empty block")
+    });
 
-    let width_a = (nx - 1) * (bb_a.hi().x + 8) + bb_a.hi().x;
-    let width_b = (nx - 1) * (bb_b.hi().x + 8) + bb_b.hi().x;
-    let pitch = width_a.max(width_b) + 8;
+    let reach = oriented_reach(&blk_bbs);
+    let pitch = reach.width() + 8;
     let mut top = CellDefinition::new("chip");
     for k in 0..blocks {
         let id = if k % 2 == 0 { blk_a } else { blk_b };
         top.add_instance(Instance::new(
             id,
-            Point::new(k * pitch, 0),
-            Orientation::NORTH,
+            Point::new(k * pitch - reach.lo().x, -reach.lo().y),
+            orient(k),
         ));
     }
     let top_id = t.insert(top).unwrap();
@@ -247,10 +276,11 @@ proptest! {
         nx in 1i64..3,
         ny in 1i64..3,
         blocks in 2i64..5,
+        orients in proptest::collection::vec(0usize..8, 5..6),
     ) {
         let tech = Technology::mead_conway(2);
         let solver = BellmanFord::SORTED;
-        let (table, top) = chip(&lanes_a, &lanes_b, nx, ny, blocks);
+        let (table, top) = chip(&lanes_a, &lanes_b, nx, ny, blocks, &orients);
 
         let serial =
             compact_hierarchy(&table, top, &tech.rules, &solver, &HierOptions::default())
@@ -274,10 +304,10 @@ proptest! {
     fn parallel_session_matches_serial_bit_for_bit(
         lanes_a in lanes_strategy(2),
         mut lanes_b in lanes_strategy(2),
-        nx in 1i64..3,
-        ny in 1i64..3,
+        (nx, ny) in (1i64..3, 1i64..3),
         blocks in 2i64..4,
         grow in 8i64..20,
+        orients in proptest::collection::vec(0usize..8, 5..6),
     ) {
         let tech = Technology::mead_conway(2);
         let solver = BellmanFord::SORTED;
@@ -290,7 +320,7 @@ proptest! {
             if step == 1 {
                 lanes_b[0].2 = grow;
             }
-            let (table, top) = chip(&lanes_a, &lanes_b, nx, ny, blocks);
+            let (table, top) = chip(&lanes_a, &lanes_b, nx, ny, blocks, &orients);
             let serial = serial_session
                 .compact_hierarchy(&table, top, &tech.rules, &solver, &HierOptions::default())
                 .unwrap();

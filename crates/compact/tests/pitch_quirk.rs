@@ -16,7 +16,7 @@
 //! tight pitch constraint.
 
 use rsg_compact::backend::BellmanFord;
-use rsg_compact::leaf::{compact, LeafInterface, PitchKind};
+use rsg_compact::leaf::{compact, LeafInterface, LeafOptions, PitchKind};
 use rsg_geom::Rect;
 use rsg_layout::{CellDefinition, DesignRules, Layer, Technology};
 
@@ -47,7 +47,14 @@ fn non_interacting_cross_material_pitch_clamps_to_the_floor() {
     let r = rules();
     let floor = r.spacing_floor();
     assert!(floor > 0, "Mead–Conway has a positive smallest spacing");
-    let out = compact(&[a, b], &[cross_interface(40)], &r, &BellmanFord::SORTED).unwrap();
+    let out = compact(
+        &[a, b],
+        &[cross_interface(40)],
+        &r,
+        &BellmanFord::SORTED,
+        &LeafOptions::default(),
+    )
+    .unwrap();
     assert_eq!(
         out.pitches,
         vec![("cross".to_string(), floor)],
@@ -70,7 +77,14 @@ fn floor_tracks_the_technology_scale() {
         a.add_box(Layer::Metal1, Rect::from_coords(0, 0, 6, 10));
         let mut b = CellDefinition::new("b");
         b.add_box(Layer::Poly, Rect::from_coords(0, 0, 4, 10));
-        let out = compact(&[a, b], &[cross_interface(40)], &r, &BellmanFord::SORTED).unwrap();
+        let out = compact(
+            &[a, b],
+            &[cross_interface(40)],
+            &r,
+            &BellmanFord::SORTED,
+            &LeafOptions::default(),
+        )
+        .unwrap();
         assert_eq!(out.pitches[0].1, r.spacing_floor(), "lambda = {lambda}");
     }
 }
@@ -90,6 +104,7 @@ fn interacting_cross_material_keeps_its_geometric_pitch() {
         &[cross_interface(40)],
         &rules(),
         &BellmanFord::SORTED,
+        &LeafOptions::default(),
     )
     .unwrap();
     let pitch = out.pitches[0].1;

@@ -11,19 +11,19 @@
 //! * leaf: pruned and unpruned library compaction agree on every cell,
 //!   pitch, *and* [`PitchBinding`] diagnostic,
 //! * hier: `HierOptions { prune }` toggled on/off yields identical
-//!   geometry and pitch classes for every assembly cell,
+//!   geometry and pitch classes for every assembly cell, with every
+//!   instance in a random one of the eight orientations,
 //! * plus the headline regression: the 8×8 tiled-array constraint count
 //!   drops ≥ 30% below the recorded full-emission 1568.
 
 use proptest::prelude::*;
 use rsg_compact::backend::BellmanFord;
 use rsg_compact::hier::{compact_hierarchy, HierOptions};
-use rsg_compact::leaf::{compact_limited_par, compact_limited_unpruned, LeafInterface, PitchKind};
-use rsg_compact::limits::Limits;
+use rsg_compact::leaf::{compact, LeafInterface, LeafOptions, PitchKind};
 use rsg_compact::par::Parallelism;
-use rsg_compact::scanline::{generate_with, Method, Prune};
+use rsg_compact::scanline::{generate, Method, Prune};
 use rsg_compact::solver::{solve, EdgeOrder};
-use rsg_geom::{Axis, Orientation, Point, Rect, Vector};
+use rsg_geom::{Axis, BoundingBox, Orientation, Point, Rect, Vector};
 use rsg_layout::{CellDefinition, CellTable, Instance, Layer, Technology};
 
 const LAYERS: [Layer; 3] = [Layer::Poly, Layer::Diffusion, Layer::Metal1];
@@ -58,6 +58,17 @@ fn lane_cell(name: &str, lanes: &[(usize, i64, i64, i64)]) -> CellDefinition {
     c
 }
 
+/// The union of `bb`'s images under all eight orientations about the
+/// origin: a grid cell this size, with the instance's origin at the
+/// cell corner minus its low corner, holds the leaf in any orientation.
+fn oriented_reach(bb: Rect) -> Rect {
+    let mut reach = BoundingBox::new();
+    for o in Orientation::ALL {
+        reach.include_rect(bb.transform_orientation(o));
+    }
+    reach.rect().expect("non-empty")
+}
+
 fn arb_lanes() -> impl Strategy<Value = Vec<(usize, i64, i64, i64)>> {
     proptest::collection::vec((0usize..3, 0i64..12, 8i64..20, 8i64..14), 1..4)
 }
@@ -71,10 +82,10 @@ proptest! {
     fn pruned_flat_generation_solves_identically(boxes in arb_boxes()) {
         let rules = Technology::mead_conway(2).rules.clone();
         for axis in Axis::BOTH {
-            let (full, vars_full) = generate_with(
+            let (full, vars_full) = generate(
                 &boxes, &rules, Method::Visibility, axis, Prune::Keep, Parallelism::Serial,
             );
-            let (pruned, vars_pruned) = generate_with(
+            let (pruned, vars_pruned) = generate(
                 &boxes, &rules, Method::Visibility, axis, Prune::Apply, Parallelism::Serial,
             );
             prop_assert_eq!(&vars_full, &vars_pruned);
@@ -119,13 +130,12 @@ proptest! {
                 name: "aa".into(),
             },
         ];
-        let pruned = compact_limited_par(
-            &cells, &interfaces, &rules, &BellmanFord::SORTED, &Limits::NONE,
-            Parallelism::Serial,
+        let pruned = compact(
+            &cells, &interfaces, &rules, &BellmanFord::SORTED, &LeafOptions::default(),
         );
-        let full = compact_limited_unpruned(
-            &cells, &interfaces, &rules, &BellmanFord::SORTED, &Limits::NONE,
-            Parallelism::Serial,
+        let full = compact(
+            &cells, &interfaces, &rules, &BellmanFord::SORTED,
+            &LeafOptions { prune: Prune::Keep, ..LeafOptions::default() },
         );
         match (pruned, full) {
             (Ok(p), Ok(f)) => {
@@ -147,20 +157,24 @@ proptest! {
         lanes in arb_lanes(),
         nx in 1i64..4,
         ny in 1i64..3,
+        orients in proptest::collection::vec(0usize..8, 6..7),
     ) {
         let rules = Technology::mead_conway(2).rules.clone();
         let mut table = CellTable::new();
         let leaf = lane_cell("leaf", &lanes);
         let bb = leaf.local_bbox().rect().expect("non-empty leaf");
         let leaf_id = table.insert(leaf).expect("insert leaf");
-        let (px, py) = (bb.hi().x + 8, bb.hi().y + 8);
+        // One grid cell holds the leaf in any orientation, 8 apart.
+        let reach = oriented_reach(bb);
+        let (px, py) = (reach.width() + 8, reach.height() + 8);
         let mut asm = CellDefinition::new("asm");
         for row in 0..ny {
             for col in 0..nx {
+                let k = (row * nx + col) as usize;
                 asm.add_instance(Instance::new(
                     leaf_id,
-                    Point::new(col * px, row * py),
-                    Orientation::NORTH,
+                    Point::new(col * px - reach.lo().x, row * py - reach.lo().y),
+                    Orientation::ALL[orients[k]],
                 ));
             }
         }
@@ -168,11 +182,11 @@ proptest! {
 
         let on = compact_hierarchy(
             &table, top, &rules, &BellmanFord::SORTED,
-            &HierOptions { prune: true, ..HierOptions::default() },
+            &HierOptions { prune: Prune::Apply, ..HierOptions::default() },
         );
         let off = compact_hierarchy(
             &table, top, &rules, &BellmanFord::SORTED,
-            &HierOptions { prune: false, ..HierOptions::default() },
+            &HierOptions { prune: Prune::Keep, ..HierOptions::default() },
         );
         match (on, off) {
             (Ok(a), Ok(b)) => {
@@ -230,7 +244,7 @@ fn prune_is_sound_at_the_coordinate_budget_edge() {
         (Layer::Metal1, Rect::from_coords(m - 100, m - 40, m - 60, m)),
     ];
     for axis in Axis::BOTH {
-        let (full, vars_full) = generate_with(
+        let (full, vars_full) = generate(
             &boxes,
             &rules,
             Method::Visibility,
@@ -238,7 +252,7 @@ fn prune_is_sound_at_the_coordinate_budget_edge() {
             Prune::Keep,
             Parallelism::Serial,
         );
-        let (pruned, vars_pruned) = generate_with(
+        let (pruned, vars_pruned) = generate(
             &boxes,
             &rules,
             Method::Visibility,
@@ -292,7 +306,7 @@ fn tiled(n: usize) -> Vec<(Layer, Rect)> {
 fn tiled_8x8_constraint_count_drops_at_least_30_percent() {
     let rules = Technology::mead_conway(2).rules.clone();
     let boxes = tiled(8);
-    let (full, _) = generate_with(
+    let (full, _) = generate(
         &boxes,
         &rules,
         Method::Visibility,
@@ -300,7 +314,7 @@ fn tiled_8x8_constraint_count_drops_at_least_30_percent() {
         Prune::Keep,
         Parallelism::Serial,
     );
-    let (pruned, _) = generate_with(
+    let (pruned, _) = generate(
         &boxes,
         &rules,
         Method::Visibility,

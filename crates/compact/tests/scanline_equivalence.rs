@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use rsg_compact::par::Parallelism;
-use rsg_compact::scanline::{generate_with, BoxVars, Method, Prune};
+use rsg_compact::scanline::{generate, BoxVars, Method, Prune};
 use rsg_compact::ConstraintSystem;
 use rsg_geom::{Axis, Point, Rect};
 use rsg_layout::{DesignRules, Layer, Technology};
@@ -173,7 +173,7 @@ proptest! {
     fn visibility_scan_equals_reference(boxes in arb_boxes()) {
         let rules = Technology::mead_conway(2).rules.clone();
         for axis in Axis::BOTH {
-            let (new_sys, new_vars) = generate_with(
+            let (new_sys, new_vars) = generate(
                 &boxes,
                 &rules,
                 Method::Visibility,
@@ -241,7 +241,7 @@ fn directed_hidden_edge_cases() {
     ];
     for (k, boxes) in cases.iter().enumerate() {
         for axis in Axis::BOTH {
-            let (new_sys, _) = generate_with(
+            let (new_sys, _) = generate(
                 boxes,
                 &rules,
                 Method::Visibility,

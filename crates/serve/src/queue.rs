@@ -19,7 +19,7 @@ use crate::store::{chip_key, library_key, Store, StoreKey};
 use rsg_compact::backend::{Balanced, BellmanFord, SimplexPitch, Solver, Topological};
 use rsg_compact::hier::{ChipCompaction, HierOptions};
 use rsg_compact::incremental::CompactSession;
-use rsg_compact::leaf::{self, CompactionResult, LibraryJob, PitchBinding};
+use rsg_compact::leaf::{self, CompactionResult, LeafOptions, LibraryJob, PitchBinding};
 use rsg_layout::{write_cif, write_rsgl, CellId, CellTable, DesignRules};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -451,13 +451,17 @@ fn solve_spec(
 ) -> Result<ServedResult, ServeError> {
     match spec {
         JobSpec::Library(job) => {
-            let result = leaf::compact_limited_par(
+            let opts = LeafOptions {
+                limits: shared.opts.limits,
+                parallelism: shared.opts.parallelism,
+                ..LeafOptions::default()
+            };
+            let result = leaf::compact(
                 &job.cells,
                 &job.interfaces,
                 &shared.rules,
                 shared.solver.solver(),
-                &shared.opts.limits,
-                shared.opts.parallelism,
+                &opts,
             )?;
             render_library(&result)
         }

@@ -9,8 +9,7 @@
 //! `rsg-compact` run unchanged over any of:
 //!
 //! * [`BellmanFord`] — left-packing longest path, in either
-//!   [`EdgeOrder`]; the paper's default. Accepts a warm-start position
-//!   vector through [`Solver::solve_system_warm`],
+//!   [`EdgeOrder`]; the paper's default,
 //! * [`Topological`] — the one-pass O(V+E) longest path when the
 //!   constraint graph is acyclic, with automatic Bellman-Ford fallback
 //!   when `require_exact` pairs or folded interfaces create cycles,
@@ -67,9 +66,8 @@ pub enum SolveError {
     /// layouts within the [`rsg_geom::MAX_COORD`] ingest budget, typed
     /// instead of wrapping for systems built outside it.
     Overflow(String),
-    /// The request itself was malformed: pitch-weight count mismatch,
-    /// wrong-length warm seed, or constraints referencing variables of a
-    /// different system.
+    /// The request itself was malformed: pitch-weight count mismatch or
+    /// constraints referencing variables of a different system.
     Input(String),
 }
 
@@ -140,25 +138,6 @@ pub trait Solver: Sync {
         sys: &ConstraintSystem,
         pitch_weights: &[i64],
     ) -> Result<Outcome, SolveError>;
-
-    /// Solves with a warm-start position vector (a previous pass's
-    /// solution for the same variables). Backends that cannot exploit a
-    /// seed fall through to [`Solver::solve_system`]; every backend
-    /// returns the same answer either way — warm starting only changes
-    /// the work needed to reach it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError`] when the system is infeasible or pitch
-    /// rounding fails.
-    fn solve_system_warm(
-        &self,
-        sys: &ConstraintSystem,
-        pitch_weights: &[i64],
-        _warm: &[i64],
-    ) -> Result<Outcome, SolveError> {
-        self.solve_system(sys, pitch_weights)
-    }
 }
 
 /// The paper's longest-path solver: every variable at its lowest
@@ -206,21 +185,6 @@ impl Solver for BellmanFord {
         pitch_search(sys, pitch_weights, &|reduced| {
             solver::solve(reduced, self.order)
         })
-    }
-
-    fn solve_system_warm(
-        &self,
-        sys: &ConstraintSystem,
-        pitch_weights: &[i64],
-        warm: &[i64],
-    ) -> Result<Outcome, SolveError> {
-        if sys.num_pitches() == 0 {
-            let sol = solver::solve_warm(sys, self.order, warm)?;
-            return Ok(from_solution(sol));
-        }
-        // Pitch systems go through the LP; the seed cannot shortcut the
-        // pitch search itself.
-        self.solve_system(sys, pitch_weights)
     }
 }
 
@@ -540,25 +504,6 @@ mod tests {
         let topo = Topological.solve_system(&s, &[]).unwrap();
         let bf = BellmanFord::SORTED.solve_system(&s, &[]).unwrap();
         assert_eq!(topo.positions, bf.positions);
-    }
-
-    #[test]
-    fn warm_solve_matches_cold_through_the_trait() {
-        let s = chain();
-        let cold = BellmanFord::SORTED.solve_system(&s, &[]).unwrap();
-        let warm = BellmanFord::SORTED
-            .solve_system_warm(&s, &[], &cold.positions)
-            .unwrap();
-        assert_eq!(warm.positions, cold.positions);
-        assert!(warm.passes < cold.passes, "seeded with the answer");
-        // Backends without a warm path fall through and still agree.
-        let bal = Balanced
-            .solve_system_warm(&s, &[], &cold.positions)
-            .unwrap();
-        assert_eq!(
-            bal.positions,
-            Balanced.solve_system(&s, &[]).unwrap().positions
-        );
     }
 
     #[test]

@@ -77,17 +77,10 @@ pub struct ConstraintSystem {
     pitch_names: Vec<String>,
     constraints: Vec<Constraint>,
     graph: OnceLock<ConstraintGraph>,
-    /// Content snapshot taken by the last [`ConstraintSystem::reset`].
-    /// `prev_valid` records whether `spare` holds the graph built for
-    /// exactly that snapshot, so a refill that reproduces the previous
-    /// sweep's content can skip the CSR rebuild wholesale.
-    prev_axis: Axis,
-    prev_var_initial: Vec<i64>,
-    prev_constraints: Vec<Constraint>,
-    prev_valid: bool,
-    /// Retired graph parked for buffer reuse (or, with `prev_valid`,
-    /// wholesale reuse). A `Mutex` only because `OnceLock` forces the
-    /// lazy `graph()` path to run under `&self`; it is never contended.
+    /// Retired graph parked so the next build recycles its buffers
+    /// (kept on measurement, DESIGN.md "Solver-side slimming"). A
+    /// `Mutex` only because `OnceLock` forces the lazy `graph()` path to
+    /// run under `&self`; it is never contended.
     spare: Mutex<Option<ConstraintGraph>>,
 }
 
@@ -100,10 +93,6 @@ impl Clone for ConstraintSystem {
             pitch_names: self.pitch_names.clone(),
             constraints: self.constraints.clone(),
             graph: OnceLock::new(),
-            prev_axis: self.axis,
-            prev_var_initial: Vec::new(),
-            prev_constraints: Vec::new(),
-            prev_valid: false,
             spare: Mutex::new(None),
         }
     }
@@ -130,31 +119,15 @@ impl ConstraintSystem {
             pitch_names: Vec::new(),
             constraints: Vec::new(),
             graph: OnceLock::new(),
-            prev_axis: axis,
-            prev_var_initial: Vec::new(),
-            prev_constraints: Vec::new(),
-            prev_valid: false,
             spare: Mutex::new(None),
         }
     }
 
     /// Empties the system for refilling along `axis`, keeping every
     /// allocation — variable and constraint storage, and the cached CSR
-    /// graph's buffers — for the next sweep. The outgoing content is
-    /// snapshotted: if the refill reproduces it exactly (the common case
-    /// once a compaction alternation converges), [`ConstraintSystem::graph`]
-    /// hands back the previous graph without rebuilding anything.
+    /// graph's buffers — for the next sweep.
     pub fn reset(&mut self, axis: Axis) {
-        self.prev_valid = self.graph.get().is_some();
-        if let Some(g) = self.graph.take() {
-            match self.spare.lock() {
-                Ok(mut spare) => *spare = Some(g),
-                Err(_) => self.prev_valid = false,
-            }
-        }
-        std::mem::swap(&mut self.var_initial, &mut self.prev_var_initial);
-        std::mem::swap(&mut self.constraints, &mut self.prev_constraints);
-        self.prev_axis = self.axis;
+        self.discard_graph();
         self.axis = axis;
         self.var_initial.clear();
         self.constraints.clear();
@@ -165,7 +138,6 @@ impl ConstraintSystem {
     /// the next build can recycle its buffers.
     fn discard_graph(&mut self) {
         if let Some(g) = self.graph.take() {
-            self.prev_valid = false;
             if let Ok(mut spare) = self.spare.lock() {
                 *spare = Some(g);
             }
@@ -333,28 +305,15 @@ impl ConstraintSystem {
         self.constraints.iter().any(|c| c.pitch.is_some())
     }
 
-    /// The CSR adjacency view, built on first use and cached until the
-    /// system is mutated. Shared by every solver backend.
-    ///
-    /// After a [`ConstraintSystem::reset`], a refill whose content
-    /// matches the previous sweep byte-for-byte gets the previous graph
-    /// back unchanged; any other refill still recycles its buffers.
+    /// The CSR adjacency view, built on first use (recycling the buffers
+    /// of the last discarded graph) and cached until the system is
+    /// mutated. Shared by every solver backend.
     pub fn graph(&self) -> &ConstraintGraph {
-        self.graph.get_or_init(|| {
-            let spare = self.spare.lock().ok().and_then(|mut s| s.take());
-            match spare {
-                Some(g)
-                    if self.prev_valid
-                        && self.prev_axis == self.axis
-                        && self.prev_var_initial == self.var_initial
-                        && self.prev_constraints == self.constraints =>
-                {
-                    g
-                }
+        self.graph
+            .get_or_init(|| match self.spare.lock().ok().and_then(|mut s| s.take()) {
                 Some(g) => ConstraintGraph::build_reusing(self, g),
                 None => ConstraintGraph::build(self),
-            }
-        })
+            })
     }
 
     /// Slack of one constraint under a candidate solution:
@@ -500,7 +459,6 @@ mod tests {
         s.require(a, b, 5);
         s.require(b, c, 7);
         let _ = s.graph();
-        let warm = BellmanFord::SORTED.solve_system(&s, &[]).unwrap();
         s.set_weight(0, 11);
         s.set_weight(1, 3);
         let mut cold_sys = ConstraintSystem::new();
@@ -514,11 +472,6 @@ mod tests {
             let cold = solver.solve_system(&cold_sys, &[]).unwrap();
             assert_eq!(patched.positions, cold.positions, "{}", solver.name());
         }
-        // Warm-start over the patched graph is exact too.
-        let seeded = BellmanFord::SORTED
-            .solve_system_warm(&s, &[], &warm.positions)
-            .unwrap();
-        assert_eq!(seeded.positions, vec![0, 11, 14]);
     }
 
     #[test]
@@ -602,9 +555,9 @@ mod tests {
         s.reset(Axis::X);
         assert_eq!(s.num_vars(), 0);
         assert_eq!(s.constraints().len(), 0);
+        // The refill rebuilds into the retired graph's buffers.
         fill(&mut s);
         assert_eq!(*s.graph(), cold);
-        // A refill with different content must NOT reuse wholesale.
         s.reset(Axis::Y);
         let a = s.add_var(0);
         let b = s.add_var(4);

@@ -346,8 +346,8 @@ fn topo_order(
 /// source-to-`v` order. The sum of the chain's effective weights equals
 /// `positions[v]` exactly.
 ///
-/// Found by a BFS over tight edges forward from the zero set — the same
-/// support sweep that proves a solution least — so every link's own
+/// Found by a BFS over tight edges forward from the zero set (the
+/// support sweep that proves a solution least), so every link's own
 /// chain is grounded and zero-weight tight cycles (equality pairs)
 /// cannot trap the walk. For a variable a non-least candidate holds
 /// above its supported position no grounded chain exists and the result
@@ -358,53 +358,11 @@ pub(crate) fn critical_path(
     pitches: &[i64],
     v: VarId,
 ) -> Vec<Constraint> {
-    let support = support_sweep(sys, positions, pitches, Some(v));
-    let constraints = sys.constraints();
-    let mut chain = Vec::new();
-    let mut cur = v;
-    while support.pred[cur.index()] != NO_PRED {
-        let c = constraints[support.pred[cur.index()] as usize];
-        chain.push(c);
-        cur = c.from;
-    }
-    chain.reverse();
-    chain
-}
-
-pub(crate) const NO_PRED: u32 = u32::MAX;
-
-/// Result of [`support_sweep`]: which variables a chain of tight
-/// constraints connects to the zero set, and the discovering constraint
-/// per variable ([`NO_PRED`] for zero-set members and unsupported
-/// variables).
-pub(crate) struct Support {
-    pub supported: Vec<bool>,
-    pub pred: Vec<u32>,
-}
-
-impl Support {
-    /// `true` when every variable is supported — the candidate is the
-    /// least solution.
-    pub fn all_supported(&self) -> bool {
-        self.supported.iter().all(|&s| s)
-    }
-}
-
-/// BFS over tight (zero-slack) edges forward from the zero set — the
-/// shared core of the warm-start exactness check and the critical-path
-/// walk. A supported variable's position is witnessed by a grounded
-/// chain of tight constraints; in a feasible candidate that makes it
-/// exactly the variable's least position. Stops early once `until` is
-/// supported.
-pub(crate) fn support_sweep(
-    sys: &ConstraintSystem,
-    positions: &[i64],
-    pitches: &[i64],
-    until: Option<VarId>,
-) -> Support {
+    const NO_PRED: u32 = u32::MAX;
     let graph = sys.graph();
-    let n = sys.num_vars();
     let constraints = sys.constraints();
+    let n = sys.num_vars();
+    // Discovering constraint per variable; zero-set members have none.
     let mut pred = vec![NO_PRED; n];
     let mut supported = vec![false; n];
     let mut queue: Vec<usize> = (0..n).filter(|&u| positions[u] == 0).collect();
@@ -424,12 +382,20 @@ pub(crate) fn support_sweep(
             if sys.slack_of(c, positions, pitches) == 0 {
                 supported[t] = true;
                 pred[t] = e.constraint;
-                if until.is_some_and(|v| t == v.index()) {
+                if t == v.index() {
                     break 'bfs;
                 }
                 queue.push(t);
             }
         }
     }
-    Support { supported, pred }
+    let mut chain = Vec::new();
+    let mut cur = v;
+    while pred[cur.index()] != NO_PRED {
+        let c = constraints[pred[cur.index()] as usize];
+        chain.push(c);
+        cur = c.from;
+    }
+    chain.reverse();
+    chain
 }

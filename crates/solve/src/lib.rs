@@ -12,8 +12,7 @@
 //!   each backend re-deriving its own view of the flat constraint list,
 //! * [`solver`] — the longest-path procedures: sorted-edge Bellman-Ford
 //!   (§6.4.2), a one-pass **topological** solver for acyclic systems,
-//!   a **warm-started** relaxation seeded from a previous solution, and
-//!   the jog-avoiding balanced mode (Fig 6.8),
+//!   and the jog-avoiding balanced mode (Fig 6.8),
 //! * [`simplex`] — the dense Big-M LP for pitch trade-offs (§6.2),
 //! * [`backend`] — the [`Solver`] trait the compaction pipeline is
 //!   generic over, plus per-constraint **slack** and `critical_path`

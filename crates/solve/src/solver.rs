@@ -1,6 +1,6 @@
 //! Longest-path constraint solving (§6.4.2): sorted-edge Bellman-Ford,
-//! a one-pass topological solver for acyclic systems, warm-started
-//! relaxation, and the jog-avoiding balanced mode (Fig 6.8).
+//! a one-pass topological solver for acyclic systems, and the
+//! jog-avoiding balanced mode (Fig 6.8).
 //!
 //! "The Bellman Ford assigns to each vertex the lowest possible abscissa
 //! subject to the constraints. The algorithm proved to be extremely fast,
@@ -19,13 +19,12 @@
 //! * [`solve_topo`] — one O(V+E) pass in topological order when the
 //!   graph is acyclic (`require_exact` pairs and folded interfaces make
 //!   it cyclic; callers fall back to [`solve`]),
-//! * [`solve_warm`] — relaxation seeded from a previous solution; exact
-//!   (bit-for-bit the least solution, via a support check that resets
-//!   any variable the seed overshot), and near-free when the seed is
-//!   already the answer — the alternating x/y engine's case,
 //! * [`solve_balanced`] — "rubber bands instead of ... a large magnet on
 //!   the left": slack distributed on both sides (Fig 6.8).
 //!
+//! Every procedure relaxes from zero. With sorted edges a layout whose
+//! ordering survives compaction settles in about two passes, which
+//! leaves a seeded start nothing measurable to save (DESIGN.md, E18).
 //! The solvers report relaxation passes so experiments E12/E18 can
 //! regenerate the paper's pass-count claims.
 
@@ -125,8 +124,8 @@ pub enum SolveFault {
         at: &'static str,
     },
     /// The system cannot be handled by this procedure as shaped: pitch
-    /// terms (those need the LP), a seed of the wrong length, or a
-    /// constraint referencing a variable of a different system.
+    /// terms (those need the LP) or a constraint referencing a variable
+    /// of a different system.
     Shape(String),
 }
 
@@ -237,60 +236,6 @@ pub fn solve(sys: &ConstraintSystem, order: EdgeOrder) -> Result<Solution, Solve
     check_shape(sys)?;
     let mut x = vec![0i64; sys.num_vars()];
     let passes = relax(sys, order, &mut x)?;
-    Ok(Solution {
-        positions: x,
-        passes,
-    })
-}
-
-/// Solves seeded from `warm` (typically a previous pass's positions).
-///
-/// The result is bit-for-bit the same least solution [`solve`] computes,
-/// for *any* seed: relaxation from the clamped seed reaches a feasible
-/// fixpoint, then a support sweep finds variables the seed overshot —
-/// a variable is supported when a chain of tight constraints connects it
-/// to a variable at 0 — resets the unsupported ones, and re-relaxes from
-/// what is now a proven under-approximation. When the seed *is* the
-/// least solution (the alternating-engine steady state) the whole call
-/// is one verification pass plus one O(V+E) sweep.
-///
-/// # Errors
-///
-/// Returns [`SolveFault::Infeasible`] when the constraints contain a
-/// positive cycle, and [`SolveFault::Shape`] when the system carries
-/// pitch terms or `warm` has the wrong length.
-pub fn solve_warm(
-    sys: &ConstraintSystem,
-    order: EdgeOrder,
-    warm: &[i64],
-) -> Result<Solution, SolveFault> {
-    check_shape(sys)?;
-    let n = sys.num_vars();
-    if warm.len() != n {
-        return Err(SolveFault::Shape(format!(
-            "warm seed has {} positions for {n} variables",
-            warm.len()
-        )));
-    }
-    let mut x: Vec<i64> = warm.iter().map(|&w| w.max(0)).collect();
-    let mut passes = relax(sys, order, &mut x)?;
-
-    // Support sweep over tight edges from the zero set. Feasibility
-    // makes every position ≥ its least value; a tight chain from a zero
-    // variable makes it ≤. Unsupported variables are exactly the ones
-    // the seed pushed past their least position.
-    let support = crate::graph::support_sweep(sys, &x, &[], None);
-    if !support.all_supported() {
-        // Supported variables already sit at their least positions;
-        // resetting the rest to 0 yields a pointwise under-approximation
-        // of the least solution, from which relaxation is exact.
-        for (xi, &ok) in x.iter_mut().zip(&support.supported) {
-            if !ok {
-                *xi = 0;
-            }
-        }
-        passes += relax(sys, order, &mut x)?;
-    }
     Ok(Solution {
         positions: x,
         passes,
@@ -437,8 +382,6 @@ mod tests {
         s.require(b, a, -4); // b − a ≥ 5 and a − b ≥ −4 → a ≤ b − 5, a ≥ b − 4: contradiction
         let err = solve(&s, EdgeOrder::Sorted).unwrap_err();
         assert!(err.to_string().contains("infeasible"));
-        // The warm path reports the same infeasibility.
-        assert!(solve_warm(&s, EdgeOrder::Sorted, &[0, 0]).is_err());
     }
 
     #[test]
@@ -494,46 +437,6 @@ mod tests {
             topo.positions(),
             solve(&s, EdgeOrder::Sorted).unwrap().positions()
         );
-    }
-
-    #[test]
-    fn warm_start_from_the_answer_takes_one_pass() {
-        let mut s = ConstraintSystem::new();
-        let vars: Vec<_> = (0..50).map(|k| s.add_var(k * 10)).collect();
-        for w in vars.windows(2) {
-            s.require(w[0], w[1], 3);
-        }
-        let cold = solve(&s, EdgeOrder::Sorted).unwrap();
-        assert_eq!(cold.passes, 2);
-        let warm = solve_warm(&s, EdgeOrder::Sorted, cold.positions()).unwrap();
-        assert_eq!(warm.positions(), cold.positions(), "bit-for-bit");
-        assert_eq!(warm.passes, 1, "verification only");
-    }
-
-    #[test]
-    fn warm_start_recovers_from_an_overshooting_seed() {
-        // Seed every variable far above the least solution, including an
-        // equality cycle that a naive pull-down could never lower.
-        let mut s = ConstraintSystem::new();
-        let a = s.add_var(0);
-        let b = s.add_var(0);
-        let c = s.add_var(0);
-        s.require_exact(a, b, 12);
-        s.require(b, c, 3);
-        let cold = solve(&s, EdgeOrder::Sorted).unwrap();
-        assert_eq!(cold.positions(), &[0, 12, 15]);
-        let warm = solve_warm(&s, EdgeOrder::Sorted, &[100, 112, 115]).unwrap();
-        assert_eq!(warm.positions(), cold.positions(), "bit-for-bit");
-    }
-
-    #[test]
-    fn warm_start_clamps_negative_seeds() {
-        let mut s = ConstraintSystem::new();
-        let a = s.add_var(0);
-        let b = s.add_var(10);
-        s.require(a, b, 5);
-        let warm = solve_warm(&s, EdgeOrder::Sorted, &[-7, -2]).unwrap();
-        assert_eq!(warm.positions(), &[0, 5]);
     }
 
     #[test]

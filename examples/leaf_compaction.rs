@@ -12,7 +12,7 @@
 use rsg::compact::backend::{Balanced, BellmanFord, Solver};
 use rsg::compact::layers::expand_contacts;
 use rsg::compact::leaf::{
-    compact, compact_batch, LeafInterface, LibraryJob, Parallelism, PitchKind,
+    compact, compact_batch, LeafInterface, LeafOptions, LibraryJob, Parallelism, PitchKind,
 };
 use rsg::geom::Rect;
 use rsg::layout::{CellDefinition, Layer, Technology};
@@ -65,6 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &interfaces(64),
             &tech.rules,
             &BellmanFord::SORTED,
+            &LeafOptions::default(),
         )?;
         println!("--- {} ---", tech.name);
         println!(
@@ -168,7 +169,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // backends only place the edges within the solved pitches).
     for backend in [&BellmanFord::SORTED as &dyn Solver, &Balanced] {
         for (w_a, w_b) in [(1i64, 10i64), (10, 1), (5, 5)] {
-            let out = compact(&[brick.clone()], &coupled(w_a, w_b), &tech.rules, backend)?;
+            let out = compact(
+                &[brick.clone()],
+                &coupled(w_a, w_b),
+                &tech.rules,
+                backend,
+                &LeafOptions::default(),
+            )?;
             println!(
                 "[{}] weights (n={w_a:>2}, m={w_b:>2}): pitches = {:?}",
                 backend.name(),

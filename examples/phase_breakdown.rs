@@ -14,7 +14,7 @@
 
 use rsg::compact::backend::BellmanFord;
 use rsg::compact::leaf::Parallelism;
-use rsg::compact::scanline::{self, Method};
+use rsg::compact::scanline::{self, Method, Prune};
 use rsg::compact::solver::{solve, EdgeOrder};
 use rsg::core::Rsg;
 use rsg::geom::Axis;
@@ -106,7 +106,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .copied()
         .collect();
     let tech = rsg::layout::Technology::mead_conway(2);
-    let (sys, _) = scanline::generate(&boxes, &tech.rules, Method::Visibility, Axis::X);
+    let (sys, _) = scanline::generate(
+        &boxes,
+        &tech.rules,
+        Method::Visibility,
+        Axis::X,
+        Prune::Apply,
+        Parallelism::Serial,
+    );
     let sol = solve(&sys, EdgeOrder::Sorted)?;
     let widest = sys
         .vars()

@@ -3,8 +3,9 @@
 //! result; compare unknown counts against flat compaction.
 
 use rsg::compact::backend::BellmanFord;
-use rsg::compact::leaf::{compact, LeafInterface, PitchKind};
-use rsg::compact::scanline::{generate as gen_constraints, Method};
+use rsg::compact::leaf::{compact, LeafInterface, LeafOptions, PitchKind};
+use rsg::compact::par::Parallelism;
+use rsg::compact::scanline::{generate as gen_constraints, Method, Prune};
 use rsg::compact::solver::{solve, solve_balanced, EdgeOrder};
 use rsg::geom::{Axis, Rect, Vector};
 use rsg::layout::{drc, CellDefinition, Layer, Technology};
@@ -35,6 +36,7 @@ fn compacted_library_tiles_drc_clean() {
         &[h_interface(60)],
         &tech.rules,
         &BellmanFord::SORTED,
+        &LeafOptions::default(),
     )
     .unwrap();
     let pitch = out.pitches[0].1;
@@ -65,6 +67,7 @@ fn one_step_tighter_pitch_fails_drc() {
         &[h_interface(60)],
         &tech.rules,
         &BellmanFord::SORTED,
+        &LeafOptions::default(),
     )
     .unwrap();
     let pitch = out.pitches[0].1 - 1;
@@ -87,6 +90,7 @@ fn unknown_count_constant_vs_quadratic() {
         &[h_interface(60)],
         &tech.rules,
         &BellmanFord::SORTED,
+        &LeafOptions::default(),
     )
     .unwrap();
     let boxes_per_cell = library_cell().boxes().count();
@@ -100,7 +104,14 @@ fn unknown_count_constant_vs_quadratic() {
                 flat.push((l, r.translate(Vector::new(k * 60, 0))));
             }
         }
-        let (sys, _) = gen_constraints(&flat, &tech.rules, Method::Visibility, Axis::X);
+        let (sys, _) = gen_constraints(
+            &flat,
+            &tech.rules,
+            Method::Visibility,
+            Axis::X,
+            Prune::Apply,
+            Parallelism::Serial,
+        );
         flat_unknowns.push(sys.num_vars());
     }
     assert_eq!(
@@ -119,6 +130,7 @@ fn technology_retarget_scales_the_pitch() {
         &[h_interface(60)],
         &Technology::mead_conway(1).rules,
         &BellmanFord::SORTED,
+        &LeafOptions::default(),
     )
     .unwrap();
     let coarse = compact(
@@ -126,6 +138,7 @@ fn technology_retarget_scales_the_pitch() {
         &[h_interface(60)],
         &Technology::mead_conway(3).rules,
         &BellmanFord::SORTED,
+        &LeafOptions::default(),
     )
     .unwrap();
     assert!(fine.pitches[0].1 < coarse.pitches[0].1);
@@ -145,7 +158,14 @@ fn flat_compaction_of_generated_multiplier_metal() {
         .collect();
     assert!(!boxes.is_empty());
     let tech = Technology::mead_conway(2);
-    let (sys, _) = gen_constraints(&boxes, &tech.rules, Method::Visibility, Axis::X);
+    let (sys, _) = gen_constraints(
+        &boxes,
+        &tech.rules,
+        Method::Visibility,
+        Axis::X,
+        Prune::Apply,
+        Parallelism::Serial,
+    );
     let left = solve(&sys, EdgeOrder::Sorted).unwrap();
     let balanced = solve_balanced(&sys).unwrap();
     assert!(sys.violations(left.positions(), &[]).is_empty());
@@ -168,7 +188,14 @@ fn critical_path_explains_the_solved_extent() {
         (Layer::Poly, Rect::from_coords(50, 0, 54, 20)),
         (Layer::Poly, Rect::from_coords(0, 60, 4, 80)), // off the path
     ];
-    let (sys, vars) = gen_constraints(&boxes, &tech.rules, Method::Visibility, Axis::X);
+    let (sys, vars) = gen_constraints(
+        &boxes,
+        &tech.rules,
+        Method::Visibility,
+        Axis::X,
+        Prune::Apply,
+        Parallelism::Serial,
+    );
     let sol = solve(&sys, EdgeOrder::Sorted).unwrap();
     // Width 4 + spacing 4 + width 4 + spacing 4 + width 4 = 20.
     assert_eq!(sol.extent(), 20);
@@ -203,11 +230,11 @@ fn critical_path_explains_the_solved_extent() {
 }
 
 #[test]
-fn engine_warm_start_matches_cold_on_the_tiled_array() {
-    // E18's correctness half: the warm-started alternating engine
-    // produces bit-for-bit the same layout as the cold one and never
-    // spends more relaxation passes.
-    use rsg::compact::engine::{compact_xy_with, WarmStart};
+fn engine_fixpoint_is_stable_and_clean_on_the_tiled_array() {
+    // E18's correctness half: the alternating engine reaches a fixpoint
+    // on the tiled array, the fixpoint is DRC-clean, and compacting it
+    // again moves nothing.
+    use rsg::compact::engine::compact_xy;
     let tech = Technology::mead_conway(2);
     let mut boxes = Vec::new();
     for row in 0..4i64 {
@@ -217,31 +244,12 @@ fn engine_warm_start_matches_cold_on_the_tiled_array() {
             }
         }
     }
-    let cold = compact_xy_with(
-        &boxes,
-        &tech.rules,
-        &BellmanFord::SORTED,
-        10,
-        WarmStart::Cold,
-    )
-    .unwrap();
-    let warm = compact_xy_with(
-        &boxes,
-        &tech.rules,
-        &BellmanFord::SORTED,
-        10,
-        WarmStart::Warm,
-    )
-    .unwrap();
-    assert_eq!(cold.boxes, warm.boxes);
-    assert_eq!(cold.passes, warm.passes);
-    assert!(cold.converged && warm.converged);
-    assert!(
-        warm.report.total_solver_passes() < cold.report.total_solver_passes(),
-        "warm {} vs cold {} total relaxation passes",
-        warm.report.total_solver_passes(),
-        cold.report.total_solver_passes()
-    );
+    let out = compact_xy(&boxes, &tech.rules, &BellmanFord::SORTED, 10).unwrap();
+    assert!(out.converged);
+    assert!(drc::check(&out.boxes, &tech.rules).is_empty());
+    let again = compact_xy(&out.boxes, &tech.rules, &BellmanFord::SORTED, 10).unwrap();
+    assert_eq!(again.boxes, out.boxes);
+    assert_eq!(again.passes, 0);
 }
 
 #[test]
@@ -270,6 +278,7 @@ fn flat_layout_feeds_the_leaf_compactor() {
         &[h_interface(120)],
         &tech.rules,
         &BellmanFord::SORTED,
+        &LeafOptions::default(),
     )
     .unwrap();
     let pitch = out.pitches[0].1;

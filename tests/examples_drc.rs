@@ -11,7 +11,7 @@ mod common;
 
 use common::{full_adder_pla, quickstart_layout};
 use rsg::compact::backend::BellmanFord;
-use rsg::compact::leaf::{compact, Parallelism};
+use rsg::compact::leaf::{compact, LeafOptions, Parallelism};
 use rsg::geom::{Rect, Vector};
 use rsg::layout::{drc, CellId, CellTable, Layer, Technology};
 
@@ -90,6 +90,7 @@ fn leaf_compaction_retile_is_clean() {
         &common::leaf_compaction_interfaces(64),
         &tech.rules,
         &BellmanFord::SORTED,
+        &LeafOptions::default(),
     )
     .unwrap();
     let pitch = out.pitches[0].1;
