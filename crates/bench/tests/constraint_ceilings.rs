@@ -6,6 +6,7 @@
 //! tiled array and of the E23 megachip flat lattice at 10⁵ boxes; the
 //! candidate pairs the hierarchical cell pass enumerates, the
 //! hidden-edge oracle queries it makes (`HierSweepStats::hidden_tests`),
+//! the difference constraints it generates (`HierSweepStats::constraints`),
 //! the relaxation passes its solves take (`HierSweepStats::solver_passes`),
 //! and the boxes the walk feeds to interface-abstract derivation
 //! (`ChipLayout::abstract_inputs`), on the E23 megachip walk at 10⁵
@@ -122,6 +123,13 @@ fn walk_candidates(chip: &ChipLayout) -> usize {
 /// walk.
 fn walk_hidden_tests(chip: &ChipLayout) -> usize {
     walk_sum(chip, |s| s.hidden_tests)
+}
+
+/// Difference constraints the hierarchical cell pass generated over a
+/// walk (`HierSweepStats::constraints`: spacing and frame pairs, welds,
+/// pins and pitch-class members).
+fn walk_constraints(chip: &ChipLayout) -> usize {
+    walk_sum(chip, |s| s.constraints)
 }
 
 /// Relaxation passes the hierarchical cell pass's solves took over a
@@ -241,5 +249,26 @@ fn multiplier_16x16_solver_passes_stay_under_recorded_ceiling() {
     assert!(
         count <= ceiling,
         "16x16 multiplier chip solver pass count regressed: {count} > recorded ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn megachip_hier_100k_constraints_stay_under_recorded_ceiling() {
+    let (out, boxes) = megachip_walk();
+    let count = walk_constraints(&out);
+    let ceiling = ceiling("megachip_hier_100k_constraints");
+    assert!(
+        count <= ceiling,
+        "megachip hier walk (n = {boxes}) constraint count regressed: {count} > recorded ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn multiplier_16x16_constraints_stay_under_recorded_ceiling() {
+    let count = walk_constraints(&multiplier_walk());
+    let ceiling = ceiling("multiplier_16x16_constraints");
+    assert!(
+        count <= ceiling,
+        "16x16 multiplier chip constraint count regressed: {count} > recorded ceiling {ceiling}"
     );
 }

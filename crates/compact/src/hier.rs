@@ -45,7 +45,7 @@ use crate::backend::{SolveError, Solver};
 use crate::fault::{injected_exhaustion, FaultSite, InjectedFault};
 use crate::limits::{Exhausted, Limits};
 use crate::par::{par_map, Parallelism};
-use crate::scanline::{spacing_candidates, Prune, VisibilityCursor};
+use crate::scanline::{Prune, VisibilityCursor};
 use crate::scratch::{ScanScratch, SweepScratch};
 use rsg_geom::{Axis, BoundingBox, GeomIndex, Isometry, Orientation, Point, Rect, Vector};
 use rsg_layout::hash::ContentHasher;
@@ -682,16 +682,20 @@ pub struct HierSweepStats {
     pub clusters: usize,
     /// Abstract boxes fed to the visibility kernel.
     pub abstract_boxes: usize,
-    /// Candidate pairs the kernel's index walks produced (frame, weld,
-    /// and spacing candidates) — a deterministic measure of enumeration
-    /// work.
+    /// Enumeration work: the frames the partner walks visited plus the
+    /// box pairs the box loops examined (weld and spacing tests) — a
+    /// deterministic measure that grows with every pair the kernel
+    /// reads, not only with the pairs it emits.
     pub candidates: usize,
-    /// Hidden-edge oracle queries the spacing walk made: only candidates
-    /// whose weight would raise their cluster pair's maximum ask.
+    /// Hidden-edge oracle queries the box loops made: only spacing
+    /// candidates of unshadowed cluster pairs whose weight would raise
+    /// their pair's maximum ask.
     pub hidden_tests: usize,
     /// Difference constraints generated: one per spacing/frame cluster
-    /// pair, two per weld and per pin (exact offsets), one per
-    /// pitch-class member pair.
+    /// pair the frame shadow keeps, two per weld and per pin (exact
+    /// offsets), one per pitch-class member pair. Pairs implied through
+    /// a wide frame between them are not generated, so this counts the
+    /// smaller emission [`Limits::max_constraints`] is checked against.
     pub constraints: usize,
     /// Pitch-fixpoint rounds until the class pitches stabilized.
     pub pitch_rounds: usize,
@@ -1011,6 +1015,7 @@ pub(crate) fn compact_cell_with(
         clusters: &clusters,
         structure: &structure,
         rules,
+        spacing: SpacingTable::new(rules),
         solver,
         opts,
     };
@@ -1347,8 +1352,8 @@ fn pruned_weight_edges(
 }
 
 /// Absolute abstract boxes of one sweep, loaded into the scan arena's
-/// recycled spatial index (the candidate walks and the hidden-edge
-/// oracle both read from there), plus each box's owning cluster and
+/// recycled spatial index (the box loop reads its items, the
+/// hidden-edge oracle its buckets), plus each box's owning cluster and
 /// each cluster's absolute material frame.
 fn sweep_geometry(
     axis: Axis,
@@ -1398,53 +1403,111 @@ fn raise(row: &mut [i64], touched: &mut Vec<usize>, b: usize, w: i64) {
 /// Work counters of one [`enumerate_pairs`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PairWork {
-    /// Frame, weld, and spacing candidates the index walks produced.
+    /// Frames the partner walks visited plus box pairs the box loops
+    /// examined (weld and spacing tests).
     candidates: usize,
     /// Hidden-edge oracle queries made.
     hidden_tests: usize,
 }
 
-/// Spacing candidates between two deadline checks inside enumeration.
+/// Frames and box pairs examined between two deadline checks inside
+/// enumeration.
 const DEADLINE_STRIDE: usize = 4096;
+
+/// The spacing rules as the cell pass reads them per box pair: a dense
+/// `(layer, layer)` table instead of a hashed lookup, plus the largest
+/// rule (the frame shadow's width threshold and the partner reach).
+/// Built once per cell.
+struct SpacingTable {
+    rule: [[Option<i64>; Layer::ALL.len()]; Layer::ALL.len()],
+    max: i64,
+}
+
+impl SpacingTable {
+    fn new(rules: &DesignRules) -> SpacingTable {
+        let mut rule = [[None; Layer::ALL.len()]; Layer::ALL.len()];
+        for a in Layer::ALL {
+            for b in Layer::ALL {
+                rule[a.index()][b.index()] = rules.min_spacing(a, b);
+            }
+        }
+        SpacingTable {
+            rule,
+            max: rules.max_spacing(),
+        }
+    }
+
+    fn get(&self, a: Layer, b: Layer) -> Option<i64> {
+        self.rule[a.index()][b.index()]
+    }
+}
+
+/// Adds a wide frame — `(high edge along, across span)` — to the shadow
+/// wall unless a wall frame already shadows everything it would: one
+/// that ends no later and spans at least its across span. Frames the new
+/// one dominates that way leave the wall, so a row of equal cells keeps
+/// one wall frame, not one per cell.
+fn push_wall(wall: &mut Vec<(i64, i64, i64)>, (hi, c0, c1): (i64, i64, i64)) {
+    if wall
+        .iter()
+        .any(|&(h, d0, d1)| h <= hi && d0 <= c0 && d1 >= c1)
+    {
+        return;
+    }
+    wall.retain(|&(h, d0, d1)| !(hi <= h && c0 <= d0 && c1 >= d1));
+    wall.push((hi, c0, c1));
+}
 
 /// The sweep kernel: frame, weld, and spacing emission between the
 /// clusters of the abstract boxes in `scan.index` (`owner[k]` owns box
-/// `k`; `bases` are the clusters' along-origins). Returns the emission
-/// and the walks' work counters.
+/// `k`; `frames` are the clusters' material frames and `bases` their
+/// along-origins). Returns the emission and the walk's work counters.
 ///
-/// Every walk is index-driven, never all-pairs:
+/// Each source cluster `a` walks its partner clusters once, and the same
+/// walk yields frames, welds and spacing:
 ///
-/// * **Frames** — a one-label index over the material frames yields, per
-///   frame, the frames at or past its high edge with strictly
-///   overlapping across spans.
-/// * **Welds** — same-layer boxes of distinct clusters that touch are
-///   one net; [`GeomIndex::touching_after`] reaches each touching pair.
-///   A weld's offset depends only on its two clusters, so the list comes
-///   out the same whichever box pair finds it first.
-/// * **Spacing** — [`crate::scanline::spacing_candidates`] with the rule
-///   distance as across slack: the DRC gap is L∞, so a diagonal pair
-///   whose across gap is under the rule still needs the full along
-///   spacing.
+/// * **Partners** — a one-label index over the material frames yields
+///   every frame within the largest spacing rule `S` of `a`'s frame
+///   across that reaches `a`'s low edge along (the walk starts one
+///   widest frame before it). A frame wholly past `a`'s high edge whose
+///   across span strictly overlaps `a`'s is a *frame pair*: its weight
+///   raises the dense row (`scan.row`), and when it is at least `S`
+///   wide it joins the shadow *wall*.
+/// * **Frame shadow** — the pair `(a, b)` is skipped outright, frame
+///   and spacing, when a wall frame `c` lies between them along
+///   (`fa.hi ≤ fc.lo`, `fc.hi ≤ fb.lo`) and strictly overlaps `fb`
+///   across. Every abstract box lies inside its cluster's frame, so
+///   every weight of `(a, b)` is at most
+///   `U = S + (fa.hi − base_a) − (fb.lo − base_b)`, while the frame
+///   weights `(a, c)` and `(c, b)` sum to `U − S + width(c) ≥ U`; by
+///   induction on the along distance the chain holds even where its own
+///   links were skipped. The kept pairs carry the same weights as an
+///   all-pairs pass and the dropped ones are implied, so solutions are
+///   unchanged (DESIGN.md, "Indexed cell pass").
+/// * **Box pairs** — every box of `a` against every box of each partner
+///   near it: same-layer boxes that touch (closed intersection) are one
+///   net, a *weld* that keeps the two clusters' offset; any other pair
+///   with a spacing rule `s` whose partner box starts at or past the
+///   source box's high edge, within `s` across (the DRC gap is L∞, so a
+///   diagonal pair still needs the full along spacing), is a spacing
+///   candidate. Touching clusters leave no room for a wall frame between
+///   them, so no weld is ever skipped.
 ///
-/// Frame and spacing weights collapse to one maximum per cluster pair,
-/// gathered one source cluster at a time in a dense row (`scan.row`):
-/// the cluster's frame weights first, then its boxes' spacing
-/// candidates. A candidate whose weight does not exceed the row's value
-/// for its partner cannot change the maximum, hidden or not, so only
-/// the others ask the hidden-edge oracle. The row is flushed whenever
-/// the source changes; `sweep_geometry` emits boxes cluster by cluster,
-/// so each source is normally one run, and a final sort with max-dedup
-/// covers owners that are not contiguous. Weights are maxima, so the
-/// emission is the same in any visiting order.
+/// A spacing candidate whose weight does not exceed the row's value for
+/// its partner — the frame weight, or an earlier candidate — cannot
+/// change the maximum, hidden or not, so only the others ask the
+/// hidden-edge oracle. Boxes are grouped by owner (`scan.owned`), so
+/// each source is walked once however the owners are numbered, and the
+/// emission comes out sorted by pair.
 ///
 /// # Errors
 ///
 /// [`Exhausted`] when `limits`' deadline has passed, checked before the
-/// first box's spacing walk and then once per [`DEADLINE_STRIDE`]
-/// spacing candidates.
+/// first source box's pairs and then, at a source box, once per
+/// [`DEADLINE_STRIDE`] frames and box pairs examined.
 fn enumerate_pairs(
     scan: &mut ScanScratch,
-    rules: &DesignRules,
+    spacing: &SpacingTable,
     owner: &[usize],
     frames: &[Option<Rect>],
     bases: &[i64],
@@ -1452,98 +1515,153 @@ fn enumerate_pairs(
 ) -> Result<(Emission, PairWork), Exhausted> {
     let ScanScratch {
         index,
-        cand,
         profiles,
         row,
         touched,
+        owned_start,
+        owned,
+        wall,
+        partners,
         ..
     } = scan;
+    let index: &GeomIndex<Layer> = index;
     let axis = index.axis();
+    let n = bases.len();
+    let boxes = index.items();
+    let wide = spacing.max;
+    // Partners lie within `wide` across; at least 1, so frames that only
+    // touch across (and may weld) are reached too.
+    let reach = wide.max(1);
     let mut work = PairWork::default();
     let (mut weights, mut welds) = (Vec::new(), Vec::new());
     row.clear();
-    row.resize(bases.len(), i64::MIN);
+    row.resize(n, i64::MIN);
     touched.clear();
 
-    // Welds: same-layer material touching across a cluster boundary is
-    // one electrical net. Like the flat engine's connectivity
-    // constraints, the two clusters keep their current offset —
-    // exempting the pair from spacing alone would let the compactor pry
-    // a connected bus apart.
-    for i in 0..index.len() {
-        for j in index.touching_after(i) {
-            work.candidates += 1;
-            let (a, b) = (owner[i].min(owner[j]), owner[i].max(owner[j]));
-            if a != b {
-                welds.push(((a, b), bases[b] - bases[a]));
-            }
-        }
+    // Boxes grouped by owner: a counting sort into `owned`, with
+    // `owned_start[c]..owned_start[c + 1]` the boxes of cluster `c`.
+    owned_start.clear();
+    owned_start.resize(n + 1, 0);
+    for &c in owner {
+        owned_start[c + 1] += 1;
     }
-    welds.sort_unstable();
-    welds.dedup();
+    for c in 0..n {
+        owned_start[c + 1] += owned_start[c];
+    }
+    owned.clear();
+    owned.resize(owner.len(), 0);
+    for (k, &c) in owner.iter().enumerate() {
+        owned[owned_start[c]] = k;
+        owned_start[c] += 1;
+    }
+    owned_start.rotate_right(1);
+    owned_start[0] = 0;
 
-    // Frames (ordered material bounding boxes may abut but not overlap —
-    // the hierarchical engine never compacts *into* a leaf) and spacing
-    // between abstract boxes of distinct clusters, hidden pairs pruned
-    // through the same oracle the flat scanline uses.
     let (findex, fowner) = present_index(frames, axis);
+    let widest = findex
+        .items()
+        .iter()
+        .map(|&(_, f)| f.extent_along(axis))
+        .max()
+        .unwrap_or(0);
     let mut cursor = VisibilityCursor::with_cache(index, std::mem::take(profiles));
-    let (mut f, mut i) = (0, 0);
-    let (mut spacing, mut next_check) = (0, 0);
-    while f < fowner.len() || i < owner.len() {
-        let a = fowner
-            .get(f)
-            .copied()
-            .unwrap_or(usize::MAX)
-            .min(owner.get(i).copied().unwrap_or(usize::MAX));
-        if fowner.get(f) == Some(&a) {
-            let fa = findex.items()[f].1;
-            let across = (fa.lo_across(axis), fa.hi_across(axis));
-            for kb in findex.ordered_after((), fa.hi_along(axis), across, 0) {
-                work.candidates += 1;
-                let b = fowner[kb];
-                if a != b {
-                    let fb = findex.items()[kb].1;
-                    let w = (fa.hi_along(axis) - bases[a]) - (fb.lo_along(axis) - bases[b]);
-                    raise(row, touched, b, w);
+    let mut next_check = 0;
+    for (a, fa) in frames.iter().enumerate() {
+        let Some(fa) = *fa else { continue };
+        let (a0, a1) = (fa.lo_across(axis), fa.hi_across(axis));
+        wall.clear();
+        partners.clear();
+        let from = fa.lo_along(axis).saturating_sub(widest);
+        for kb in findex.ordered_after((), from, (a0, a1), reach) {
+            work.candidates += 1;
+            let b = fowner[kb];
+            let fb = findex.items()[kb].1;
+            if b == a || fb.hi_along(axis) < fa.lo_along(axis) {
+                continue;
+            }
+            if fb.lo_along(axis) >= fa.hi_along(axis) {
+                let (b0, b1) = (fb.lo_across(axis), fb.hi_across(axis));
+                // Every wall frame starts before `fb` (the walk runs in
+                // low-edge order) and strictly overlaps `fa` across.
+                let shadowed = wall
+                    .iter()
+                    .any(|&(hi, c0, c1)| hi <= fb.lo_along(axis) && c0 < b1 && b0 < c1);
+                if b0 < a1 && a0 < b1 {
+                    if fb.extent_along(axis) >= wide {
+                        push_wall(wall, (fb.hi_along(axis), b0, b1));
+                    }
+                    if !shadowed {
+                        let w = (fa.hi_along(axis) - bases[a]) - (fb.lo_along(axis) - bases[b]);
+                        raise(row, touched, b, w);
+                    }
+                }
+                if shadowed {
+                    continue;
                 }
             }
-            f += 1;
+            partners.push(b);
         }
-        while owner.get(i) == Some(&a) {
-            if spacing >= next_check {
+
+        for &i in &owned[owned_start[a]..owned_start[a + 1]] {
+            if work.candidates >= next_check {
                 limits.check_deadline()?;
-                next_check = spacing + DEADLINE_STRIDE;
+                next_check = work.candidates + DEADLINE_STRIDE;
             }
-            spacing_candidates(index, rules, i, |s| s, cand);
-            spacing += cand.len();
-            let ra = index.items()[i].1;
-            for &(j, s) in cand.iter() {
-                let b = owner[j];
-                if a == b {
+            let (la, ra) = boxes[i];
+            let (r0, r1) = (ra.lo_across(axis), ra.hi_across(axis));
+            for &b in partners.iter() {
+                // Partners come from the frame index, so they have frames.
+                let Some(fb) = frames[b] else { continue };
+                if fb.hi_along(axis) < ra.lo_along(axis)
+                    || fb.lo_across(axis) >= r1 + reach
+                    || fb.hi_across(axis) <= r0 - reach
+                {
                     continue;
                 }
-                let rb = index.items()[j].1;
-                let w = s + (ra.hi_along(axis) - bases[a]) - (rb.lo_along(axis) - bases[b]);
-                if w <= row[b] {
-                    continue;
-                }
-                work.hidden_tests += 1;
-                if !cursor.hidden_between(i, j) {
-                    raise(row, touched, b, w);
+                for &j in &owned[owned_start[b]..owned_start[b + 1]] {
+                    work.candidates += 1;
+                    let (lb, rb) = boxes[j];
+                    // Welds: same-layer material touching across a
+                    // cluster boundary is one electrical net. Like the
+                    // flat engine's connectivity constraints, the two
+                    // clusters keep their current offset — exempting the
+                    // pair from spacing alone would let the compactor pry
+                    // a connected bus apart. Found from both sides; kept
+                    // from the lower cluster index.
+                    if la == lb && ra.intersect(rb).is_some() {
+                        if a < b {
+                            welds.push(((a, b), bases[b] - bases[a]));
+                        }
+                        continue;
+                    }
+                    let Some(s) = spacing.get(la, lb) else {
+                        continue;
+                    };
+                    if rb.lo_along(axis) < ra.hi_along(axis)
+                        || rb.lo_across(axis) >= r1 + s
+                        || rb.hi_across(axis) <= r0 - s
+                    {
+                        continue;
+                    }
+                    let w = s + (ra.hi_along(axis) - bases[a]) - (rb.lo_along(axis) - bases[b]);
+                    if w <= row[b] {
+                        continue;
+                    }
+                    work.hidden_tests += 1;
+                    if !cursor.hidden_between(i, j) {
+                        raise(row, touched, b, w);
+                    }
                 }
             }
-            i += 1;
         }
+        touched.sort_unstable();
         for b in touched.drain(..) {
             weights.push(((a, b), std::mem::replace(&mut row[b], i64::MIN)));
         }
     }
     *profiles = cursor.into_cache();
-    work.candidates += spacing;
-    // Sorted by pair, each pair's maximum first, so the dedup keeps it.
-    weights.sort_unstable_by_key(|&(pair, w)| (pair, std::cmp::Reverse(w)));
-    weights.dedup_by_key(|&mut (pair, _)| pair);
+    welds.sort_unstable();
+    welds.dedup();
     Ok((Emission { weights, welds }, work))
 }
 
@@ -1557,6 +1675,7 @@ struct CellContext<'a> {
     clusters: &'a [Cluster],
     structure: &'a [AxisStructure; 2],
     rules: &'a DesignRules,
+    spacing: SpacingTable,
     solver: &'a dyn Solver,
     opts: &'a HierOptions,
 }
@@ -1578,6 +1697,7 @@ fn sweep_axis(
         shapes,
         clusters,
         rules,
+        ref spacing,
         solver,
         opts,
         ..
@@ -1593,7 +1713,7 @@ fn sweep_axis(
         .iter()
         .map(|c| along(positions[c.rep], axis))
         .collect();
-    let (emission, work) = enumerate_pairs(scan, rules, &owner, &frames, &bases, &opts.limits)?;
+    let (emission, work) = enumerate_pairs(scan, spacing, &owner, &frames, &bases, &opts.limits)?;
 
     // Normalized initial coordinates (clusters are never empty here, but
     // an empty sweep normalizes to 0 rather than panicking).
@@ -1890,10 +2010,10 @@ pub(crate) fn converged(
 /// The one hierarchy walk. Assembly cells are grouped by
 /// [`dependency_levels`]; every cell reads only definitions below it,
 /// all re-placed in earlier levels, so each computation sees exactly the
-/// table state a serial DFS walk would give it. Within a level, misses
-/// run `threads` at a time through [`par_map`] (one worker runs inline)
-/// and commit in level order after each batch — at one worker a miss's
-/// commit is therefore visible to the next miss, as in a serial walk.
+/// table state a serial DFS walk would give it. Within a level, one
+/// worker runs the misses inline, committing each before the next runs,
+/// as in a serial walk; more workers run the whole level through one
+/// [`par_map`] and commit in level order after it.
 ///
 /// Before a level's misses run, [`Abstracts::prepare`] builds every
 /// abstract they read that is not stored yet — leaves from their boxes,
@@ -1942,7 +2062,12 @@ pub(crate) fn walk_levels<F: LevelFlow>(
                 },
             }
         }
-        for batch in misses.chunks(threads.max(1)) {
+        // One worker runs the misses one at a time, each committed before
+        // the next runs. More workers take the whole level in one fan-out:
+        // batches of `threads` paid a thread spawn per batch, which on the
+        // E23 walk cost more than the level's work (DESIGN.md, E23).
+        let batch = if threads > 1 { misses.len().max(1) } else { 1 };
+        for batch in misses.chunks(batch) {
             let ready: &Abstracts = abstracts;
             let done = par_map(batch, threads, |(cell, miss)| {
                 flow.compute(&out_table, ready, *cell, miss)
@@ -2057,6 +2182,7 @@ fn dfs_order(table: &CellTable, top: CellId) -> Result<Vec<CellId>, HierError> {
 mod tests {
     use super::*;
     use crate::backend::{BellmanFord, Topological};
+    use crate::ConstraintSystem;
     use proptest::prelude::*;
     use proptest::test_runner::Rng;
     use rsg_layout::{drc, flatten, Instance, Technology};
@@ -2547,16 +2673,110 @@ mod tests {
         (items, shapes)
     }
 
+    /// Longest path from cluster `from` to `to` over `em`'s weights plus
+    /// its welds in both directions; `None` when `to` is unreachable and
+    /// `i64::MAX` when a positive cycle is reachable (an infeasible
+    /// system implies every constraint).
+    fn longest_path(n: usize, em: &Emission, from: usize, to: usize) -> Option<i64> {
+        let mut edges: Vec<(usize, usize, i64)> =
+            em.weights.iter().map(|&((a, b), w)| (a, b, w)).collect();
+        for &((a, b), d) in &em.welds {
+            edges.push((a, b, d));
+            edges.push((b, a, -d));
+        }
+        let mut dist: Vec<Option<i64>> = vec![None; n];
+        dist[from] = Some(0);
+        for _ in 0..=n {
+            let mut changed = false;
+            for &(a, b, w) in &edges {
+                if let Some(da) = dist[a] {
+                    if dist[b].is_none_or(|db| da + w > db) {
+                        dist[b] = Some(da + w);
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                return dist[to];
+            }
+        }
+        Some(i64::MAX)
+    }
+
+    /// The positions the sweep system of `em` alone solves to (`None`
+    /// when it is infeasible).
+    fn solve_emission(em: &Emission, bases: &[i64], axis: Axis) -> Option<Vec<i64>> {
+        let min_base = bases.iter().copied().min().unwrap_or(0);
+        let mut sys = ConstraintSystem::new_along(axis);
+        let vars: Vec<_> = bases.iter().map(|&b| sys.add_var(b - min_base)).collect();
+        for &((a, b), w) in &em.weights {
+            sys.require(vars[a], vars[b], w);
+        }
+        for &((a, b), d) in &em.welds {
+            sys.require_exact(vars[a], vars[b], d);
+        }
+        bf().solve_system(&sys, &[]).ok().map(|out| out.positions)
+    }
+
+    /// Checks one sweep's emission `got` against the all-pairs reference
+    /// `want`: (a) every emitted pair is a reference pair with the same
+    /// weight, and the welds are equal; (b) every reference pair left out
+    /// is implied by a longest path over the emitted weights and welds;
+    /// (c) the sweep systems built from either emission solve to the same
+    /// positions. Returns the number of pairs left out.
+    fn check_against_reference(
+        got: &Emission,
+        want: &Emission,
+        bases: &[i64],
+        axis: Axis,
+        what: &str,
+    ) -> usize {
+        assert_eq!(got.welds, want.welds, "{what}: welds diverged");
+        assert!(
+            got.weights.windows(2).all(|w| w[0].0 < w[1].0),
+            "{what}: emission not sorted by pair"
+        );
+        let reference: BTreeMap<(usize, usize), i64> = want.weights.iter().copied().collect();
+        for &(pair, w) in &got.weights {
+            assert_eq!(
+                reference.get(&pair),
+                Some(&w),
+                "{what}: emitted {pair:?} at {w}"
+            );
+        }
+        let emitted: HashSet<(usize, usize)> = got.weights.iter().map(|&(p, _)| p).collect();
+        let mut dropped = 0;
+        for &((a, b), w) in &want.weights {
+            if emitted.contains(&(a, b)) {
+                continue;
+            }
+            dropped += 1;
+            let path = longest_path(bases.len(), got, a, b);
+            assert!(
+                path.is_some_and(|p| p >= w),
+                "{what}: dropped ({a}, {b}) at {w} is not implied (longest path {path:?})"
+            );
+        }
+        assert_eq!(
+            solve_emission(got, bases, axis),
+            solve_emission(want, bases, axis),
+            "{what}: solutions diverged"
+        );
+        dropped
+    }
+
     #[test]
     fn indexed_cell_pass_matches_the_all_pairs_reference() {
         let r = rules();
+        let spacing = SpacingTable::new(&r);
         let mut rng = Rng::from_name("indexed_cell_pass_matches_the_all_pairs_reference");
         // A separate stream draws the relabelings, so the assemblies are
         // the same as without them.
         let mut relabel = Rng::from_name("indexed_cell_pass_relabeled_clusters");
         // Cases exercised: welds, diagonal pairs inside the L∞ window,
-        // zero-extent frames, owners that are not contiguous.
-        let mut seen = [0usize; 4];
+        // abutting frames, owners that are not contiguous, pairs the
+        // frame shadow drops.
+        let mut seen = [0usize; 5];
         for _ in 0..400 {
             let (items, shapes) = random_assembly(&mut rng, &r);
             let clusters = rigid_clusters(&items, &shapes);
@@ -2564,17 +2784,25 @@ mod tests {
             let positions: Vec<Point> = items.iter().map(|i| i.pos).collect();
             for axis in Axis::BOTH {
                 let mut scan = ScanScratch::new();
-                let (owner, mut frames) =
+                let (owner, frames) =
                     sweep_geometry(axis, &items, &shapes, &clusters, &positions, &mut scan);
-                for f in frames.iter_mut().flatten() {
-                    let along_span = (f.lo_along(axis), f.hi_along(axis));
-                    let across_span = (f.lo_across(axis), f.hi_across(axis));
-                    *f = match pick(&mut rng, 4) {
-                        0 => Rect::from_spans(axis, (along_span.0, along_span.0), across_span),
-                        1 => Rect::from_spans(axis, along_span, (across_span.1, across_span.1)),
-                        _ => continue,
-                    };
-                    seen[2] += 1;
+                // The frame shadow's precondition: every abstract box lies
+                // inside its cluster's material frame.
+                for (k, &(_, rect)) in scan.index.items().iter().enumerate() {
+                    assert!(
+                        frames[owner[k]].is_some_and(|f| f.contains_rect(rect)),
+                        "{axis}: box {k} escapes its frame"
+                    );
+                }
+                for fa in frames.iter().flatten() {
+                    for fb in frames.iter().flatten() {
+                        if fa.hi_along(axis) == fb.lo_along(axis)
+                            && fa.lo_across(axis) < fb.hi_across(axis)
+                            && fb.lo_across(axis) < fa.hi_across(axis)
+                        {
+                            seen[2] += 1;
+                        }
+                    }
                 }
                 let bases: Vec<i64> = clusters
                     .iter()
@@ -2582,14 +2810,15 @@ mod tests {
                     .collect();
                 let want = all_pairs_emission(&scan.index, &r, &owner, &frames, &bases);
                 let (got, work) =
-                    enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &Limits::NONE).unwrap();
-                assert_eq!(got, want, "{axis} sweep diverged");
+                    enumerate_pairs(&mut scan, &spacing, &owner, &frames, &bases, &Limits::NONE)
+                        .unwrap();
+                seen[4] += check_against_reference(&got, &want, &bases, axis, &format!("{axis}"));
                 assert!(work.hidden_tests <= work.candidates, "{work:?}");
 
                 // The same sweep with the clusters relabeled by a random
                 // permutation: the boxes keep their order, so their owners
-                // are no longer non-decreasing and the emission has to be
-                // merged across repeated source runs.
+                // are no longer non-decreasing and each source's boxes
+                // have to be gathered from several runs.
                 let n = bases.len();
                 let mut perm: Vec<usize> = (0..n).collect();
                 for k in (1..n).rev() {
@@ -2605,10 +2834,16 @@ mod tests {
                     seen[3] += 1;
                 }
                 let want = all_pairs_emission(&scan.index, &r, &owner_p, &frames_p, &bases_p);
-                let (got, work) =
-                    enumerate_pairs(&mut scan, &r, &owner_p, &frames_p, &bases_p, &Limits::NONE)
-                        .unwrap();
-                assert_eq!(got, want, "{axis} relabeled sweep diverged");
+                let (got, work) = enumerate_pairs(
+                    &mut scan,
+                    &spacing,
+                    &owner_p,
+                    &frames_p,
+                    &bases_p,
+                    &Limits::NONE,
+                )
+                .unwrap();
+                check_against_reference(&got, &want, &bases_p, axis, &format!("{axis} relabeled"));
                 assert!(work.hidden_tests <= work.candidates, "{work:?}");
 
                 seen[0] += want.welds.len();
@@ -2633,6 +2868,89 @@ mod tests {
         assert!(seen.iter().all(|&k| k > 0), "coverage {seen:?}");
     }
 
+    /// One sweep of [`enumerate_pairs`] over hand-placed clusters:
+    /// `boxes[k]` is `(cluster, layer, rect)`, each cluster's frame is
+    /// its boxes' bounding box and its base the frame's low edge.
+    fn emit(axis: Axis, boxes: &[(usize, Layer, Rect)]) -> Emission {
+        let n = boxes.iter().map(|b| b.0 + 1).max().unwrap_or(0);
+        let mut scan = ScanScratch::new();
+        let items = boxes.iter().map(|&(_, l, rect)| (l, rect)).collect();
+        let _ = scan.index.rebuild_from_vec(items, axis);
+        let owner: Vec<usize> = boxes.iter().map(|b| b.0).collect();
+        let mut frames = vec![BoundingBox::new(); n];
+        for &(c, _, rect) in boxes {
+            frames[c].include_rect(rect);
+        }
+        let frames: Vec<Option<Rect>> = frames.iter().map(|f| f.rect()).collect();
+        let bases: Vec<i64> = frames
+            .iter()
+            .map(|f| f.map_or(0, |f| f.lo_along(axis)))
+            .collect();
+        let spacing = SpacingTable::new(&rules());
+        enumerate_pairs(&mut scan, &spacing, &owner, &frames, &bases, &Limits::NONE)
+            .unwrap()
+            .0
+    }
+
+    fn pairs_of(em: &Emission) -> Vec<(usize, usize)> {
+        em.weights.iter().map(|&(p, _)| p).collect()
+    }
+
+    #[test]
+    fn a_wide_middle_cluster_shadows_the_outer_pair_of_a_row() {
+        // Metal1 spacing is 6; the largest rule (metal2) is 8, and the
+        // middle bar is 10 wide.
+        let bar = |c: usize, x: i64| (c, Layer::Metal1, Rect::from_coords(x, 0, x + 10, 10));
+        let em = emit(Axis::X, &[bar(0, 0), bar(1, 20), bar(2, 40)]);
+        assert_eq!(pairs_of(&em), vec![(0, 1), (1, 2)]);
+        assert!(em.welds.is_empty());
+    }
+
+    #[test]
+    fn a_middle_cluster_narrower_than_the_largest_rule_keeps_the_outer_pair() {
+        let em = emit(
+            Axis::X,
+            &[
+                (0, Layer::Metal1, Rect::from_coords(0, 0, 10, 10)),
+                (1, Layer::Metal1, Rect::from_coords(20, 0, 26, 10)),
+                (2, Layer::Metal1, Rect::from_coords(40, 0, 50, 10)),
+            ],
+        );
+        assert_eq!(pairs_of(&em), vec![(0, 1), (0, 2), (1, 2)]);
+    }
+
+    #[test]
+    fn a_middle_cluster_overlapping_only_one_side_keeps_the_outer_pair() {
+        // The middle bar overlaps cluster 0 across but not cluster 2.
+        let em = emit(
+            Axis::X,
+            &[
+                (0, Layer::Metal1, Rect::from_coords(0, 0, 10, 10)),
+                (1, Layer::Metal1, Rect::from_coords(20, 0, 30, 6)),
+                (2, Layer::Metal1, Rect::from_coords(40, 8, 50, 18)),
+            ],
+        );
+        assert!(pairs_of(&em).contains(&(0, 2)), "{em:?}");
+    }
+
+    #[test]
+    fn abutting_clusters_that_overlap_along_still_weld() {
+        // Two metal1 bars share the edge y = 10 over x ∈ [5, 10].
+        let boxes = [
+            (0, Layer::Metal1, Rect::from_coords(0, 0, 10, 10)),
+            (1, Layer::Metal1, Rect::from_coords(5, 10, 15, 20)),
+        ];
+        // Swept along x the frames overlap along: no frame pair, only
+        // the weld at the current offset.
+        let em = emit(Axis::X, &boxes);
+        assert_eq!(em.welds, vec![((0, 1), 5)]);
+        assert!(em.weights.is_empty(), "{em:?}");
+        // Swept along y they abut: a frame pair and the weld.
+        let em = emit(Axis::Y, &boxes);
+        assert_eq!(em.welds, vec![((0, 1), 10)]);
+        assert_eq!(pairs_of(&em), vec![(0, 1)]);
+    }
+
     #[test]
     fn enumeration_stops_at_an_expired_deadline() {
         let r = rules();
@@ -2651,9 +2969,13 @@ mod tests {
             deadline: Some(std::time::Instant::now() - std::time::Duration::from_secs(1)),
             ..Limits::NONE
         };
-        let err = enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &expired).unwrap_err();
+        let spacing = SpacingTable::new(&r);
+        let err =
+            enumerate_pairs(&mut scan, &spacing, &owner, &frames, &bases, &expired).unwrap_err();
         assert_eq!(err.resource, crate::limits::Resource::Deadline);
-        assert!(enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &Limits::NONE).is_ok());
+        assert!(
+            enumerate_pairs(&mut scan, &spacing, &owner, &frames, &bases, &Limits::NONE).is_ok()
+        );
     }
 
     /// The flatten-based reference the composed abstracts replaced: one

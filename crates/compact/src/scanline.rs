@@ -255,10 +255,7 @@ fn scan_spacings(
     out: &mut Vec<(usize, usize, i64)>,
 ) {
     for i in range {
-        // `a` strictly below `b` along the axis (low edge at or past
-        // `a`'s high edge), sharing an across-axis range: the bucket
-        // walk's membership test at slack 0.
-        spacing_candidates(index, rules, i, |_| 0, cand);
+        spacing_candidates(index, rules, i, cand);
         for &(j, spacing) in cand.iter() {
             if let Some(c) = cursor.as_deref_mut() {
                 if c.hidden_between(i, j) {
@@ -273,18 +270,18 @@ fn scan_spacings(
 /// Fills `cand` with the spacing candidates of box `i` of `index`,
 /// sorted by partner: every `(j, spacing)` where a rule `spacing` holds
 /// between the two layers, `j`'s low edge along the axis is at or past
-/// `i`'s high edge, and `j`'s across span strictly overlaps `i`'s
-/// widened by `slack(spacing)` on both sides. Same-layer partners that
-/// touch `i` are connected material, never spaced, and are left out.
+/// `i`'s high edge, and `j`'s across span strictly overlaps `i`'s.
+/// Same-layer partners that touch `i` are connected material, never
+/// spaced, and are left out. Flat scanline only: the hierarchical cell
+/// pass walks partner clusters instead (`hier::enumerate_pairs`).
 ///
 /// Each partner sits in exactly one layer bucket, so it appears once;
 /// the sort restores the (i ascending, j ascending) visiting order the
 /// emitters' tie-breaking depends on.
-pub(crate) fn spacing_candidates(
+fn spacing_candidates(
     index: &GeomIndex<Layer>,
     rules: &DesignRules,
     i: usize,
-    slack: impl Fn(i64) -> i64,
     cand: &mut Vec<(usize, i64)>,
 ) {
     let axis = index.axis();
@@ -296,7 +293,7 @@ pub(crate) fn spacing_candidates(
         let Some(spacing) = rules.min_spacing(layer_a, layer_b) else {
             continue;
         };
-        for k in index.ordered_after(layer_b, from, across, slack(spacing)) {
+        for k in index.ordered_after(layer_b, from, across, 0) {
             let touching = layer_b == layer_a && ra.intersect(index.items()[k].1).is_some();
             if k != i && !touching {
                 cand.push((k, spacing));

@@ -44,6 +44,16 @@ pub struct ScanScratch {
     pub(crate) row: Vec<i64>,
     /// The partner clusters holding a weight in `row`.
     pub(crate) touched: Vec<usize>,
+    /// The hierarchical sweep's boxes grouped by owning cluster: the
+    /// boxes of cluster `c` are `owned[owned_start[c]..owned_start[c + 1]]`.
+    pub(crate) owned_start: Vec<usize>,
+    /// Box ids in owner order (see `owned_start`).
+    pub(crate) owned: Vec<usize>,
+    /// The current source cluster's shadow wall: the wide frames past
+    /// its high edge, as `(high edge along, across lo, across hi)`.
+    pub(crate) wall: Vec<(i64, i64, i64)>,
+    /// The current source cluster's partner clusters (not shadowed).
+    pub(crate) partners: Vec<usize>,
 }
 
 impl ScanScratch {
@@ -59,6 +69,10 @@ impl ScanScratch {
             profiles: Vec::new(),
             row: Vec::new(),
             touched: Vec::new(),
+            owned_start: Vec::new(),
+            owned: Vec::new(),
+            wall: Vec::new(),
+            partners: Vec::new(),
         }
     }
 }

@@ -14,8 +14,11 @@
 //!   shared interface see the same λ — rows and columns stay
 //!   pitch-matched.
 //!
-//! The default lane runs small grids; the `#[ignore]`d lane (run with
-//! `cargo test -- --ignored`) covers larger grids and more cases.
+//! Every grid and mixed row places its instances in one orientation
+//! drawn from all eight, at a pitch taken from the oriented bounding box,
+//! so the abstracts, frames and pitch classes are exercised off `NORTH`
+//! too. The default lane runs small grids; the `#[ignore]`d lane (run
+//! with `cargo test -- --ignored`) covers larger grids and more cases.
 
 use proptest::prelude::*;
 use rsg_compact::backend::BellmanFord;
@@ -40,9 +43,26 @@ fn lane_cell(name: &str, lanes: &[(usize, i64, i64, i64)]) -> CellDefinition {
     c
 }
 
-fn grid_table(cell: CellDefinition, nx: i64, ny: i64) -> (CellTable, rsg_layout::CellId) {
-    let bb = cell.local_bbox().rect().expect("non-empty");
-    let (px, py) = (bb.hi().x + 8, bb.hi().y + 8);
+/// `cell`'s bounding box under orientation `o` (about the origin).
+fn oriented_bbox(cell: &CellDefinition, o: Orientation) -> Rect {
+    cell.local_bbox()
+        .rect()
+        .expect("non-empty")
+        .transform_orientation(o)
+}
+
+/// An `nx × ny` grid of `cell` in orientation `o`: the oriented bodies
+/// sit 8 apart on both axes, from the origin up. Every instance shares
+/// one `(cell, orientation)` and one pitch per axis, so the grid has
+/// one pitch class per axis.
+fn grid_table(
+    cell: CellDefinition,
+    nx: i64,
+    ny: i64,
+    o: Orientation,
+) -> (CellTable, rsg_layout::CellId) {
+    let bb = oriented_bbox(&cell, o);
+    let (px, py) = (bb.width() + 8, bb.height() + 8);
     let mut t = CellTable::new();
     let id = t.insert(cell).unwrap();
     let mut top = CellDefinition::new("grid");
@@ -50,8 +70,8 @@ fn grid_table(cell: CellDefinition, nx: i64, ny: i64) -> (CellTable, rsg_layout:
         for col in 0..nx {
             top.add_instance(Instance::new(
                 id,
-                Point::new(col * px, row * py),
-                Orientation::NORTH,
+                Point::new(col * px - bb.lo().x, row * py - bb.lo().y),
+                o,
             ));
         }
     }
@@ -78,10 +98,10 @@ fn gaps(def: &CellDefinition, columns: bool) -> Vec<i64> {
     out
 }
 
-fn check_grid(lanes: &[(usize, i64, i64, i64)], nx: i64, ny: i64) {
+fn check_grid(lanes: &[(usize, i64, i64, i64)], nx: i64, ny: i64, o: Orientation) {
     let tech = Technology::mead_conway(2);
     let cell = lane_cell("leaf", lanes);
-    let (table, top) = grid_table(cell, nx, ny);
+    let (table, top) = grid_table(cell, nx, ny, o);
 
     // Sanity: the generated assembly is clean before compaction.
     let before = flatten(&table, top).unwrap();
@@ -174,8 +194,9 @@ proptest! {
         lanes in lanes_strategy(2),
         nx in 1i64..4,
         ny in 1i64..4,
+        o in 0usize..8,
     ) {
-        check_grid(&lanes, nx, ny);
+        check_grid(&lanes, nx, ny, Orientation::ALL[o]);
     }
 }
 
@@ -188,8 +209,9 @@ proptest! {
         lanes in lanes_strategy(3),
         nx in 2i64..8,
         ny in 2i64..8,
+        o in 0usize..8,
     ) {
-        check_grid(&lanes, nx, ny);
+        check_grid(&lanes, nx, ny, Orientation::ALL[o]);
     }
 }
 
@@ -204,20 +226,22 @@ proptest! {
         lanes_a in lanes_strategy(2),
         lanes_b in lanes_strategy(2),
         n in 2i64..5,
+        o in 0usize..8,
     ) {
         let tech = Technology::mead_conway(2);
+        let o = Orientation::ALL[o];
         let a = lane_cell("a", &lanes_a);
         let b = lane_cell("b", &lanes_b);
-        let wa = a.local_bbox().rect().unwrap().hi().x;
-        let wb = b.local_bbox().rect().unwrap().hi().x;
-        let pitch = wa.max(wb) + 8;
+        let (ba, bb) = (oriented_bbox(&a, o), oriented_bbox(&b, o));
+        let pitch = ba.width().max(bb.width()) + 8;
         let mut t = CellTable::new();
         let a_id = t.insert(a).unwrap();
         let b_id = t.insert(b).unwrap();
         let mut top = CellDefinition::new("row");
         for k in 0..n {
-            let id = if k % 2 == 0 { a_id } else { b_id };
-            top.add_instance(Instance::new(id, Point::new(k * pitch, 0), Orientation::NORTH));
+            let (id, body) = if k % 2 == 0 { (a_id, ba) } else { (b_id, bb) };
+            let at = Point::new(k * pitch - body.lo().x, -body.lo().y);
+            top.add_instance(Instance::new(id, at, o));
         }
         let top_id = t.insert(top).unwrap();
 

@@ -73,6 +73,14 @@ impl DesignRules {
         self.min_spacing.values().copied().min().unwrap_or(0)
     }
 
+    /// The technology's largest spacing rule across every interacting
+    /// layer pair (0 for an empty rule set): no two boxes further apart
+    /// than this can constrain each other. Derived from the rules, never
+    /// set on its own.
+    pub fn max_spacing(&self) -> i64 {
+        self.min_spacing.values().copied().max().unwrap_or(0)
+    }
+
     /// Deterministic content digest of the rule set — part of every
     /// incremental-compaction cache key, so two rule sets hash equal iff
     /// they constrain identically. The hash maps are absorbed in sorted
@@ -210,6 +218,14 @@ mod tests {
         // Poly–diffusion at 1λ is the tightest Mead–Conway spacing.
         assert_eq!(t.rules.spacing_floor(), 2);
         assert_eq!(DesignRules::new().spacing_floor(), 0);
+    }
+
+    #[test]
+    fn max_spacing_is_the_largest_rule() {
+        let t = Technology::mead_conway(2);
+        // Metal2–metal2 at 4λ is the widest Mead–Conway spacing.
+        assert_eq!(t.rules.max_spacing(), 8);
+        assert_eq!(DesignRules::new().max_spacing(), 0);
     }
 
     #[test]
