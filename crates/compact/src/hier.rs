@@ -1015,7 +1015,6 @@ pub(crate) fn compact_cell_with(
         clusters: &clusters,
         structure: &structure,
         rules,
-        spacing: SpacingTable::new(rules),
         solver,
         opts,
     };
@@ -1414,34 +1413,6 @@ struct PairWork {
 /// enumeration.
 const DEADLINE_STRIDE: usize = 4096;
 
-/// The spacing rules as the cell pass reads them per box pair: a dense
-/// `(layer, layer)` table instead of a hashed lookup, plus the largest
-/// rule (the frame shadow's width threshold and the partner reach).
-/// Built once per cell.
-struct SpacingTable {
-    rule: [[Option<i64>; Layer::ALL.len()]; Layer::ALL.len()],
-    max: i64,
-}
-
-impl SpacingTable {
-    fn new(rules: &DesignRules) -> SpacingTable {
-        let mut rule = [[None; Layer::ALL.len()]; Layer::ALL.len()];
-        for a in Layer::ALL {
-            for b in Layer::ALL {
-                rule[a.index()][b.index()] = rules.min_spacing(a, b);
-            }
-        }
-        SpacingTable {
-            rule,
-            max: rules.max_spacing(),
-        }
-    }
-
-    fn get(&self, a: Layer, b: Layer) -> Option<i64> {
-        self.rule[a.index()][b.index()]
-    }
-}
-
 /// Adds a wide frame — `(high edge along, across span)` — to the shadow
 /// wall unless a wall frame already shadows everything it would: one
 /// that ends no later and spans at least its across span. Frames the new
@@ -1507,7 +1478,7 @@ fn push_wall(wall: &mut Vec<(i64, i64, i64)>, (hi, c0, c1): (i64, i64, i64)) {
 /// [`DEADLINE_STRIDE`] frames and box pairs examined.
 fn enumerate_pairs(
     scan: &mut ScanScratch,
-    spacing: &SpacingTable,
+    rules: &DesignRules,
     owner: &[usize],
     frames: &[Option<Rect>],
     bases: &[i64],
@@ -1528,7 +1499,7 @@ fn enumerate_pairs(
     let axis = index.axis();
     let n = bases.len();
     let boxes = index.items();
-    let wide = spacing.max;
+    let wide = rules.max_spacing();
     // Partners lie within `wide` across; at least 1, so frames that only
     // touch across (and may weld) are reached too.
     let reach = wide.max(1);
@@ -1634,7 +1605,7 @@ fn enumerate_pairs(
                         }
                         continue;
                     }
-                    let Some(s) = spacing.get(la, lb) else {
+                    let Some(s) = rules.min_spacing(la, lb) else {
                         continue;
                     };
                     if rb.lo_along(axis) < ra.hi_along(axis)
@@ -1675,7 +1646,6 @@ struct CellContext<'a> {
     clusters: &'a [Cluster],
     structure: &'a [AxisStructure; 2],
     rules: &'a DesignRules,
-    spacing: SpacingTable,
     solver: &'a dyn Solver,
     opts: &'a HierOptions,
 }
@@ -1697,7 +1667,6 @@ fn sweep_axis(
         shapes,
         clusters,
         rules,
-        ref spacing,
         solver,
         opts,
         ..
@@ -1713,7 +1682,7 @@ fn sweep_axis(
         .iter()
         .map(|c| along(positions[c.rep], axis))
         .collect();
-    let (emission, work) = enumerate_pairs(scan, spacing, &owner, &frames, &bases, &opts.limits)?;
+    let (emission, work) = enumerate_pairs(scan, rules, &owner, &frames, &bases, &opts.limits)?;
 
     // Normalized initial coordinates (clusters are never empty here, but
     // an empty sweep normalizes to 0 rather than panicking).
@@ -2010,10 +1979,11 @@ pub(crate) fn converged(
 /// The one hierarchy walk. Assembly cells are grouped by
 /// [`dependency_levels`]; every cell reads only definitions below it,
 /// all re-placed in earlier levels, so each computation sees exactly the
-/// table state a serial DFS walk would give it. Within a level, one
-/// worker runs the misses inline, committing each before the next runs,
-/// as in a serial walk; more workers run the whole level through one
-/// [`par_map`] and commit in level order after it.
+/// table state a serial DFS walk would give it. Each level's misses run
+/// through one [`par_map`] (inline and in order at one worker) and are
+/// committed in level order after it: no compute reads what a commit
+/// writes, so the outcomes, counters and fault trips are the same at
+/// every worker count.
 ///
 /// Before a level's misses run, [`Abstracts::prepare`] builds every
 /// abstract they read that is not stored yet — leaves from their boxes,
@@ -2062,23 +2032,16 @@ pub(crate) fn walk_levels<F: LevelFlow>(
                 },
             }
         }
-        // One worker runs the misses one at a time, each committed before
-        // the next runs. More workers take the whole level in one fan-out:
-        // batches of `threads` paid a thread spawn per batch, which on the
-        // E23 walk cost more than the level's work (DESIGN.md, E23).
-        let batch = if threads > 1 { misses.len().max(1) } else { 1 };
-        for batch in misses.chunks(batch) {
-            let ready: &Abstracts = abstracts;
-            let done = par_map(batch, threads, |(cell, miss)| {
-                flow.compute(&out_table, ready, *cell, miss)
-            });
-            for ((cell, miss), done) in batch.iter().zip(done) {
-                let done = done.map_err(|panic| HierError::Internal(panic.to_string()));
-                match done.and_then(|done| flow.commit(*cell, miss, done)) {
-                    Ok(outcome) => finished.push((*cell, outcome)),
-                    Err(e) => {
-                        failed.insert(*cell, Some(e));
-                    }
+        let ready: &Abstracts = abstracts;
+        let done = par_map(&misses, threads, |(cell, miss)| {
+            flow.compute(&out_table, ready, *cell, miss)
+        });
+        for ((cell, miss), done) in misses.iter().zip(done) {
+            let done = done.map_err(|panic| HierError::Internal(panic.to_string()));
+            match done.and_then(|done| flow.commit(*cell, miss, done)) {
+                Ok(outcome) => finished.push((*cell, outcome)),
+                Err(e) => {
+                    failed.insert(*cell, Some(e));
                 }
             }
         }
@@ -2768,7 +2731,6 @@ mod tests {
     #[test]
     fn indexed_cell_pass_matches_the_all_pairs_reference() {
         let r = rules();
-        let spacing = SpacingTable::new(&r);
         let mut rng = Rng::from_name("indexed_cell_pass_matches_the_all_pairs_reference");
         // A separate stream draws the relabelings, so the assemblies are
         // the same as without them.
@@ -2810,8 +2772,7 @@ mod tests {
                     .collect();
                 let want = all_pairs_emission(&scan.index, &r, &owner, &frames, &bases);
                 let (got, work) =
-                    enumerate_pairs(&mut scan, &spacing, &owner, &frames, &bases, &Limits::NONE)
-                        .unwrap();
+                    enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &Limits::NONE).unwrap();
                 seen[4] += check_against_reference(&got, &want, &bases, axis, &format!("{axis}"));
                 assert!(work.hidden_tests <= work.candidates, "{work:?}");
 
@@ -2834,15 +2795,9 @@ mod tests {
                     seen[3] += 1;
                 }
                 let want = all_pairs_emission(&scan.index, &r, &owner_p, &frames_p, &bases_p);
-                let (got, work) = enumerate_pairs(
-                    &mut scan,
-                    &spacing,
-                    &owner_p,
-                    &frames_p,
-                    &bases_p,
-                    &Limits::NONE,
-                )
-                .unwrap();
+                let (got, work) =
+                    enumerate_pairs(&mut scan, &r, &owner_p, &frames_p, &bases_p, &Limits::NONE)
+                        .unwrap();
                 check_against_reference(&got, &want, &bases_p, axis, &format!("{axis} relabeled"));
                 assert!(work.hidden_tests <= work.candidates, "{work:?}");
 
@@ -2886,8 +2841,7 @@ mod tests {
             .iter()
             .map(|f| f.map_or(0, |f| f.lo_along(axis)))
             .collect();
-        let spacing = SpacingTable::new(&rules());
-        enumerate_pairs(&mut scan, &spacing, &owner, &frames, &bases, &Limits::NONE)
+        enumerate_pairs(&mut scan, &rules(), &owner, &frames, &bases, &Limits::NONE)
             .unwrap()
             .0
     }
@@ -2969,13 +2923,9 @@ mod tests {
             deadline: Some(std::time::Instant::now() - std::time::Duration::from_secs(1)),
             ..Limits::NONE
         };
-        let spacing = SpacingTable::new(&r);
-        let err =
-            enumerate_pairs(&mut scan, &spacing, &owner, &frames, &bases, &expired).unwrap_err();
+        let err = enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &expired).unwrap_err();
         assert_eq!(err.resource, crate::limits::Resource::Deadline);
-        assert!(
-            enumerate_pairs(&mut scan, &spacing, &owner, &frames, &bases, &Limits::NONE).is_ok()
-        );
+        assert!(enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &Limits::NONE).is_ok());
     }
 
     /// The flatten-based reference the composed abstracts replaced: one

@@ -32,7 +32,7 @@
 //! The session walks the hierarchy through the same level-scheduled
 //! executor as the plain flow (at every [`HierOptions::parallelism`]);
 //! it only adds the hashing and replay before a level's misses run and
-//! the cache merge after each batch of them.
+//! the cache merge after them.
 //!
 //! The contract, pinned by the `incremental_equivalence` proptests: every
 //! call returns **bit-identical outcomes** to the from-scratch flow on

@@ -14,7 +14,9 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DesignRules {
     min_width: HashMap<Layer, i64>,
-    min_spacing: HashMap<(Layer, Layer), i64>,
+    /// Dense and symmetric, indexed by [`Layer::index`]: the compactors
+    /// and the DRC read it once per box pair.
+    min_spacing: [[Option<i64>; Layer::ALL.len()]; Layer::ALL.len()],
     /// Extra poly width required over diffusion (transistor gate rule of
     /// paper §6.4.3).
     pub gate_width: i64,
@@ -40,12 +42,8 @@ impl DesignRules {
 
     /// Sets the minimum spacing between two layers (symmetric).
     pub fn set_min_spacing(&mut self, a: Layer, b: Layer, s: i64) -> &mut Self {
-        let key = if a.index() <= b.index() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        self.min_spacing.insert(key, s);
+        self.min_spacing[a.index()][b.index()] = Some(s);
+        self.min_spacing[b.index()][a.index()] = Some(s);
         self
     }
 
@@ -56,12 +54,21 @@ impl DesignRules {
 
     /// Minimum spacing between two layers, `None` when they don't interact.
     pub fn min_spacing(&self, a: Layer, b: Layer) -> Option<i64> {
-        let key = if a.index() <= b.index() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        self.min_spacing.get(&key).copied()
+        self.min_spacing[a.index()][b.index()]
+    }
+
+    /// Every spacing rule, once per unordered layer pair.
+    fn spacings(&self) -> impl Iterator<Item = (usize, usize, i64)> + '_ {
+        self.min_spacing
+            .iter()
+            .enumerate()
+            .flat_map(|(a, row)| {
+                row[a..]
+                    .iter()
+                    .enumerate()
+                    .map(move |(d, s)| (a, a + d, *s))
+            })
+            .filter_map(|(a, b, s)| Some((a, b, s?)))
     }
 
     /// The technology's smallest spacing rule across every interacting
@@ -70,7 +77,7 @@ impl DesignRules {
     /// material happens not to interact cannot solve its pitch to a
     /// physically meaningless 0.
     pub fn spacing_floor(&self) -> i64 {
-        self.min_spacing.values().copied().min().unwrap_or(0)
+        self.spacings().map(|(_, _, s)| s).min().unwrap_or(0)
     }
 
     /// The technology's largest spacing rule across every interacting
@@ -78,7 +85,7 @@ impl DesignRules {
     /// than this can constrain each other. Derived from the rules, never
     /// set on its own.
     pub fn max_spacing(&self) -> i64 {
-        self.min_spacing.values().copied().max().unwrap_or(0)
+        self.spacings().map(|(_, _, s)| s).max().unwrap_or(0)
     }
 
     /// Deterministic content digest of the rule set — part of every
@@ -97,12 +104,9 @@ impl DesignRules {
         for (l, w) in widths {
             h.write_u64(l as u64).write_i64(w);
         }
-        let mut spacings: Vec<(usize, usize, i64)> = self
-            .min_spacing
-            .iter()
-            .map(|(&(a, b), &s)| (a.index(), b.index(), s))
-            .collect();
-        spacings.sort_unstable();
+        // Ascending `(a, b)` with `a <= b`, one entry per rule: persisted
+        // cache keys fold this digest, so the absorb order must not move.
+        let spacings: Vec<(usize, usize, i64)> = self.spacings().collect();
         h.write_u64(spacings.len() as u64);
         for (a, b, s) in spacings {
             h.write_u64(a as u64).write_u64(b as u64).write_i64(s);
