@@ -8,6 +8,7 @@
 //! hidden-edge oracle queries it makes (`HierSweepStats::hidden_tests`),
 //! the difference constraints it generates (`HierSweepStats::constraints`),
 //! the relaxation passes its solves take (`HierSweepStats::solver_passes`),
+//! the CSR graphs those solves build (`HierSweepStats::graph_builds`),
 //! and the boxes the walk feeds to interface-abstract derivation
 //! (`ChipLayout::abstract_inputs`), on the E23 megachip walk at 10⁵
 //! boxes and on the 16×16 multiplier chip. All workloads are
@@ -136,6 +137,11 @@ fn walk_constraints(chip: &ChipLayout) -> usize {
 /// walk.
 fn walk_solver_passes(chip: &ChipLayout) -> usize {
     walk_sum(chip, |s| s.solver_passes)
+}
+
+/// CSR graph builds of the hierarchical cell pass's solves over a walk.
+fn walk_graph_builds(chip: &ChipLayout) -> usize {
+    walk_sum(chip, |s| s.graph_builds)
 }
 
 /// The serial E23 megachip walk at 10⁵ boxes, and its flat box count.
@@ -270,5 +276,26 @@ fn multiplier_16x16_constraints_stay_under_recorded_ceiling() {
     assert!(
         count <= ceiling,
         "16x16 multiplier chip constraint count regressed: {count} > recorded ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn megachip_hier_100k_graph_builds_stay_under_recorded_ceiling() {
+    let (out, boxes) = megachip_walk();
+    let count = walk_graph_builds(&out);
+    let ceiling = ceiling("megachip_hier_100k_graph_builds");
+    assert!(
+        count <= ceiling,
+        "megachip hier walk (n = {boxes}) graph build count regressed: {count} > recorded ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn multiplier_16x16_graph_builds_stay_under_recorded_ceiling() {
+    let count = walk_graph_builds(&multiplier_walk());
+    let ceiling = ceiling("multiplier_16x16_graph_builds");
+    assert!(
+        count <= ceiling,
+        "16x16 multiplier chip graph build count regressed: {count} > recorded ceiling {ceiling}"
     );
 }

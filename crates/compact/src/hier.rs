@@ -642,7 +642,7 @@ impl CompactHooks for NoHooks {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum ShapeKey {
     /// An instance: called definition + orientation (as ℤ₄ × 𝔹 ints).
-    Cell(u32, (u8, bool)),
+    Cell(CellId, (u8, bool)),
     /// A direct box in the assembly cell: layer index + dimensions, so
     /// differently-sized bars on one layer don't share a pitch class.
     Box(usize, (i64, i64)),
@@ -701,6 +701,10 @@ pub struct HierSweepStats {
     pub pitch_rounds: usize,
     /// Total relaxation passes across the rounds' solves.
     pub solver_passes: usize,
+    /// CSR graphs built for the rounds' solves: one for the first solve,
+    /// plus one per round whose class re-weighting re-elected a parallel
+    /// representative (the others patch the graph in place).
+    pub graph_builds: usize,
     /// Origin extent along the axis after the sweep.
     pub extent: i64,
 }
@@ -938,7 +942,7 @@ pub(crate) fn compact_cell_with(
     for (k, obj) in def.objects().iter().enumerate() {
         match obj {
             LayoutObject::Instance(inst) => {
-                let key = ShapeKey::Cell(inst.cell.raw(), {
+                let key = ShapeKey::Cell(inst.cell, {
                     let o = inst.orientation;
                     (o.rotation as u8, o.mirror_y)
                 });
@@ -1264,12 +1268,11 @@ fn axis_structure(
             classes.entry(key).or_default().push((a, b));
         }
     }
-    let names: HashMap<u32, &str> = table.iter().map(|(id, c)| (id.raw(), c.name())).collect();
     let name_of = |key: &ShapeKey| -> String {
         match key {
-            ShapeKey::Cell(raw, _) => names
-                .get(raw)
-                .map_or_else(|| format!("#{raw}"), |n| (*n).to_owned()),
+            ShapeKey::Cell(id, _) => table
+                .get(*id)
+                .map_or_else(|| format!("#{}", id.raw()), |c| c.name().to_owned()),
             ShapeKey::Box(layer, _) => format!("box:{}", Layer::ALL[*layer]),
         }
     };
@@ -1712,6 +1715,7 @@ fn sweep_axis(
     // so the kept set is deterministic and solution-identical.
     let mut lambdas: Vec<i64> = structure.classes.iter().map(|_| floor).collect();
     sys.reset(axis);
+    let builds = sys.graph_builds();
     let vars: Vec<_> = (0..n).map(|ci| sys.add_var(bases[ci] - min_base)).collect();
     let ScanScratch { starts, keep, .. } = scan;
     pruned_weight_edges(n, &emission.weights, opts.prune, starts, keep);
@@ -1826,6 +1830,7 @@ fn sweep_axis(
             constraints,
             pitch_rounds: rounds,
             solver_passes: passes,
+            graph_builds: sys.graph_builds() - builds,
             extent,
         },
         pitches,
@@ -2603,6 +2608,14 @@ mod tests {
         let leaves: Vec<Vec<(Layer, Rect)>> = (0..3)
             .map(|_| (0..1 + pick(rng, 4)).map(|_| random_box(rng)).collect())
             .collect();
+        let mut leaf_table = CellTable::new();
+        let leaf_ids: Vec<CellId> = (0..leaves.len())
+            .map(|i| {
+                leaf_table
+                    .insert(CellDefinition::new(format!("leaf{i}")))
+                    .unwrap()
+            })
+            .collect();
         let (mut items, mut shapes) = (Vec::new(), Vec::new());
         for object in 0..4 + pick(rng, 10) as usize {
             let pos = Point::new(2 * pick(rng, 24), 2 * pick(rng, 24));
@@ -2622,7 +2635,7 @@ mod tests {
                     .collect::<Vec<_>>();
                 (
                     boxes,
-                    ShapeKey::Cell(def as u32, (o.rotation as u8, o.mirror_y)),
+                    ShapeKey::Cell(leaf_ids[def], (o.rotation as u8, o.mirror_y)),
                 )
             };
             shapes.push(Arc::new(CellAbstract::from_boxes(&boxes, r)));

@@ -6,6 +6,12 @@
 //! exited, environments in design files may have a much greater lifetime",
 //! §4.5). Variable lookup follows the paper's chain: current frame →
 //! global environment (parameter file) → cell definition table.
+//!
+//! The tables hash names with [`NameHasher`], a deterministic
+//! multiply-rotate hash, and key them by shared `Rc<str>`: binding a
+//! procedure's formals and locals copies no string, and a plain
+//! variable reference looks up its own text. Procedure bodies are
+//! shared too, so a call clones no syntax tree.
 
 use crate::ast::{Ast, ProcDef, TopLevel, VarRef};
 use crate::param::parse_parameter_file;
@@ -14,7 +20,64 @@ use crate::value::{EnvId, Value};
 use crate::LangError;
 use rsg_core::Rsg;
 use rsg_layout::{CellId, CellTable};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
+
+/// The FxHash rule: per 8-byte word, rotate, xor and multiply. Names are
+/// a few bytes long, so this is a handful of cycles where SipHash runs
+/// its rounds; it is deterministic, and design files are the designer's
+/// own input, so no keyed hash is needed against collision floods.
+#[derive(Debug, Clone, Copy, Default)]
+struct NameHasher(u64);
+
+impl NameHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for NameHasher {
+    fn write(&mut self, mut bytes: &[u8]) {
+        while let Some((word, rest)) = bytes.split_first_chunk::<8>() {
+            self.add(u64::from_le_bytes(*word));
+            bytes = rest;
+        }
+        if let Some((word, rest)) = bytes.split_first_chunk::<4>() {
+            self.add(u64::from(u32::from_le_bytes(*word)));
+            bytes = rest;
+        }
+        if let Some((word, rest)) = bytes.split_first_chunk::<2>() {
+            self.add(u64::from(u16::from_le_bytes(*word)));
+            bytes = rest;
+        }
+        if let Some(&byte) = bytes.first() {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A name-keyed environment table (§4.5's hash-table frames).
+type Names<V> = HashMap<Rc<str>, V, BuildHasherDefault<NameHasher>>;
+
+/// A defined procedure: its shared definition, with the formal and local
+/// names as the keys its frames bind.
+#[derive(Debug)]
+struct Proc {
+    def: ProcDef,
+    formals: Vec<Rc<str>>,
+    locals: Vec<Rc<str>>,
+}
 
 /// Result of running a design file: the generator (cell + interface
 /// tables populated), the collected `print` output, and the value of the
@@ -36,12 +99,13 @@ pub struct DesignRun {
 #[derive(Debug)]
 pub struct Interpreter {
     rsg: Rsg,
-    globals: HashMap<String, Value>,
-    frames: Vec<HashMap<String, Value>>,
-    procs: HashMap<String, ProcDef>,
+    globals: Names<Value>,
+    frames: Vec<Names<Value>>,
+    procs: Names<Rc<Proc>>,
     output: Vec<String>,
     input: VecDeque<i64>,
-    call_stack: Vec<String>,
+    call_stack: Vec<Rc<Proc>>,
+    args: Vec<Value>,
     max_call_depth: usize,
     root_frame: Option<EnvId>,
 }
@@ -51,12 +115,13 @@ impl Interpreter {
     pub fn new(rsg: Rsg) -> Interpreter {
         Interpreter {
             rsg,
-            globals: HashMap::new(),
+            globals: Names::default(),
             frames: Vec::new(),
-            procs: HashMap::new(),
+            procs: Names::default(),
             output: Vec::new(),
             input: VecDeque::new(),
             call_stack: Vec::new(),
+            args: Vec::new(),
             max_call_depth: 100,
             root_frame: None,
         }
@@ -80,7 +145,7 @@ impl Interpreter {
     pub fn load_parameters(&mut self, src: &str) -> Result<(), LangError> {
         let p = parse_parameter_file(src)?;
         for (name, value) in p.bindings {
-            self.globals.insert(name, value);
+            self.globals.insert(name.into(), value);
         }
         Ok(())
     }
@@ -92,7 +157,7 @@ impl Interpreter {
 
     /// Sets one global directly (a programmatic parameter binding).
     pub fn set_global(&mut self, name: impl Into<String>, value: Value) {
-        self.globals.insert(name.into(), value);
+        self.globals.insert(name.into().into(), value);
     }
 
     /// Reads a global back (for tests and drivers).
@@ -121,9 +186,19 @@ impl Interpreter {
         let program = parse_program(src)?;
         // Definitions first (so statements may call procs defined later in
         // the file), then statements in order.
-        for form in &program {
-            if let TopLevel::Proc(p) = form {
-                self.procs.insert(p.name.clone(), p.clone());
+        let mut stmts = Vec::with_capacity(program.len());
+        for form in program {
+            match form {
+                TopLevel::Proc(def) => {
+                    let proc = Proc {
+                        formals: def.formals.iter().map(|f| Rc::from(f.as_str())).collect(),
+                        locals: def.locals.iter().map(|l| Rc::from(l.as_str())).collect(),
+                        def,
+                    };
+                    self.procs
+                        .insert(proc.def.name.as_str().into(), Rc::new(proc));
+                }
+                TopLevel::Stmt(stmt) => stmts.push(stmt),
             }
         }
         let root = match self.root_frame {
@@ -135,10 +210,8 @@ impl Interpreter {
             }
         };
         let mut last = Value::Unit;
-        for form in &program {
-            if let TopLevel::Stmt(stmt) = form {
-                last = self.eval(stmt, root)?;
-            }
+        for stmt in &stmts {
+            last = self.eval(stmt, root)?;
         }
         Ok(last)
     }
@@ -162,14 +235,14 @@ impl Interpreter {
     // ------------------------------------------------------------------
 
     fn new_frame(&mut self) -> EnvId {
-        self.frames.push(HashMap::new());
+        self.frames.push(Names::default());
         EnvId(self.frames.len() as u32 - 1)
     }
 
     fn rt(&self, message: impl Into<String>) -> LangError {
         LangError::Runtime {
             message: message.into(),
-            call_stack: self.call_stack.clone(),
+            call_stack: self.call_stack.iter().map(|p| p.def.name.clone()).collect(),
         }
     }
 
@@ -215,7 +288,7 @@ impl Interpreter {
                 body,
             } => {
                 let init_v = self.eval(init, env)?;
-                self.frames[env.0 as usize].insert(var.clone(), init_v);
+                self.bind_local(var, init_v, env);
                 loop {
                     if self.truthy(exit, env)? {
                         return Ok(Value::Unit);
@@ -224,7 +297,7 @@ impl Interpreter {
                         self.eval(stmt, env)?;
                     }
                     let next_v = self.eval(next, env)?;
-                    self.frames[env.0 as usize].insert(var.clone(), next_v);
+                    self.bind_local(var, next_v, env);
                 }
             }
             Ast::Print(inner) => {
@@ -263,7 +336,7 @@ impl Interpreter {
                 };
                 let name = self.mangle(vr, env)?;
                 self.frames[target.0 as usize]
-                    .get(&name)
+                    .get(name.as_ref())
                     .cloned()
                     .ok_or_else(|| self.rt(format!("`{name}` not bound in that environment")))
             }
@@ -314,23 +387,32 @@ impl Interpreter {
     ) -> Result<Value, LangError> {
         // User procedures shadow nothing: builtin operator names are not
         // legal procedure names anyway (they contain punctuation).
-        if self.procs.contains_key(name) {
-            return self.call_proc(name, args, env);
+        if let Some(proc) = self.procs.get(name) {
+            return self.call_proc(Rc::clone(proc), args, env);
         }
-        let mut vals = Vec::with_capacity(args.len());
+        // Builtin arguments go on a shared stack, so a call allocates
+        // nothing; nested calls push above `base` and pop back to it.
+        let base = self.args.len();
         for a in args {
-            vals.push(self.eval(a, env)?);
+            match self.eval(a, env) {
+                Ok(v) => self.args.push(v),
+                Err(e) => {
+                    self.args.truncate(base);
+                    return Err(e);
+                }
+            }
         }
-        self.builtin(name, &vals, line)
+        let out = self.builtin(name, &self.args[base..], line);
+        self.args.truncate(base);
+        out
     }
 
-    fn call_proc(&mut self, name: &str, args: &[Ast], env: EnvId) -> Result<Value, LangError> {
+    fn call_proc(&mut self, proc: Rc<Proc>, args: &[Ast], env: EnvId) -> Result<Value, LangError> {
+        let def = &proc.def;
+        let name = &def.name;
         if self.call_stack.len() >= self.max_call_depth {
             return Err(self.rt(format!("call depth limit exceeded calling `{name}`")));
         }
-        let Some(def) = self.procs.get(name).cloned() else {
-            return Err(self.rt(format!("`{name}` is not a defined procedure")));
-        };
         if args.len() != def.formals.len() {
             return Err(self.rt(format!(
                 "`{name}` expects {} argument(s), got {}",
@@ -338,23 +420,24 @@ impl Interpreter {
                 args.len()
             )));
         }
-        let mut vals = Vec::with_capacity(args.len());
-        for a in args {
-            vals.push(self.eval(a, env)?);
-        }
         // The paper sizes each frame's hash table from the formal+local
-        // count (§4.5); HashMap::with_capacity mirrors that.
-        let mut frame = HashMap::with_capacity(def.formals.len() + def.locals.len());
-        for (f, v) in def.formals.iter().zip(vals) {
-            frame.insert(f.clone(), v);
+        // count (§4.5); with_capacity mirrors that. The arguments are
+        // evaluated in the caller's environment straight into it.
+        let mut frame = Names::with_capacity_and_hasher(
+            def.formals.len() + def.locals.len(),
+            Default::default(),
+        );
+        for (f, a) in proc.formals.iter().zip(args) {
+            let v = self.eval(a, env)?;
+            frame.insert(Rc::clone(f), v);
         }
-        for l in &def.locals {
-            frame.insert(l.clone(), Value::Unit);
+        for l in &proc.locals {
+            frame.insert(Rc::clone(l), Value::Unit);
         }
         self.frames.push(frame);
         let callee = EnvId(self.frames.len() as u32 - 1);
 
-        self.call_stack.push(name.to_owned());
+        self.call_stack.push(Rc::clone(&proc));
         let mut last = Value::Unit;
         for stmt in &def.body {
             match self.eval(stmt, callee) {
@@ -373,7 +456,7 @@ impl Interpreter {
         })
     }
 
-    fn builtin(&mut self, name: &str, vals: &[Value], line: usize) -> Result<Value, LangError> {
+    fn builtin(&self, name: &str, vals: &[Value], line: usize) -> Result<Value, LangError> {
         let int = |v: &Value| -> Result<i64, LangError> {
             match v {
                 Value::Int(n) => Ok(*n),
@@ -458,17 +541,18 @@ impl Interpreter {
     }
 
     /// Resolves a variable reference to its (possibly mangled) name by
-    /// evaluating index expressions in the current environment.
-    fn mangle(&mut self, vr: &VarRef, env: EnvId) -> Result<String, LangError> {
+    /// evaluating index expressions in the current environment. A plain
+    /// reference borrows its own text.
+    fn mangle<'a>(&mut self, vr: &'a VarRef, env: EnvId) -> Result<Cow<'a, str>, LangError> {
         if vr.indices.is_empty() {
-            return Ok(vr.base.clone());
+            return Ok(Cow::Borrowed(&vr.base));
         }
         let mut name = vr.base.clone();
         for idx in &vr.indices {
             match self.eval(idx, env)? {
                 Value::Int(n) => {
-                    name.push('.');
-                    name.push_str(&n.to_string());
+                    // Writing into a String cannot fail.
+                    let _ = write!(name, ".{n}");
                 }
                 other => {
                     return Err(self.rt(format!(
@@ -479,48 +563,55 @@ impl Interpreter {
                 }
             }
         }
-        Ok(name)
+        Ok(Cow::Owned(name))
     }
 
     /// §4.1 lookup chain: frame → globals (with symbol-alias resolution) →
     /// cell table.
     fn lookup(&self, name: &str, env: EnvId) -> Result<Value, LangError> {
-        if let Some(v) = self.frames[env.0 as usize].get(name) {
-            return self.deref_symbol(v.clone(), 0);
+        match self.frames[env.0 as usize].get(name) {
+            Some(Value::Symbol(s)) => self.lookup_global_or_cell(s, 0),
+            Some(v) => Ok(v.clone()),
+            None => self.lookup_global_or_cell(name, 0),
         }
-        self.lookup_global_or_cell(name, 0)
     }
 
     fn lookup_global_or_cell(&self, name: &str, depth: usize) -> Result<Value, LangError> {
         if depth > 16 {
             return Err(self.rt(format!("parameter alias chain too deep at `{name}`")));
         }
-        if let Some(v) = self.globals.get(name) {
-            return self.deref_symbol(v.clone(), depth + 1);
-        }
-        if let Some(cell) = self.rsg.cells().lookup(name) {
-            return Ok(Value::Cell(cell));
-        }
-        Err(self.rt(format!("unbound variable `{name}`")))
-    }
-
-    fn deref_symbol(&self, v: Value, depth: usize) -> Result<Value, LangError> {
-        match v {
-            Value::Symbol(s) => self.lookup_global_or_cell(&s, depth),
-            other => Ok(other),
+        match self.globals.get(name) {
+            Some(Value::Symbol(s)) => self.lookup_global_or_cell(s, depth + 1),
+            Some(v) => Ok(v.clone()),
+            None => self
+                .rsg
+                .cells()
+                .lookup(name)
+                .map(Value::Cell)
+                .ok_or_else(|| self.rt(format!("unbound variable `{name}`"))),
         }
     }
 
     /// Assignment: update the binding where it lives (frame first, then
     /// global), else create it in the current frame.
     fn assign(&mut self, name: &str, value: Value, env: EnvId) {
-        let frame = &mut self.frames[env.0 as usize];
-        if frame.contains_key(name) {
-            frame.insert(name.to_owned(), value);
-        } else if self.globals.contains_key(name) {
-            self.globals.insert(name.to_owned(), value);
+        if let Some(slot) = self.frames[env.0 as usize].get_mut(name) {
+            *slot = value;
+        } else if let Some(slot) = self.globals.get_mut(name) {
+            *slot = value;
         } else {
-            self.frames[env.0 as usize].insert(name.to_owned(), value);
+            self.frames[env.0 as usize].insert(name.into(), value);
+        }
+    }
+
+    /// Binds `name` in the current frame itself (a `do` loop variable).
+    fn bind_local(&mut self, name: &str, value: Value, env: EnvId) {
+        let frame = &mut self.frames[env.0 as usize];
+        match frame.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                frame.insert(name.into(), value);
+            }
         }
     }
 
@@ -545,8 +636,12 @@ impl Interpreter {
 
     fn eval_index(&mut self, ast: &Ast, env: EnvId) -> Result<u32, LangError> {
         match self.eval(ast, env)? {
-            Value::Int(n) if n >= 0 => Ok(n as u32),
-            Value::Int(n) => Err(self.rt(format!("interface index must be >= 0, got {n}"))),
+            Value::Int(n) => u32::try_from(n).map_err(|_| {
+                self.rt(format!(
+                    "interface index must be in 0..={}, got {n}",
+                    u32::MAX
+                ))
+            }),
             other => Err(self.rt(format!(
                 "interface index must be an integer, got {}",
                 other.type_name()
@@ -796,6 +891,20 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("nosuchvar"));
         assert!(text.contains("outer > inner"), "{text}");
+    }
+
+    #[test]
+    fn interface_index_beyond_u32_is_an_error_not_a_wrap() {
+        let mut i = tiled_interp();
+        i.exec("(mk_instance a tile)(mk_instance b tile)").unwrap();
+        // 2^32 + 1 would truncate to the existing interface #1.
+        let err = i.exec("(connect a b 4294967297)").unwrap_err();
+        assert!(matches!(err, LangError::Runtime { .. }), "{err}");
+        assert!(err.to_string().contains("4294967297"), "{err}");
+        assert!(i.exec("(connect a b -1)").is_err());
+        // u32::MAX itself is still an index (edges are checked when the
+        // cell is built).
+        i.exec("(connect a b 4294967295)").unwrap();
     }
 
     #[test]

@@ -7,9 +7,10 @@
 
 use crate::LangError;
 
-/// One token with its source line (1-based) for diagnostics.
+/// One token with its source line (1-based) for diagnostics. Texts are
+/// slices of the source, so lexing copies no string.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+pub enum Token<'a> {
     /// `(`
     LParen {
         /// Source line.
@@ -24,7 +25,7 @@ pub enum Token {
     /// `trailing_dot` is set for atoms like `c.` in `c.(- i 1)`.
     Atom {
         /// The atom text (without any trailing dot).
-        text: String,
+        text: &'a str,
         /// Whether a `(`-index expression follows.
         trailing_dot: bool,
         /// Source line.
@@ -33,13 +34,13 @@ pub enum Token {
     /// A double-quoted string literal.
     Str {
         /// The unquoted contents.
-        text: String,
+        text: &'a str,
         /// Source line.
         line: usize,
     },
 }
 
-impl Token {
+impl Token<'_> {
     /// The source line of the token.
     pub fn line(&self) -> usize {
         match self {
@@ -56,12 +57,12 @@ impl Token {
 /// # Errors
 ///
 /// Returns [`LangError::Parse`] on unterminated strings.
-pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, LangError> {
     let mut tokens = Vec::new();
-    let mut chars = src.chars().peekable();
+    let mut chars = src.char_indices().peekable();
     let mut line = 1usize;
 
-    while let Some(&c) = chars.peek() {
+    while let Some(&(at, c)) = chars.peek() {
         match c {
             '\n' => {
                 line += 1;
@@ -71,7 +72,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
                 chars.next();
             }
             ';' => {
-                for c in chars.by_ref() {
+                for (_, c) in chars.by_ref() {
                     if c == '\n' {
                         line += 1;
                         break;
@@ -88,53 +89,42 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
             }
             '"' => {
                 chars.next();
-                let start = line;
-                let mut text = String::new();
-                loop {
+                let unterminated = || LangError::Parse {
+                    line,
+                    message: "unterminated string literal".into(),
+                };
+                let end = loop {
                     match chars.next() {
-                        Some('"') => break,
-                        Some('\n') => {
-                            return Err(LangError::Parse {
-                                line: start,
-                                message: "unterminated string literal".into(),
-                            })
-                        }
-                        Some(ch) => text.push(ch),
-                        None => {
-                            return Err(LangError::Parse {
-                                line: start,
-                                message: "unterminated string literal".into(),
-                            })
-                        }
+                        Some((end, '"')) => break end,
+                        Some((_, '\n')) | None => return Err(unterminated()),
+                        Some(_) => {}
                     }
-                }
-                tokens.push(Token::Str { text, line });
+                };
+                tokens.push(Token::Str {
+                    text: &src[at + 1..end],
+                    line,
+                });
             }
             _ => {
-                let mut text = String::new();
+                let mut end = src.len();
                 let mut trailing_dot = false;
-                while let Some(&ch) = chars.peek() {
+                while let Some(&(i, ch)) = chars.peek() {
                     if ch.is_whitespace() || ch == '(' || ch == ')' || ch == ';' || ch == '"' {
+                        end = i;
                         break;
                     }
-                    if ch == '.' {
-                        // Peek past the dot: if a `(` follows, the dot
-                        // terminates the atom and announces an index
-                        // expression. Otherwise it is part of a dotted
-                        // name like `l.i`.
-                        let mut ahead = chars.clone();
-                        ahead.next();
-                        if ahead.peek() == Some(&'(') {
-                            chars.next();
-                            trailing_dot = true;
-                            break;
-                        }
-                    }
-                    text.push(ch);
                     chars.next();
+                    // A dot directly before `(` terminates the atom and
+                    // announces an index expression. Otherwise it is part
+                    // of a dotted name like `l.i`.
+                    if ch == '.' && matches!(chars.peek(), Some((_, '('))) {
+                        end = i;
+                        trailing_dot = true;
+                        break;
+                    }
                 }
                 tokens.push(Token::Atom {
-                    text,
+                    text: &src[at..end],
                     trailing_dot,
                     line,
                 });
@@ -155,7 +145,7 @@ mod tests {
             .filter_map(|t| match t {
                 Token::Atom {
                     text, trailing_dot, ..
-                } => Some((text, trailing_dot)),
+                } => Some((text.to_owned(), trailing_dot)),
                 _ => None,
             })
             .collect()
@@ -165,8 +155,8 @@ mod tests {
     fn plain_atoms_and_parens() {
         let toks = lex("(+ a 12)").unwrap();
         assert_eq!(toks.len(), 5);
-        assert!(matches!(&toks[1], Token::Atom { text, .. } if text == "+"));
-        assert!(matches!(&toks[3], Token::Atom { text, .. } if text == "12"));
+        assert!(matches!(&toks[1], Token::Atom { text, .. } if *text == "+"));
+        assert!(matches!(&toks[3], Token::Atom { text, .. } if *text == "12"));
     }
 
     #[test]
@@ -193,10 +183,10 @@ mod tests {
         let toks = lex("(mk_cell \"the whole thing\" x) ; trailing comment\n(y)").unwrap();
         assert!(toks
             .iter()
-            .any(|t| matches!(t, Token::Str { text, .. } if text == "the whole thing")));
+            .any(|t| matches!(t, Token::Str { text, .. } if *text == "the whole thing")));
         assert!(toks
             .iter()
-            .any(|t| matches!(t, Token::Atom { text, .. } if text == "y")));
+            .any(|t| matches!(t, Token::Atom { text, .. } if *text == "y")));
         assert!(!toks
             .iter()
             .any(|t| matches!(t, Token::Atom { text, .. } if text.contains("comment"))));

@@ -4,30 +4,30 @@ use crate::ast::{Ast, ProcDef, TopLevel, VarRef};
 use crate::lexer::{lex, Token};
 use crate::LangError;
 
-/// Intermediate s-expression form.
+/// Intermediate s-expression form; texts borrow from the source.
 #[derive(Debug, Clone, PartialEq)]
-enum Sexp {
+enum Sexp<'a> {
     Atom {
-        text: String,
+        text: &'a str,
         line: usize,
     },
     Str {
-        text: String,
+        text: &'a str,
         line: usize,
     },
     /// An atom immediately followed by `.(expr)` index expressions.
     Indexed {
-        base: String,
-        indices: Vec<Sexp>,
+        base: &'a str,
+        indices: Vec<Sexp<'a>>,
         line: usize,
     },
     List {
-        items: Vec<Sexp>,
+        items: Vec<Sexp<'a>>,
         line: usize,
     },
 }
 
-impl Sexp {
+impl Sexp<'_> {
     fn line(&self) -> usize {
         match self {
             Sexp::Atom { line, .. }
@@ -62,20 +62,14 @@ pub fn parse_program(src: &str) -> Result<Vec<TopLevel>, LangError> {
     sexps.into_iter().map(lower_toplevel).collect()
 }
 
-fn parse_sexp(tokens: &[Token], pos: usize) -> Result<(Sexp, usize), LangError> {
+fn parse_sexp<'a>(tokens: &[Token<'a>], pos: usize) -> Result<(Sexp<'a>, usize), LangError> {
     match tokens.get(pos) {
         None => Err(perr(
             tokens.last().map_or(1, Token::line),
             "unexpected end of input",
         )),
         Some(Token::RParen { line }) => Err(perr(*line, "unexpected `)`")),
-        Some(Token::Str { text, line }) => Ok((
-            Sexp::Str {
-                text: text.clone(),
-                line: *line,
-            },
-            pos + 1,
-        )),
+        Some(Token::Str { text, line }) => Ok((Sexp::Str { text, line: *line }, pos + 1)),
         Some(Token::Atom {
             text,
             trailing_dot,
@@ -88,20 +82,14 @@ fn parse_sexp(tokens: &[Token], pos: usize) -> Result<(Sexp, usize), LangError> 
                 let (index, next) = parse_sexp(tokens, pos + 1)?;
                 Ok((
                     Sexp::Indexed {
-                        base: text.clone(),
+                        base: text,
                         indices: vec![index],
                         line: *line,
                     },
                     next,
                 ))
             } else {
-                Ok((
-                    Sexp::Atom {
-                        text: text.clone(),
-                        line: *line,
-                    },
-                    pos + 1,
-                ))
+                Ok((Sexp::Atom { text, line: *line }, pos + 1))
             }
         }
         Some(Token::LParen { line }) => {
@@ -127,8 +115,8 @@ fn parse_sexp(tokens: &[Token], pos: usize) -> Result<(Sexp, usize), LangError> 
 fn lower_toplevel(s: Sexp) -> Result<TopLevel, LangError> {
     if let Sexp::List { items, line } = &s {
         if let Some(Sexp::Atom { text, .. }) = items.first() {
-            if text == "defun" || text == "macro" {
-                return lower_procdef(items, *line, text == "macro").map(TopLevel::Proc);
+            if *text == "defun" || *text == "macro" {
+                return lower_procdef(items, *line, *text == "macro").map(TopLevel::Proc);
             }
         }
     }
@@ -165,7 +153,7 @@ fn lower_procdef(items: &[Sexp], line: usize, is_macro: bool) -> Result<ProcDef,
     let mut body_start = 3;
     let mut locals = Vec::new();
     if let Some(Sexp::List { items: l, .. }) = items.get(3) {
-        if matches!(l.first(), Some(Sexp::Atom { text, .. }) if text == "locals" || text == "local")
+        if matches!(l.first(), Some(Sexp::Atom { text, .. }) if *text == "locals" || *text == "local")
         {
             locals = l[1..]
                 .iter()
@@ -192,7 +180,7 @@ fn lower_procdef(items: &[Sexp], line: usize, is_macro: bool) -> Result<ProcDef,
     })
 }
 
-fn atom_text(s: &Sexp) -> Option<&str> {
+fn atom_text<'a>(s: &Sexp<'a>) -> Option<&'a str> {
     match s {
         Sexp::Atom { text, .. } => Some(text),
         _ => None,
@@ -280,7 +268,7 @@ fn lower_varref(s: &Sexp) -> Result<VarRef, LangError> {
 fn lower_stmt(s: &Sexp) -> Result<Ast, LangError> {
     match s {
         Sexp::Atom { text, line } => lower_atom(text, *line),
-        Sexp::Str { text, .. } => Ok(Ast::Str(text.clone())),
+        Sexp::Str { text, .. } => Ok(Ast::Str((*text).to_owned())),
         Sexp::Indexed { .. } => Ok(Ast::Var(lower_varref(s)?)),
         Sexp::List { items, line } => {
             let line = *line;

@@ -1,8 +1,10 @@
 //! Experiment E9: the Appendix-B design file, run through the `rsg-lang`
 //! interpreter, must produce exactly the layout the native generator
-//! builds — same cells, same instance placements, same flat geometry.
+//! builds — the same cell table (cell order, names, every object and
+//! instance placement) and the same flat geometry.
 
 use rsg_layout::stats::LayoutStats;
+use rsg_layout::{CellTable, LayoutObject};
 use rsg_mult::cells::sample_layout;
 use rsg_mult::generator;
 use rsg_mult::{design_file_source, parameter_file_source};
@@ -19,9 +21,49 @@ fn flat_signature(
     sig
 }
 
+/// Every cell of a table in insertion order: its name and its objects,
+/// with each instance's callee given by name so the comparison does not
+/// lean on id numbering.
+fn table_listing(cells: &CellTable) -> Vec<(String, Vec<String>)> {
+    let name = |id| cells.get(id).map_or("?", |c| c.name()).to_owned();
+    cells
+        .iter()
+        .map(|(_, def)| {
+            let objects = def
+                .objects()
+                .iter()
+                .map(|o| match o {
+                    LayoutObject::Instance(i) => format!(
+                        "inst {} at {:?} {:?}",
+                        name(i.cell),
+                        i.point_of_call,
+                        i.orientation
+                    ),
+                    other => format!("{other:?}"),
+                })
+                .collect();
+            (def.name().to_owned(), objects)
+        })
+        .collect()
+}
+
 #[test]
 fn interpreted_design_file_matches_native_generator() {
-    for (xs, ys) in [(2, 2), (6, 6), (5, 3)] {
+    // The small shapes, and every multiplier size of the benchmark's
+    // paper-flow deck.
+    let sizes = [
+        (2, 2),
+        (5, 3),
+        (4, 4),
+        (4, 6),
+        (6, 6),
+        (6, 9),
+        (9, 9),
+        (11, 11),
+        (13, 14),
+        (16, 16),
+    ];
+    for (xs, ys) in sizes {
         let native = generator::generate(xs, ys).unwrap();
 
         let run = rsg_lang::run_design(
@@ -35,6 +77,16 @@ fn interpreted_design_file_matches_native_generator() {
             .cells()
             .lookup("thewholething")
             .expect("top cell built");
+
+        // The whole table: cell order, names, and every object of every
+        // cell, instances in order with their placements.
+        let native_table = table_listing(native.rsg.cells());
+        let interp_table = table_listing(run.rsg.cells());
+        assert_eq!(native_table.len(), interp_table.len(), "{xs}x{ys}");
+        for (n, i) in native_table.iter().zip(&interp_table) {
+            assert_eq!(n, i, "cell differs for {xs}x{ys}");
+        }
+        assert_eq!(native.top, top, "{xs}x{ys}");
 
         let native_sig = flat_signature(native.rsg.cells(), native.top);
         let interp_sig = flat_signature(run.rsg.cells(), top);

@@ -22,7 +22,8 @@
 use crate::graph::ConstraintGraph;
 use rsg_geom::Axis;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Handle to an edge-position variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -77,11 +78,9 @@ pub struct ConstraintSystem {
     pitch_names: Vec<String>,
     constraints: Vec<Constraint>,
     graph: OnceLock<ConstraintGraph>,
-    /// Retired graph parked so the next build recycles its buffers
-    /// (kept on measurement, DESIGN.md "Solver-side slimming"). A
-    /// `Mutex` only because `OnceLock` forces the lazy `graph()` path to
-    /// run under `&self`; it is never contended.
-    spare: Mutex<Option<ConstraintGraph>>,
+    /// CSR builds so far, a work counter that [`ConstraintSystem::reset`]
+    /// keeps counting.
+    builds: AtomicUsize,
 }
 
 impl Clone for ConstraintSystem {
@@ -93,7 +92,7 @@ impl Clone for ConstraintSystem {
             pitch_names: self.pitch_names.clone(),
             constraints: self.constraints.clone(),
             graph: OnceLock::new(),
-            spare: Mutex::new(None),
+            builds: AtomicUsize::new(0),
         }
     }
 }
@@ -119,13 +118,15 @@ impl ConstraintSystem {
             pitch_names: Vec::new(),
             constraints: Vec::new(),
             graph: OnceLock::new(),
-            spare: Mutex::new(None),
+            builds: AtomicUsize::new(0),
         }
     }
 
-    /// Empties the system for refilling along `axis`, keeping every
-    /// allocation — variable and constraint storage, and the cached CSR
-    /// graph's buffers — for the next sweep.
+    /// Empties the system for refilling along `axis`, keeping the
+    /// variable and constraint storage for the next sweep. The cached
+    /// CSR graph is dropped: recycling its buffers into the next build
+    /// was measured and did not pay (DESIGN.md, "Ablated
+    /// accelerators").
     pub fn reset(&mut self, axis: Axis) {
         self.discard_graph();
         self.axis = axis;
@@ -134,14 +135,10 @@ impl ConstraintSystem {
         self.pitch_names.clear();
     }
 
-    /// Drops the cached graph after a structural mutation, parking it so
-    /// the next build can recycle its buffers.
+    /// Drops the cached graph after a structural mutation; the next use
+    /// builds a fresh one.
     fn discard_graph(&mut self) {
-        if let Some(g) = self.graph.take() {
-            if let Ok(mut spare) = self.spare.lock() {
-                *spare = Some(g);
-            }
-        }
+        self.graph.take();
     }
 
     /// The axis this system's variables move along.
@@ -235,11 +232,11 @@ impl ConstraintSystem {
     /// pitch fixpoint re-solves the same graph dozens of times with only
     /// the λ-class weights moving.
     ///
-    /// Two exceptions fall back to a (buffer-recycling) rebuild on next
-    /// use: a *self-loop* crossing the vacuousness boundary (`from == to,
-    /// w ≤ 0` is ignored by the topological order while `w > 0` is an
-    /// unconditional positive cycle, so the effective edge set changes),
-    /// and a re-weight that changes which member of a parallel-edge class
+    /// Two exceptions fall back to a rebuild on next use: a *self-loop*
+    /// crossing the vacuousness boundary (`from == to, w ≤ 0` is ignored
+    /// by the topological order while `w > 0` is an unconditional
+    /// positive cycle, so the effective edge set changes), and a
+    /// re-weight that changes which member of a parallel-edge class
     /// dominates after CSR dedup.
     ///
     /// # Panics
@@ -264,7 +261,7 @@ impl ConstraintSystem {
             if !patched {
                 // The constraint was a parallel-class representative and
                 // the patch would change which member dominates; rebuild
-                // (recycling buffers) on next use.
+                // on next use.
                 self.discard_graph();
             }
         }
@@ -305,15 +302,23 @@ impl ConstraintSystem {
         self.constraints.iter().any(|c| c.pitch.is_some())
     }
 
-    /// The CSR adjacency view, built on first use (recycling the buffers
-    /// of the last discarded graph) and cached until the system is
-    /// mutated. Shared by every solver backend.
+    /// The CSR adjacency view, built on first use and cached until the
+    /// system is mutated. Shared by every solver backend.
     pub fn graph(&self) -> &ConstraintGraph {
-        self.graph
-            .get_or_init(|| match self.spare.lock().ok().and_then(|mut s| s.take()) {
-                Some(g) => ConstraintGraph::build_reusing(self, g),
-                None => ConstraintGraph::build(self),
-            })
+        self.graph.get_or_init(|| {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            ConstraintGraph::build(self)
+        })
+    }
+
+    /// How many times this system has built its CSR graph: once per
+    /// [`ConstraintSystem::graph`] call that found no cached graph, over
+    /// the system's whole life (clones start at zero). A patched
+    /// [`ConstraintSystem::set_weight`] costs no build; a structural
+    /// mutation, a [`ConstraintSystem::reset`] or a re-elected parallel
+    /// representative costs one on the next use.
+    pub fn graph_builds(&self) -> usize {
+        self.builds.load(Ordering::Relaxed)
     }
 
     /// Slack of one constraint under a candidate solution:
@@ -555,7 +560,7 @@ mod tests {
         s.reset(Axis::X);
         assert_eq!(s.num_vars(), 0);
         assert_eq!(s.constraints().len(), 0);
-        // The refill rebuilds into the retired graph's buffers.
+        // The refill rebuilds the same graph.
         fill(&mut s);
         assert_eq!(*s.graph(), cold);
         s.reset(Axis::Y);
@@ -565,6 +570,29 @@ mod tests {
         assert_eq!(*s.graph(), ConstraintGraph::build(&s));
         assert_eq!(s.axis(), Axis::Y);
         assert_eq!(s.graph().num_edges(), 1);
+    }
+
+    #[test]
+    fn graph_builds_count_rebuilds_not_patches() {
+        let mut s = ConstraintSystem::new();
+        let a = s.add_var(0);
+        let b = s.add_var(10);
+        let i = s.require_slot(a, b, 5);
+        let j = s.require_slot(a, b, 3);
+        assert_eq!(s.graph_builds(), 0);
+        let _ = s.graph();
+        let _ = s.graph(); // cached
+        assert_eq!(s.graph_builds(), 1);
+        s.set_weight(i, 7); // representative raised: patched
+        let _ = s.graph();
+        assert_eq!(s.graph_builds(), 1);
+        s.set_weight(j, 9); // twin overtakes it: rebuilt
+        let _ = s.graph();
+        assert_eq!(s.graph_builds(), 2);
+        s.reset(Axis::X);
+        let _ = s.graph();
+        assert_eq!(s.graph_builds(), 3);
+        assert_eq!(s.clone().graph_builds(), 0);
     }
 
     #[test]
