@@ -45,7 +45,7 @@ use crate::backend::{SolveError, Solver};
 use crate::fault::{injected_exhaustion, FaultSite, InjectedFault};
 use crate::limits::{Exhausted, Limits};
 use crate::par::{par_map, Parallelism};
-use crate::scanline::{Prune, VisibilityCursor};
+use crate::scanline::{reduce_transitively, Prune, VisibilityCursor};
 use crate::scratch::{ScanScratch, SweepScratch};
 use rsg_geom::{Axis, BoundingBox, GeomIndex, Isometry, Orientation, Point, Rect, Vector};
 use rsg_layout::hash::ContentHasher;
@@ -252,7 +252,7 @@ impl CellAbstract {
         rules: &DesignRules,
     ) -> Result<CellAbstract, HierError> {
         let mut abstracts = Abstracts::new(rules, &Limits::NONE);
-        for c in dfs_order(table, cell)? {
+        for c in table.bottom_up(cell)? {
             abstracts.build(c, table.require(c)?)?;
         }
         match abstracts.north(cell) {
@@ -548,7 +548,7 @@ impl<'a> Abstracts<'a> {
             let order = if ready {
                 vec![child]
             } else {
-                dfs_order(table, child)?
+                table.bottom_up(child)?
             };
             for cell in order {
                 if !self.north.contains_key(&cell) {
@@ -1286,73 +1286,6 @@ fn axis_structure(
     AxisStructure { pins, classes }
 }
 
-/// Marks in `keep` which of the emission's origin-spacing edges survive
-/// the optional transitive reduction (all of them when `prune` is off).
-///
-/// An edge `(a, b, w_ab)` is dropped when a kept interposed cluster `c`
-/// carries edges `(a, c, w_ac)` and `(c, b, w_cb)` with
-/// `w_ac + w_cb ≥ w_ab` — the chain already forces
-/// `x_b − x_a ≥ w_ac + w_cb ≥ w_ab` in every feasible solution, so the
-/// dropped edge never binds (cluster extents are pre-folded into the
-/// origin weights, so no width term appears). Edges are visited in
-/// their sorted pair order and chains only use edges not yet dropped;
-/// soundness follows by reverse induction on drop order, exactly as for
-/// the flat scanline prune (DESIGN.md). `starts` is a recycled offsets
-/// buffer.
-fn pruned_weight_edges(
-    n: usize,
-    edges: &[((usize, usize), i64)],
-    prune: Prune,
-    starts: &mut Vec<usize>,
-    keep: &mut Vec<bool>,
-) {
-    keep.clear();
-    keep.resize(edges.len(), true);
-    if prune == Prune::Keep || edges.len() < 3 {
-        return;
-    }
-    // `edges` is sorted by (a, b): bucket offsets by source cluster.
-    starts.clear();
-    starts.resize(n + 1, 0);
-    for &((a, _), _) in edges {
-        starts[a + 1] += 1;
-    }
-    for a in 0..n {
-        starts[a + 1] += starts[a];
-    }
-    for idx in 0..edges.len() {
-        let ((a, b), w_ab) = edges[idx];
-        for m in starts[a]..starts[a + 1] {
-            if !keep[m] {
-                continue;
-            }
-            let ((_, c), w_ac) = edges[m];
-            if c == b {
-                continue;
-            }
-            let row = &edges[starts[c]..starts[c + 1]];
-            let Ok(p) = row.binary_search_by(|&((_, t), _)| t.cmp(&b)) else {
-                continue;
-            };
-            let m2 = starts[c] + p;
-            if !keep[m2] {
-                continue;
-            }
-            // Checked, not saturating: a saturated chain sum would
-            // compare as "dominates" and drop an edge the chain does
-            // not actually imply. Overflow means "cannot prove
-            // dominance", so the direct edge is kept.
-            if w_ac
-                .checked_add(edges[m2].1)
-                .is_some_and(|chain| chain >= w_ab)
-            {
-                keep[idx] = false;
-                break;
-            }
-        }
-    }
-}
-
 /// Absolute abstract boxes of one sweep, loaded into the scan arena's
 /// recycled spatial index (the box loop reads its items, the
 /// hidden-edge oracle its buckets), plus each box's owning cluster and
@@ -1710,16 +1643,26 @@ fn sweep_axis(
     //
     // The emission is transitively reduced here at system-build time: an
     // origin edge already implied by a tighter kept two-hop chain never
-    // reaches the solver. Same greedy rule as the flat scanline prune
-    // (edges in sorted pair order, chains through not-yet-dropped edges),
-    // so the kept set is deterministic and solution-identical.
+    // reaches the solver. It is the flat scanline's prune routine, with
+    // nothing added for crossing a cluster (its extent is folded into
+    // the origin weights), so the kept set is deterministic and
+    // solution-identical.
     let mut lambdas: Vec<i64> = structure.classes.iter().map(|_| floor).collect();
     sys.reset(axis);
     let builds = sys.graph_builds();
     let vars: Vec<_> = (0..n).map(|ci| sys.add_var(bases[ci] - min_base)).collect();
     let ScanScratch { starts, keep, .. } = scan;
-    pruned_weight_edges(n, &emission.weights, opts.prune, starts, keep);
-    for (&((a, b), w), _) in emission.weights.iter().zip(keep.iter()).filter(|(_, &k)| k) {
+    let edges = &emission.weights;
+    reduce_transitively(
+        n,
+        edges,
+        |&((a, b), w)| (a, b, w),
+        |_| 0,
+        opts.prune,
+        starts,
+        keep,
+    );
+    for (&((a, b), w), _) in edges.iter().zip(keep.iter()).filter(|(_, &k)| k) {
         sys.require(vars[a], vars[b], w);
     }
     for &((a, b), d) in &emission.welds {
@@ -2008,7 +1951,7 @@ pub(crate) fn walk_levels<F: LevelFlow>(
     abstracts: &mut Abstracts,
     flow: &mut F,
 ) -> Result<ChipLayout, HierError> {
-    let order = dfs_order(table, top)?;
+    let order = table.bottom_up(top)?;
     let mut out_table = table.clone();
     let mut outcomes: HashMap<CellId, HierOutcome> = HashMap::new();
     // Failed cells with their error; poisoned callers with `None`.
@@ -2080,14 +2023,16 @@ pub(crate) fn walk_levels<F: LevelFlow>(
     })
 }
 
-/// Groups a bottom-up [`dfs_order`] into dependency levels over the
-/// assembly cells: a cell lands one level above the deepest assembly it
-/// references, so by the time a level runs, every definition it can see
-/// is final. Leaves are never scheduled (the leaf compactor's business)
-/// and don't separate levels. Within a level, cells keep their DFS
-/// order.
+/// Groups a [`CellTable::bottom_up`] order into dependency levels over
+/// the assembly cells: a cell lands one level above the deepest assembly
+/// it references, so by the time a level runs, every definition it can
+/// see is final. Leaves are never scheduled (the leaf compactor's
+/// business) and don't separate levels. Within a level, cells keep their
+/// DFS order.
 fn dependency_levels(table: &CellTable, order: &[CellId]) -> Result<Vec<Vec<CellId>>, HierError> {
-    let mut level_of: HashMap<CellId, usize> = HashMap::new();
+    // Level of each assembly cell, indexed by raw id; `None` for leaves
+    // and cells not in `order`.
+    let mut level_of: Vec<Option<usize>> = vec![None; table.len()];
     let mut levels: Vec<Vec<CellId>> = Vec::new();
     for &cell in order {
         let def = table.require(cell)?;
@@ -2096,54 +2041,17 @@ fn dependency_levels(table: &CellTable, order: &[CellId]) -> Result<Vec<Vec<Cell
         }
         let mut lvl = 0usize;
         for inst in def.instances() {
-            if let Some(&l) = level_of.get(&inst.cell) {
+            if let Some(Some(l)) = level_of.get(inst.cell.raw() as usize) {
                 lvl = lvl.max(l + 1);
             }
         }
-        level_of.insert(cell, lvl);
+        level_of[cell.raw() as usize] = Some(lvl);
         if levels.len() <= lvl {
             levels.resize_with(lvl + 1, Vec::new);
         }
         levels[lvl].push(cell);
     }
     Ok(levels)
-}
-
-/// Bottom-up topological order of the hierarchy under `top` (children
-/// before parents, each cell once). Iterative — an explicit frame stack
-/// instead of recursion, so pathologically deep hierarchies (the parser
-/// fuzz corpus builds 500-deep ones) cannot overflow the call stack.
-fn dfs_order(table: &CellTable, top: CellId) -> Result<Vec<CellId>, HierError> {
-    let recursive = |id: CellId| {
-        let name = table.get(id).map_or("?", |c| c.name()).to_owned();
-        HierError::Layout(LayoutError::RecursiveCell(name))
-    };
-    let children = |id: CellId| -> Result<Vec<CellId>, HierError> {
-        Ok(table.require(id)?.instances().map(|i| i.cell).collect())
-    };
-    // 1 = on the stack, 2 = done.
-    let mut mark: HashMap<CellId, u8> = HashMap::from([(top, 1)]);
-    let mut order = Vec::new();
-    let mut stack: Vec<(CellId, Vec<CellId>, usize)> = vec![(top, children(top)?, 0)];
-    while let Some(frame) = stack.last_mut() {
-        let (id, kids, next) = (frame.0, &frame.1, &mut frame.2);
-        let Some(&child) = kids.get(*next) else {
-            mark.insert(id, 2);
-            order.push(id);
-            stack.pop();
-            continue;
-        };
-        *next += 1;
-        match mark.get(&child) {
-            Some(2) => {}
-            Some(1) => return Err(recursive(child)),
-            _ => {
-                mark.insert(child, 1);
-                stack.push((child, children(child)?, 0));
-            }
-        }
-    }
-    Ok(order)
 }
 
 #[cfg(test)]
@@ -3135,10 +3043,10 @@ mod tests {
             abstracts.build(top, table.require(top).unwrap()).unwrap();
             assert_eq!(
                 abstracts.built,
-                dfs_order(&table, top).unwrap().len(),
+                table.bottom_up(top).unwrap().len(),
                 "each definition is built once"
             );
-            for cell in dfs_order(&table, top).unwrap() {
+            for cell in table.bottom_up(top).unwrap() {
                 let north = abstracts.north(cell).unwrap();
                 for o in Orientation::ALL {
                     let want = derive_abstract(&table, cell, o, &r);
@@ -3169,7 +3077,7 @@ mod tests {
                 max_passes: 1,
                 ..HierOptions::default()
             };
-            for cell in dfs_order(&table, top).unwrap() {
+            for cell in table.bottom_up(top).unwrap() {
                 if table.require(cell).unwrap().instances().next().is_none() {
                     continue;
                 }

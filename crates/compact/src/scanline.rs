@@ -235,10 +235,10 @@ pub(crate) fn append_boxes(
         }
     }
 
-    if prune == Prune::Apply {
-        prune_spacings(boxes, axis, spacings, keep, starts);
-    }
-    for &(i, j, spacing) in spacings.iter() {
+    // A chain through box `k` also crosses `k`'s exact width.
+    let width = |k: usize| boxes[k].1.extent_along(axis);
+    reduce_transitively(boxes.len(), spacings, |&e| e, width, prune, starts, keep);
+    for (&(i, j, spacing), _) in spacings.iter().zip(keep.iter()).filter(|(_, &k)| k) {
         sys.require(vars[i].right, vars[j].left, spacing);
     }
     vars
@@ -303,78 +303,79 @@ fn spacing_candidates(
     cand.sort_unstable_by_key(|&(j, _)| j);
 }
 
-/// Transitive-reduction prune over the collected spacing triples.
+/// The transitive-reduction prune both constraint generators share: the
+/// flat scanline over spacing triples and the hierarchical cell pass
+/// over cluster origin edges. Marks `keep[e]` for every edge of `edges`
+/// that survives; with [`Prune::Keep`] every edge does.
 ///
-/// An edge `(i, j, s_ij)` is dropped when some kept interposed box `k`
-/// carries edges `(i, k, s_ik)` and `(k, j, s_kj)` with
-/// `s_ik + width(k) + s_kj ≥ s_ij`: every feasible solution already
-/// satisfies `left_j − right_i ≥ s_ik + w_k + s_kj` through `k`'s exact
-/// width constraint, so the dropped edge never binds. Edges are
-/// considered in emission order and chains only use edges not yet
-/// dropped; soundness of that greedy rule follows by reverse induction
-/// on drop order (DESIGN.md). Deterministic: same list in, same list
-/// out, on every thread count.
-fn prune_spacings(
-    boxes: &[(Layer, Rect)],
-    axis: Axis,
-    spacings: &mut Vec<(usize, usize, i64)>,
-    keep: &mut Vec<bool>,
+/// `edges` is sorted by `(from, to)` over `n` nodes and `ends` reads one
+/// as `(from, to, weight)`. An edge `(a, b, w_ab)` is dropped when some
+/// kept interposed node `c` carries edges `(a, c, w_ac)` and
+/// `(c, b, w_cb)` with `w_ac + via(c) + w_cb ≥ w_ab`: every feasible
+/// solution already satisfies the chain, so the dropped edge never
+/// binds. `via(c)` is what the chain gains crossing `c` itself — box
+/// `c`'s exact width in the flat sweep, 0 in the hierarchical one, whose
+/// cluster extents are pre-folded into the origin weights. Edges are
+/// considered in order and chains only use edges not yet dropped;
+/// soundness of that greedy rule follows by reverse induction on drop
+/// order (DESIGN.md). Deterministic: same list in, same marks out, on
+/// every thread count. `starts` is a recycled offsets buffer.
+pub(crate) fn reduce_transitively<E>(
+    n: usize,
+    edges: &[E],
+    ends: impl Fn(&E) -> (usize, usize, i64),
+    via: impl Fn(usize) -> i64,
+    prune: Prune,
     starts: &mut Vec<usize>,
+    keep: &mut Vec<bool>,
 ) {
-    let n = boxes.len();
     keep.clear();
-    keep.resize(spacings.len(), true);
-    // `spacings` is sorted by (i, j): bucket offsets by source box.
+    keep.resize(edges.len(), true);
+    // A drop needs three edges: the direct one and a two-hop chain.
+    if prune == Prune::Keep || edges.len() < 3 {
+        return;
+    }
+    // Bucket offsets by source node.
     starts.clear();
     starts.resize(n + 1, 0);
-    for &(i, _, _) in spacings.iter() {
-        starts[i + 1] += 1;
+    for e in edges {
+        starts[ends(e).0 + 1] += 1;
     }
-    for i in 0..n {
-        starts[i + 1] += starts[i];
+    for a in 0..n {
+        starts[a + 1] += starts[a];
     }
-    for idx in 0..spacings.len() {
-        let (i, j, s_ij) = spacings[idx];
-        for m in starts[i]..starts[i + 1] {
+    for idx in 0..edges.len() {
+        let (a, b, w_ab) = ends(&edges[idx]);
+        for m in starts[a]..starts[a + 1] {
             if !keep[m] {
                 continue;
             }
-            let (_, k, s_ik) = spacings[m];
-            if k == j {
+            let (_, c, w_ac) = ends(&edges[m]);
+            if c == b {
                 continue;
             }
-            let row = &spacings[starts[k]..starts[k + 1]];
-            let Ok(p) = row.binary_search_by(|&(_, t, _)| t.cmp(&j)) else {
+            let row = &edges[starts[c]..starts[c + 1]];
+            let Ok(p) = row.binary_search_by(|e| ends(e).1.cmp(&b)) else {
                 continue;
             };
-            let m2 = starts[k] + p;
+            let m2 = starts[c] + p;
             if !keep[m2] {
                 continue;
             }
-            let s_kj = spacings[m2].2;
-            let w_k = boxes[k].1.extent_along(axis);
             // Checked, not saturating: a saturated chain sum would
             // compare as "dominates" and drop an edge the chain does
             // not actually imply. Overflow means "cannot prove
             // dominance", so the direct edge is kept.
-            let dominated = s_ik
-                .checked_add(w_k)
-                .and_then(|v| v.checked_add(s_kj))
-                .is_some_and(|chain| chain >= s_ij);
+            let dominated = w_ac
+                .checked_add(via(c))
+                .and_then(|v| v.checked_add(ends(&edges[m2]).2))
+                .is_some_and(|chain| chain >= w_ab);
             if dominated {
                 keep[idx] = false;
                 break;
             }
         }
     }
-    let mut w = 0;
-    for idx in 0..spacings.len() {
-        if keep[idx] {
-            spacings[w] = spacings[idx];
-            w += 1;
-        }
-    }
-    spacings.truncate(w);
 }
 
 /// One worker's view of the hidden-edge oracle of Fig 6.4: the shared

@@ -449,11 +449,16 @@ impl Interpreter {
             }
         }
         self.call_stack.pop();
-        Ok(if def.is_macro {
-            Value::Env(callee)
-        } else {
-            last
-        })
+        if def.is_macro {
+            return Ok(Value::Env(callee));
+        }
+        // Only a macro hands out its frame, so a procedure's frame is
+        // unreachable once it returns. Free it unless a macro called
+        // from the body left a surviving frame above it.
+        if self.frames.len() == callee.0 as usize + 1 {
+            self.frames.pop();
+        }
+        Ok(last)
     }
 
     fn builtin(&self, name: &str, vals: &[Value], line: usize) -> Result<Value, LangError> {
@@ -739,6 +744,25 @@ mod tests {
             .exec("(defun foo (n) (locals) (foo (+ n 1)))\n(foo 0)")
             .unwrap_err();
         assert!(err.to_string().contains("depth"));
+    }
+
+    #[test]
+    fn procedure_frames_are_freed_on_return() {
+        let mut i = bare_interp();
+        i.exec("(defun sq (n) (locals m) (setq m (* n n)) m)\n(setq total 0)")
+            .unwrap();
+        let before = i.frames.len();
+        let v = i
+            .exec("(do (k 0 (+ k 1) (= k 100000)) (setq total (+ total (sq 2))))\ntotal")
+            .unwrap();
+        assert_eq!(v, Value::Int(400_000));
+        assert!(i.frames.len() <= before + 1, "{} frames", i.frames.len());
+        // A procedure that calls a macro keeps its frame under the
+        // surviving macro frame; the macro's environment stays readable.
+        let e = i
+            .exec("(macro mbox (w) (locals))\n(defun wrap (w) (locals) (mbox w))\n(setq e (wrap 7))\n(subcell e w)")
+            .unwrap();
+        assert_eq!(e, Value::Int(7));
     }
 
     #[test]

@@ -305,6 +305,54 @@ impl CellTable {
             .enumerate()
             .map(|(i, c)| (CellId(i as u32), c))
     }
+
+    /// The cells reachable from `top`, children before callers, each
+    /// once: the DFS postorder over instances in object order, ending at
+    /// `top`. This is the one hierarchy order — the CIF and `.rsgl`
+    /// writers, deep hashes, flattening, and the compactor's level walk
+    /// all take theirs from here.
+    ///
+    /// The walk keeps an explicit stack and dense marks indexed by
+    /// [`CellId`], so a hierarchy of any depth costs heap, never call
+    /// stack.
+    ///
+    /// # Errors
+    ///
+    /// [`LayoutError::UnknownCell`] for a dangling id (`top` or any
+    /// instance), and [`LayoutError::RecursiveCell`] naming the
+    /// re-entered cell on a cyclic hierarchy — whichever the walk meets
+    /// first.
+    pub fn bottom_up(&self, top: CellId) -> Result<Vec<CellId>, LayoutError> {
+        const OPEN: u8 = 1;
+        const DONE: u8 = 2;
+        let mut mark = vec![0u8; self.cells.len()];
+        let mut order = Vec::new();
+        let mut stack = vec![(top, self.require(top)?.instances())];
+        mark[top.0 as usize] = OPEN;
+        while let Some((cell, kids)) = stack.last_mut() {
+            let Some(inst) = kids.next() else {
+                let cell = *cell;
+                stack.pop();
+                mark[cell.0 as usize] = DONE;
+                order.push(cell);
+                continue;
+            };
+            let child = inst.cell;
+            match mark.get(child.0 as usize) {
+                None => return Err(LayoutError::UnknownCell(format!("#{}", child.0))),
+                Some(&DONE) => {}
+                Some(&OPEN) => {
+                    let name = self.cells[child.0 as usize].name();
+                    return Err(LayoutError::RecursiveCell(name.to_owned()));
+                }
+                Some(_) => {
+                    mark[child.0 as usize] = OPEN;
+                    stack.push((child, self.cells[child.0 as usize].instances()));
+                }
+            }
+        }
+        Ok(order)
+    }
 }
 
 impl fmt::Display for CellTable {
@@ -369,5 +417,47 @@ mod tests {
         t.insert(CellDefinition::new("y")).unwrap();
         let names: Vec<_> = t.iter().map(|(_, c)| c.name().to_owned()).collect();
         assert_eq!(names, ["x", "y"]);
+    }
+
+    #[test]
+    fn bottom_up_is_the_dfs_postorder_each_cell_once() {
+        let mut t = CellTable::new();
+        let a = t.insert(CellDefinition::new("a")).unwrap();
+        let b = t.insert(CellDefinition::new("b")).unwrap();
+        let unrelated = t.insert(CellDefinition::new("u")).unwrap();
+        let mut mid = CellDefinition::new("mid");
+        mid.add_instance(Instance::new(b, Point::ORIGIN, Orientation::NORTH));
+        mid.add_instance(Instance::new(a, Point::ORIGIN, Orientation::NORTH));
+        let mid = t.insert(mid).unwrap();
+        let mut top = CellDefinition::new("top");
+        top.add_instance(Instance::new(a, Point::ORIGIN, Orientation::NORTH));
+        top.add_instance(Instance::new(mid, Point::ORIGIN, Orientation::NORTH));
+        top.add_instance(Instance::new(mid, Point::ORIGIN, Orientation::EAST));
+        let top = t.insert(top).unwrap();
+        assert_eq!(t.bottom_up(top).unwrap(), [a, b, mid, top]);
+        assert_eq!(t.bottom_up(unrelated).unwrap(), [unrelated]);
+    }
+
+    #[test]
+    fn bottom_up_names_the_dangling_id_and_the_reentered_cell() {
+        let mut t = CellTable::new();
+        let mut c = CellDefinition::new("c");
+        c.add_instance(Instance::new(CellId(9), Point::ORIGIN, Orientation::NORTH));
+        let c = t.insert(c).unwrap();
+        assert_eq!(t.bottom_up(c), Err(LayoutError::UnknownCell("#9".into())));
+        assert_eq!(
+            t.bottom_up(CellId(5)),
+            Err(LayoutError::UnknownCell("#5".into()))
+        );
+
+        let mut t = CellTable::new();
+        let a = t.insert(CellDefinition::new("a")).unwrap();
+        let mut b = CellDefinition::new("b");
+        b.add_instance(Instance::new(a, Point::ORIGIN, Orientation::NORTH));
+        let b = t.insert(b).unwrap();
+        t.get_mut(a)
+            .unwrap()
+            .add_instance(Instance::new(b, Point::ORIGIN, Orientation::NORTH));
+        assert_eq!(t.bottom_up(b), Err(LayoutError::RecursiveCell("b".into())));
     }
 }

@@ -27,13 +27,9 @@ use std::fmt::Write as _;
 /// or a cell name cannot survive the `9 {name};` statement
 /// ([`LayoutError::CifName`]; see [`cif_safe_name`]).
 pub fn write_cif(table: &CellTable, root: CellId) -> Result<String, LayoutError> {
-    let mut order = Vec::new();
-    let mut mark = vec![0u8; table.len()];
-    topo(table, root, &mut mark, &mut order)?;
-
     let mut out = String::new();
     out.push_str("( CIF generated by rsg-layout );\n");
-    for &cell in &order {
+    for cell in table.bottom_up(root)? {
         let def = table.require(cell)?;
         cif_safe_name(def.name())?;
         let _ = writeln!(out, "DS {} 1 1;", cell.raw() + 1);
@@ -404,31 +400,6 @@ fn halved_span(center: i64, size: i64, line: usize) -> Result<(i64, i64), Layout
         });
     }
     Ok((lo2 / 2, hi2 / 2))
-}
-
-fn topo(
-    table: &CellTable,
-    cell: CellId,
-    mark: &mut [u8],
-    order: &mut Vec<CellId>,
-) -> Result<(), LayoutError> {
-    let idx = cell.raw() as usize;
-    match mark.get(idx) {
-        None => return Err(LayoutError::UnknownCell(format!("#{}", cell.raw()))),
-        Some(2) => return Ok(()),
-        Some(1) => {
-            let name = table.get(cell).map_or("?", |c| c.name()).to_owned();
-            return Err(LayoutError::RecursiveCell(name));
-        }
-        Some(_) => {}
-    }
-    mark[idx] = 1;
-    for inst in table.require(cell)?.instances() {
-        topo(table, inst.cell, mark, order)?;
-    }
-    mark[idx] = 2;
-    order.push(cell);
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! Hierarchical flattening of a cell to absolute-coordinate boxes.
 //!
-//! [`flatten`] performs the single hierarchy walk of the whole flat
-//! pipeline and returns a [`FlatLayout`]: the box list, also held as the
+//! [`flatten`] expands the hierarchy once for the whole flat pipeline
+//! and returns a [`FlatLayout`]: the box list, also held as the
 //! `(Layer, Rect)` slice that DRC and the compactor take, so no consumer
-//! converts it again.
+//! converts it again. Like every hierarchy consumer it checks the
+//! hierarchy through [`CellTable::bottom_up`] first; the expansion
+//! itself is iterative.
 
 use crate::{CellDefinition, CellId, CellTable, Layer, LayoutError};
 use rsg_geom::{BoundingBox, Isometry, Rect};
-use std::collections::HashSet;
 
 /// A box in the flattened, absolute coordinate system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,7 +22,7 @@ pub struct FlatBox {
 }
 
 /// A flattened layout: absolute-coordinate boxes, the same boxes as
-/// `(Layer, Rect)` pairs, and the hierarchy-walk tallies.
+/// `(Layer, Rect)` pairs, and the expansion's tallies.
 ///
 /// Returned by [`flatten`]; consumed by [`crate::drc::check_flat`],
 /// [`crate::stats::LayoutStats`], [`crate::write_cif_flat`], and the
@@ -40,7 +41,7 @@ pub struct FlatLayout {
 impl FlatLayout {
     /// Builds a flat layout directly from a box list — the entry point
     /// for geometry that never lived in a hierarchy.
-    /// With no hierarchy walk behind it, instance and cell tallies are
+    /// With no hierarchy behind it, instance and cell tallies are
     /// the single-cell defaults; depth comes from the boxes themselves.
     pub fn from_boxes(boxes: Vec<FlatBox>) -> FlatLayout {
         let rects = boxes.iter().map(|b| (b.layer, b.rect)).collect();
@@ -85,7 +86,7 @@ impl FlatLayout {
         self.boxes.iter().map(|b| b.rect).collect()
     }
 
-    /// Every expanded instance call counted during the walk.
+    /// Every expanded instance call counted during the expansion.
     pub fn total_instances(&self) -> usize {
         self.total_instances
     }
@@ -140,10 +141,11 @@ impl<'a> IntoIterator for &'a FlatLayout {
 
 /// Flattens `root` into a [`FlatLayout`] covering all layers.
 ///
-/// Labels are dropped (they are annotations); instances are recursively
-/// expanded by composing calling isometries, the `I₂(I₁(Ob))` chain of
-/// paper §2.6. The walk also tallies instances, reachable cells, and
-/// depth, so [`crate::stats::LayoutStats`] needs no second traversal.
+/// Labels are dropped (they are annotations); instances are expanded by
+/// composing calling isometries, the `I₂(I₁(Ob))` chain of paper §2.6.
+/// The expansion also tallies instances and depth, and the hierarchy
+/// order behind it counts the reachable cells, so
+/// [`crate::stats::LayoutStats`] needs no second traversal.
 ///
 /// # Errors
 ///
@@ -151,95 +153,86 @@ impl<'a> IntoIterator for &'a FlatLayout {
 /// [`LayoutError::RecursiveCell`] if the hierarchy is cyclic.
 pub fn flatten(table: &CellTable, root: CellId) -> Result<FlatLayout, LayoutError> {
     let mut boxes = Vec::new();
-    let mut walk = Walk {
-        stack: Vec::new(),
-        reach: HashSet::new(),
-        total_instances: 0,
-        max_depth: 0,
-    };
-    flatten_rec(
-        table,
-        root,
-        Isometry::IDENTITY,
-        0,
-        &mut walk,
-        &mut |layer, rect, depth| {
-            boxes.push(FlatBox { layer, rect, depth });
-        },
-    )?;
+    let tally = expand(table, root, |layer, rect, depth| {
+        boxes.push(FlatBox { layer, rect, depth });
+    })?;
     let rects = boxes.iter().map(|b| (b.layer, b.rect)).collect();
     Ok(FlatLayout {
         boxes,
         rects,
-        total_instances: walk.total_instances,
-        distinct_cells: walk.reach.len(),
-        max_depth: walk.max_depth,
+        total_instances: tally.instances,
+        distinct_cells: tally.cells,
+        max_depth: tally.max_depth,
     })
 }
 
 /// Flattens `root` keeping only boxes of one layer — cheaper when a single
 /// mask is wanted (e.g. DRC on poly only).
+///
+/// # Errors
+///
+/// As [`flatten`].
 pub fn flatten_boxes_of(
     table: &CellTable,
     root: CellId,
     wanted: Layer,
 ) -> Result<Vec<Rect>, LayoutError> {
     let mut out = Vec::new();
-    let mut walk = Walk {
-        stack: Vec::new(),
-        reach: HashSet::new(),
-        total_instances: 0,
-        max_depth: 0,
-    };
-    flatten_rec(
-        table,
-        root,
-        Isometry::IDENTITY,
-        0,
-        &mut walk,
-        &mut |layer, rect, _| {
-            if layer == wanted {
-                out.push(rect);
-            }
-        },
-    )?;
+    expand(table, root, |layer, rect, _| {
+        if layer == wanted {
+            out.push(rect);
+        }
+    })?;
     Ok(out)
 }
 
-/// Mutable bookkeeping of one hierarchy walk.
-struct Walk {
-    stack: Vec<CellId>,
-    reach: HashSet<CellId>,
-    total_instances: usize,
+/// What one expansion counted.
+struct Tally {
+    /// Distinct cells reachable from the root.
+    cells: usize,
+    /// Every expanded instance call.
+    instances: usize,
+    /// Deepest level expanded.
     max_depth: u32,
 }
 
-fn flatten_rec(
+/// Expands every instance under `root` in pre-order, handing each box to
+/// `sink` in absolute coordinates with its depth: a cell's own boxes
+/// first, then its instances in object order. The cycle and
+/// dangling-id checks run up front in [`CellTable::bottom_up`]; the
+/// expansion itself keeps an explicit `(isometry, depth, remaining
+/// instances)` stack, so depth costs heap, never call stack.
+fn expand(
     table: &CellTable,
-    cell: CellId,
-    iso: Isometry,
-    depth: u32,
-    walk: &mut Walk,
-    sink: &mut impl FnMut(Layer, Rect, u32),
-) -> Result<(), LayoutError> {
-    if walk.stack.contains(&cell) {
-        let name = table.get(cell).map_or("?", |c| c.name()).to_owned();
-        return Err(LayoutError::RecursiveCell(name));
-    }
-    walk.reach.insert(cell);
-    walk.max_depth = walk.max_depth.max(depth);
-    let def = table.require(cell)?;
+    root: CellId,
+    mut sink: impl FnMut(Layer, Rect, u32),
+) -> Result<Tally, LayoutError> {
+    let cells = table.bottom_up(root)?.len();
+    let mut tally = Tally {
+        cells,
+        instances: 0,
+        max_depth: 0,
+    };
+    let def = table.require(root)?;
     for (layer, rect) in def.boxes() {
-        sink(layer, rect.transform(iso), depth);
+        sink(layer, rect, 0);
     }
-    walk.stack.push(cell);
-    for inst in def.instances() {
-        walk.total_instances += 1;
-        let child = iso.compose(inst.isometry());
-        flatten_rec(table, inst.cell, child, depth + 1, walk, sink)?;
+    let mut stack = vec![(Isometry::IDENTITY, 0u32, def.instances())];
+    while let Some((iso, depth, kids)) = stack.last_mut() {
+        let Some(inst) = kids.next() else {
+            stack.pop();
+            continue;
+        };
+        let (iso, depth) = (iso.compose(inst.isometry()), *depth + 1);
+        let def = table.require(inst.cell)?;
+        tally.instances += 1;
+        tally.max_depth = tally.max_depth.max(depth);
+        for (layer, rect) in def.boxes() {
+            sink(layer, rect.transform(iso), depth);
+        }
+        stack.push((iso, depth, def.instances()));
     }
-    walk.stack.pop();
-    Ok(())
+    Ok(tally)
 }
 
 #[cfg(test)]

@@ -117,10 +117,11 @@ pub fn hash_cell(def: &CellDefinition, mut child: impl FnMut(CellId) -> u64) -> 
     h.finish()
 }
 
-/// Deep content digests for every cell reachable from `top`, children
-/// before callers. Two cells hash equal iff their entire subtrees draw
-/// the same geometry (names included); `CellId`s never enter the digest,
-/// so hashes compare across tables.
+/// Deep content digests for every cell reachable from `top`: a fold over
+/// [`CellTable::bottom_up`], so each child is hashed before its callers.
+/// Two cells hash equal iff their entire subtrees draw the same geometry
+/// (names included); `CellId`s never enter the digest, so hashes compare
+/// across tables.
 ///
 /// # Errors
 ///
@@ -128,32 +129,11 @@ pub fn hash_cell(def: &CellDefinition, mut child: impl FnMut(CellId) -> u64) -> 
 /// [`LayoutError::RecursiveCell`] on a cyclic hierarchy.
 pub fn deep_hashes(table: &CellTable, top: CellId) -> Result<HashMap<CellId, u64>, LayoutError> {
     let mut out: HashMap<CellId, u64> = HashMap::new();
-    let mut visiting: Vec<CellId> = Vec::new();
-    hash_into(table, top, &mut out, &mut visiting)?;
+    for cell in table.bottom_up(top)? {
+        let h = hash_cell(table.require(cell)?, |id| out[&id]);
+        out.insert(cell, h);
+    }
     Ok(out)
-}
-
-fn hash_into(
-    table: &CellTable,
-    cell: CellId,
-    out: &mut HashMap<CellId, u64>,
-    visiting: &mut Vec<CellId>,
-) -> Result<u64, LayoutError> {
-    if let Some(&h) = out.get(&cell) {
-        return Ok(h);
-    }
-    let def = table.require(cell)?;
-    if visiting.contains(&cell) {
-        return Err(LayoutError::RecursiveCell(def.name().to_owned()));
-    }
-    visiting.push(cell);
-    for inst in def.instances() {
-        hash_into(table, inst.cell, out, visiting)?;
-    }
-    visiting.pop();
-    let h = hash_cell(def, |id| out[&id]);
-    out.insert(cell, h);
-    Ok(h)
 }
 
 #[cfg(test)]

@@ -30,12 +30,9 @@ use std::fmt::Write as _;
 ///
 /// Fails on cyclic hierarchies or dangling instance ids.
 pub fn write_rsgl(table: &CellTable, root: CellId) -> Result<String, LayoutError> {
-    let mut order = Vec::new();
-    let mut mark = vec![0u8; table.len()];
-    order_cells(table, root, &mut mark, &mut order)?;
     let mut out = String::new();
     out.push_str("# rsgl 1\n");
-    for &id in &order {
+    for id in table.bottom_up(root)? {
         let def = table.require(id)?;
         let _ = writeln!(out, "cell {}", def.name());
         for obj in def.objects() {
@@ -71,31 +68,6 @@ pub fn write_rsgl(table: &CellTable, root: CellId) -> Result<String, LayoutError
     }
     let _ = writeln!(out, "top {}", table.require(root)?.name());
     Ok(out)
-}
-
-fn order_cells(
-    table: &CellTable,
-    cell: CellId,
-    mark: &mut [u8],
-    order: &mut Vec<CellId>,
-) -> Result<(), LayoutError> {
-    let idx = cell.raw() as usize;
-    match mark.get(idx) {
-        None => return Err(LayoutError::UnknownCell(format!("#{}", cell.raw()))),
-        Some(2) => return Ok(()),
-        Some(1) => {
-            let name = table.get(cell).map_or("?", |c| c.name()).to_owned();
-            return Err(LayoutError::RecursiveCell(name));
-        }
-        Some(_) => {}
-    }
-    mark[idx] = 1;
-    for inst in table.require(cell)?.instances() {
-        order_cells(table, inst.cell, mark, order)?;
-    }
-    mark[idx] = 2;
-    order.push(cell);
-    Ok(())
 }
 
 /// Parses `.rsgl` text into a fresh [`CellTable`], returning the table and

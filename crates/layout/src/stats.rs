@@ -1,8 +1,8 @@
 //! Layout statistics: the numbers experiment E8 reports for Fig 5.6.
 //!
-//! Statistics are derived from a [`FlatLayout`] — the same single
-//! hierarchy walk that produces the flat boxes also tallies instances,
-//! reachable cells, and depth, so no second traversal exists.
+//! Statistics are derived from a [`FlatLayout`] — the same expansion
+//! that produces the flat boxes also tallies instances, reachable cells,
+//! and depth, so no second traversal exists.
 
 use crate::{CellId, CellTable, FlatLayout, Layer, LayoutError};
 use rsg_geom::BoundingBox;
@@ -28,7 +28,7 @@ pub struct LayoutStats {
 
 impl LayoutStats {
     /// Computes statistics for the hierarchy under `root` by flattening
-    /// it (one walk) and summarizing the result.
+    /// it (one expansion) and summarizing the result.
     ///
     /// # Errors
     ///
