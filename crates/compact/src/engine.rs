@@ -122,7 +122,7 @@ fn sweep(
     solver: &dyn Solver,
     scratch: &mut SweepScratch,
 ) -> Result<(Vec<(Layer, Rect)>, SweepStats), SolveError> {
-    let SweepScratch { sys, scan } = scratch;
+    let SweepScratch { sys, scan, .. } = scratch;
     sys.reset(axis);
     let vars = scanline::append_boxes(
         sys,

@@ -46,7 +46,8 @@ use crate::fault::{injected_exhaustion, FaultSite, InjectedFault};
 use crate::limits::{Exhausted, Limits};
 use crate::par::{par_map, Parallelism};
 use crate::scanline::{reduce_transitively, Prune, VisibilityCursor};
-use crate::scratch::{ScanScratch, SweepScratch};
+use crate::scratch::{LastSolve, ScanScratch, SweepScratch};
+use crate::ConstraintSystem;
 use rsg_geom::{Axis, BoundingBox, GeomIndex, Isometry, Orientation, Point, Rect, Vector};
 use rsg_layout::hash::ContentHasher;
 use rsg_layout::{
@@ -697,13 +698,17 @@ pub struct HierSweepStats {
     /// a wide frame between them are not generated, so this counts the
     /// smaller emission [`Limits::max_constraints`] is checked against.
     pub constraints: usize,
-    /// Pitch-fixpoint rounds until the class pitches stabilized.
+    /// Pitch-fixpoint rounds until the class pitches stabilized; 0 when
+    /// the sweep repeated the last solved emission on its axis and
+    /// reused that solve.
     pub pitch_rounds: usize,
-    /// Total relaxation passes across the rounds' solves.
+    /// Total relaxation passes across the rounds' solves (0 on reuse).
     pub solver_passes: usize,
-    /// CSR graphs built for the rounds' solves: one for the first solve,
-    /// plus one per round whose class re-weighting re-elected a parallel
-    /// representative (the others patch the graph in place).
+    /// CSR graphs built for the rounds' solves: one for the first solve
+    /// of a backend that reads the graph (arbitrary-order Bellman-Ford
+    /// does not), plus one per round whose class re-weighting re-elected
+    /// a parallel representative (the others patch the graph in place);
+    /// 0 on reuse.
     pub graph_builds: usize,
     /// Origin extent along the axis after the sweep.
     pub extent: i64,
@@ -1588,6 +1593,15 @@ struct CellContext<'a> {
 
 /// One axis sweep: constraint generation on abstracts, pitch fixpoint,
 /// position update. Returns the stats and the solved pitch classes.
+///
+/// A sweep whose emission equals the last solved one on the same axis of
+/// the same cell (`scratch.last`) has the same constraint system — pins
+/// and classes are fixed per cell and axis — so it skips the prune, the
+/// system build and the fixpoint and writes back the kept solution. It
+/// reports 0 pitch rounds, solver passes and graph builds. Every backend
+/// solves equal systems to equal positions (see
+/// [`Solver::solve_system`]), so the placement is the one a re-solve
+/// would give (DESIGN.md, "Confirming sweeps reuse the last solve").
 fn sweep_axis(
     cx: &CellContext,
     axis: Axis,
@@ -1603,29 +1617,34 @@ fn sweep_axis(
         shapes,
         clusters,
         rules,
-        solver,
         opts,
         ..
     } = *cx;
     let structure = &cx.structure[axis_index(axis)];
     let n = clusters.len();
-    let SweepScratch { sys, scan } = scratch;
 
-    let (owner, frames) = sweep_geometry(axis, items, shapes, clusters, positions, scan);
+    let (owner, frames) =
+        sweep_geometry(axis, items, shapes, clusters, positions, &mut scratch.scan);
 
     // Cluster origins along the axis, fixed for the whole sweep.
     let bases: Vec<i64> = clusters
         .iter()
         .map(|c| along(positions[c.rep], axis))
         .collect();
-    let (emission, work) = enumerate_pairs(scan, rules, &owner, &frames, &bases, &opts.limits)?;
+    let (emission, work) = enumerate_pairs(
+        &mut scratch.scan,
+        rules,
+        &owner,
+        &frames,
+        &bases,
+        &opts.limits,
+    )?;
 
     // Normalized initial coordinates (clusters are never empty here, but
     // an empty sweep normalizes to 0 rather than panicking).
     let min_base = bases.iter().copied().min().unwrap_or(0);
-    let floor = rules.spacing_floor();
-    let constraints = emission.weights.len()
-        + emission.welds.len() * 2
+    let emitted = emission.weights.len() + emission.welds.len() * 2;
+    let constraints = emitted
         + structure.pins.len() * 2
         + structure
             .classes
@@ -1635,19 +1654,120 @@ fn sweep_axis(
     // Checkpoint: the generated constraint count of this sweep.
     opts.limits.check_constraints(constraints)?;
 
-    // Pitch fixpoint: the difference system is built once (refilled into
-    // the sweep arena); each round solves it from zero, then every class
-    // pitch rises to its worst member gap until stable, patching only
-    // the changed class weights in place (`set_weight` keeps the CSR
-    // graph instead of rebuilding it).
-    //
-    // The emission is transitively reduced here at system-build time: an
-    // origin edge already implied by a tighter kept two-hop chain never
-    // reaches the solver. It is the flat scanline's prune routine, with
-    // nothing added for crossing a cluster (its extent is folded into
-    // the origin weights), so the kept set is deterministic and
-    // solution-identical.
-    let mut lambdas: Vec<i64> = structure.classes.iter().map(|_| floor).collect();
+    let mut solve_work = SolveWork::default();
+    let kept = match &mut scratch.last {
+        Some(last) if last.emission == emission => last,
+        last => {
+            let (solved, w) = solve_fixpoint(
+                cx,
+                axis,
+                emission,
+                &bases,
+                hooks,
+                &mut scratch.sys,
+                &mut scratch.scan,
+            )?;
+            solve_work = w;
+            last.insert(solved)
+        }
+    };
+
+    // Write the solved origins back: every member of a cluster moves by
+    // the cluster's delta.
+    for (ci, c) in clusters.iter().enumerate() {
+        let d = kept.positions[ci] + min_base - bases[ci];
+        for &m in &c.members {
+            match axis {
+                Axis::X => positions[m].x += d,
+                Axis::Y => positions[m].y += d,
+            }
+        }
+    }
+    let extent = match (kept.positions.iter().min(), kept.positions.iter().max()) {
+        (Some(&lo), Some(&hi)) => hi - lo,
+        _ => 0,
+    };
+
+    if let Some(c) = hooks.counters() {
+        c.constraints_emitted += emitted;
+        // A reused sweep built no system and ran no fixpoint.
+        c.sweeps_solved += usize::from(solve_work.rounds > 0);
+        c.solver_passes += solve_work.passes;
+    }
+    let pitches = structure
+        .classes
+        .iter()
+        .zip(&kept.lambdas)
+        .map(|(class, &value)| HierPitch {
+            axis,
+            name: class.name.clone(),
+            value,
+            pairs: class.pairs.len(),
+        })
+        .collect();
+    Ok((
+        HierSweepStats {
+            axis,
+            clusters: n,
+            abstract_boxes: owner.len(),
+            candidates: work.candidates,
+            hidden_tests: work.hidden_tests,
+            constraints,
+            pitch_rounds: solve_work.rounds,
+            solver_passes: solve_work.passes,
+            graph_builds: solve_work.builds,
+            extent,
+        },
+        pitches,
+    ))
+}
+
+/// The solver work of one sweep's pitch fixpoint.
+#[derive(Debug, Default)]
+struct SolveWork {
+    rounds: usize,
+    passes: usize,
+    builds: usize,
+}
+
+/// Builds one sweep's difference system from its emission and the
+/// cell's pins and classes, and solves it to the pitch fixpoint.
+///
+/// The system is built once (refilled into the sweep arena); each round
+/// solves it from zero, then every class pitch rises to its worst member
+/// gap until stable, patching only the changed class weights in place
+/// (`set_weight` keeps the CSR graph instead of rebuilding it).
+///
+/// The emission is transitively reduced here at system-build time: an
+/// origin edge already implied by a tighter kept two-hop chain never
+/// reaches the solver. It is the flat scanline's prune routine, with
+/// nothing added for crossing a cluster (its extent is folded into the
+/// origin weights), so the kept set is deterministic and
+/// solution-identical.
+fn solve_fixpoint(
+    cx: &CellContext,
+    axis: Axis,
+    emission: Emission,
+    bases: &[i64],
+    hooks: &mut dyn CompactHooks,
+    sys: &mut ConstraintSystem,
+    scan: &mut ScanScratch,
+) -> Result<(LastSolve, SolveWork), HierError> {
+    let CellContext {
+        clusters,
+        rules,
+        solver,
+        opts,
+        ..
+    } = *cx;
+    let structure = &cx.structure[axis_index(axis)];
+    let n = clusters.len();
+    let min_base = bases.iter().copied().min().unwrap_or(0);
+    let mut lambdas: Vec<i64> = structure
+        .classes
+        .iter()
+        .map(|_| rules.spacing_floor())
+        .collect();
     sys.reset(axis);
     let builds = sys.graph_builds();
     let vars: Vec<_> = (0..n).map(|ci| sys.add_var(bases[ci] - min_base)).collect();
@@ -1681,11 +1801,10 @@ fn sweep_axis(
         }
         class_slots.push(slots);
     }
-    let mut rounds = 0;
-    let mut passes = 0;
+    let mut work = SolveWork::default();
     let solution = loop {
-        rounds += 1;
-        if rounds > opts.max_pitch_rounds {
+        work.rounds += 1;
+        if work.rounds > opts.max_pitch_rounds {
             return Err(HierError::Diverged(format!(
                 "pitch fixpoint still moving after {} rounds on {axis}",
                 opts.max_pitch_rounds
@@ -1695,9 +1814,9 @@ fn sweep_axis(
             return Err(injected_error(f, axis));
         }
         let out = solver.solve_system(sys, &[])?;
-        passes += out.passes;
+        work.passes += out.passes;
         // Checkpoints: cumulative relaxation passes and the deadline.
-        opts.limits.check_passes(passes)?;
+        opts.limits.check_passes(work.passes)?;
         opts.limits.check_deadline()?;
         let next: Vec<i64> = structure
             .classes
@@ -1727,56 +1846,14 @@ fn sweep_axis(
             break out;
         }
     };
-
-    // Write the solved origins back: every member of a cluster moves by
-    // the cluster's delta.
-    let mut extent = 0;
-    for (ci, c) in clusters.iter().enumerate() {
-        let d = solution.positions[ci] + min_base - bases[ci];
-        for &m in &c.members {
-            match axis {
-                Axis::X => positions[m].x += d,
-                Axis::Y => positions[m].y += d,
-            }
-        }
-    }
-    if let (Some(&lo), Some(&hi)) = (
-        solution.positions.iter().min(),
-        solution.positions.iter().max(),
-    ) {
-        extent = hi - lo;
-    }
-
-    if let Some(c) = hooks.counters() {
-        c.constraints_emitted += emission.weights.len() + emission.welds.len() * 2;
-        c.sweeps_solved += 1;
-        c.solver_passes += passes;
-    }
-    let pitches = structure
-        .classes
-        .iter()
-        .zip(&lambdas)
-        .map(|(class, &value)| HierPitch {
-            axis,
-            name: class.name.clone(),
-            value,
-            pairs: class.pairs.len(),
-        })
-        .collect();
+    work.builds = sys.graph_builds() - builds;
     Ok((
-        HierSweepStats {
-            axis,
-            clusters: n,
-            abstract_boxes: owner.len(),
-            candidates: work.candidates,
-            hidden_tests: work.hidden_tests,
-            constraints,
-            pitch_rounds: rounds,
-            solver_passes: passes,
-            graph_builds: sys.graph_builds() - builds,
-            extent,
+        LastSolve {
+            emission,
+            positions: solution.positions,
+            lambdas,
         },
-        pitches,
+        work,
     ))
 }
 
@@ -2057,8 +2134,7 @@ fn dependency_levels(table: &CellTable, order: &[CellId]) -> Result<Vec<Vec<Cell
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BellmanFord, Topological};
-    use crate::ConstraintSystem;
+    use crate::backend::{Balanced, BellmanFord, SimplexPitch, Topological};
     use proptest::prelude::*;
     use proptest::test_runner::Rng;
     use rsg_layout::{drc, flatten, Instance, Technology};
@@ -2121,8 +2197,8 @@ mod tests {
         assert_eq!(a.source_boxes(), 3);
     }
 
-    #[test]
-    fn row_of_instances_compacts_to_min_pitch_uniformly() {
+    /// Four leaves in a row, 30 apart along x.
+    fn row_of_four() -> (CellTable, CellId) {
         let mut t = CellTable::new();
         let id = t.insert(leaf("leaf")).unwrap();
         let mut row = CellDefinition::new("row");
@@ -2130,6 +2206,12 @@ mod tests {
             row.add_instance(Instance::new(id, Point::new(k * 30, 0), Orientation::NORTH));
         }
         let root = t.insert(row).unwrap();
+        (t, root)
+    }
+
+    #[test]
+    fn row_of_instances_compacts_to_min_pitch_uniformly() {
+        let (t, root) = row_of_four();
         let out = compact_cell(&t, root, &rules(), &bf(), &HierOptions::default()).unwrap();
         assert!(out.converged);
         // Poly bar 8..12, poly-poly spacing 4: pitch = 12 + 4 − 8 = 8.
@@ -2139,6 +2221,145 @@ mod tests {
         assert_eq!(out.pitches[0].value, 8);
         assert_eq!(out.pitches[0].pairs, 3);
         assert_eq!(out.pitches[0].axis, Axis::X);
+    }
+
+    #[test]
+    fn a_confirming_sweep_reuses_the_last_solve() {
+        // The first pass moves the row to its pitch, the second finds the
+        // same emission on both axes and solves nothing.
+        let (t, root) = row_of_four();
+        let backends: [&dyn Solver; 5] = [
+            &BellmanFord::SORTED,
+            &BellmanFord::ARBITRARY,
+            &Topological,
+            &Balanced,
+            &SimplexPitch,
+        ];
+        for solver in backends {
+            let out = compact_cell(&t, root, &rules(), solver, &HierOptions::default()).unwrap();
+            let name = solver.name();
+            assert!(out.converged, "{name}");
+            assert_eq!(out.passes, 2, "{name}");
+            let sweeps = &out.report.sweeps;
+            assert_eq!(sweeps.len(), 4, "{name}");
+            for (first, confirm) in sweeps[..2].iter().zip(&sweeps[2..]) {
+                assert!(first.pitch_rounds > 0 && first.solver_passes > 0, "{name}");
+                assert_eq!(
+                    (
+                        confirm.pitch_rounds,
+                        confirm.solver_passes,
+                        confirm.graph_builds
+                    ),
+                    (0, 0, 0),
+                    "{name}: the confirming {} sweep solved",
+                    confirm.axis
+                );
+                assert_eq!(confirm.constraints, first.constraints, "{name}");
+                assert_eq!(confirm.extent, first.extent, "{name}");
+            }
+            assert_eq!(
+                out.report.total_solver_passes(),
+                sweeps[0].solver_passes + sweeps[1].solver_passes
+            );
+            // The pinned outcome of
+            // `row_of_instances_compacts_to_min_pitch_uniformly`.
+            let xs: Vec<i64> = out.cell.instances().map(|i| i.point_of_call.x).collect();
+            assert_eq!(xs, vec![0, 8, 16, 24], "{name}");
+            assert_eq!(out.pitches.len(), 1, "{name}");
+            assert_eq!(
+                (out.pitches[0].value, out.pitches[0].pairs),
+                (8, 3),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn reused_solves_equal_fresh_solves_on_random_assemblies() {
+        // Each sweep of an alternation runs twice: with the cell's kept
+        // arenas (which reuse the last solve when the emission repeats)
+        // and with fresh ones (which always solve). Positions, pitches
+        // and every count but the solver work must agree.
+        let r = rules();
+        let table = CellTable::new();
+        let opts = HierOptions::default();
+        let mut rng = Rng::from_name("reused_solves_equal_fresh_solves");
+        let backends: [&dyn Solver; 5] = [
+            &BellmanFord::SORTED,
+            &BellmanFord::ARBITRARY,
+            &Topological,
+            &Balanced,
+            &SimplexPitch,
+        ];
+        let mut reused = 0;
+        for case in 0..60 {
+            let (items, shapes) = random_assembly(&mut rng, &r);
+            let clusters = rigid_clusters(&items, &shapes);
+            let structure = [
+                axis_structure(&table, Axis::X, &items, &clusters),
+                axis_structure(&table, Axis::Y, &items, &clusters),
+            ];
+            for solver in backends {
+                let cx = CellContext {
+                    items: &items,
+                    shapes: &shapes,
+                    clusters: &clusters,
+                    structure: &structure,
+                    rules: &r,
+                    solver,
+                    opts: &opts,
+                };
+                let mut positions: Vec<Point> = items.iter().map(|i| i.pos).collect();
+                let mut kept = [SweepScratch::new(), SweepScratch::new()];
+                'passes: for _ in 0..4 {
+                    for axis in Axis::BOTH {
+                        let mut fresh_positions = positions.clone();
+                        let fresh = sweep_axis(
+                            &cx,
+                            axis,
+                            &mut fresh_positions,
+                            &mut NoHooks,
+                            &mut SweepScratch::new(),
+                        );
+                        let got = sweep_axis(
+                            &cx,
+                            axis,
+                            &mut positions,
+                            &mut NoHooks,
+                            &mut kept[axis_index(axis)],
+                        );
+                        let what = format!("case {case}, {}, {axis}", solver.name());
+                        let (got, fresh) = match (got, fresh) {
+                            (Ok(g), Ok(f)) => (g, f),
+                            (Err(g), Err(f)) => {
+                                assert_eq!(g, f, "{what}");
+                                break 'passes;
+                            }
+                            (g, f) => panic!("{what}: kept {g:?}, fresh {f:?}"),
+                        };
+                        assert_eq!(positions, fresh_positions, "{what}");
+                        assert_eq!(got.1, fresh.1, "{what}: pitches");
+                        let (g, f) = (&got.0, &fresh.0);
+                        assert_eq!(
+                            (g.constraints, g.extent, g.candidates, g.hidden_tests),
+                            (f.constraints, f.extent, f.candidates, f.hidden_tests),
+                            "{what}"
+                        );
+                        if g.pitch_rounds == 0 {
+                            assert_eq!((g.solver_passes, g.graph_builds), (0, 0), "{what}");
+                            reused += 1;
+                        } else {
+                            assert_eq!(
+                                (g.pitch_rounds, g.solver_passes),
+                                (f.pitch_rounds, f.solver_passes),
+                                "{what}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(reused > 0, "no sweep repeated its emission");
     }
 
     #[test]

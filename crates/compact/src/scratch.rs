@@ -9,8 +9,11 @@
 //!
 //! [`SweepScratch`] keeps those allocations alive between sweeps:
 //! clear-and-refill instead of drop-and-rebuild. [`ConstraintSystem::reset`]
-//! parks the retired CSR graph so the next build recycles its buffers.
+//! keeps the variable and constraint storage for the next sweep.
+//! The hierarchical walker also keeps each axis's last solve there, so a
+//! confirming sweep whose constraints repeat is not solved again.
 
+use crate::hier::Emission;
 use crate::ConstraintSystem;
 use rsg_geom::{Axis, CoverageProfile, GeomIndex, Rect};
 use rsg_layout::Layer;
@@ -85,11 +88,27 @@ impl Default for ScanScratch {
 
 /// Arena for a full sweep: the constraint system (with its cached CSR
 /// graph) plus the scan buffers. [`crate::engine::compact_xy`] threads
-/// one through every sweep; the hierarchical walker holds one per axis.
+/// one through every sweep; the hierarchical walker holds one per axis
+/// of one cell, together with that axis's last solve.
 #[derive(Debug, Default)]
 pub struct SweepScratch {
     pub(crate) sys: ConstraintSystem,
     pub(crate) scan: ScanScratch,
+    pub(crate) last: Option<LastSolve>,
+}
+
+/// One hierarchical sweep's solved system: the emission it was built
+/// from, the solved cluster positions (relative to the sweep's lowest
+/// origin) and the final class pitches. Pins and classes are fixed per
+/// cell and axis, so a later sweep of the same cell and axis with an
+/// equal emission has an equal constraint system, and every backend
+/// solves equal systems to equal positions
+/// ([`crate::backend::Solver::solve_system`]).
+#[derive(Debug)]
+pub(crate) struct LastSolve {
+    pub(crate) emission: Emission,
+    pub(crate) positions: Vec<i64>,
+    pub(crate) lambdas: Vec<i64>,
 }
 
 impl SweepScratch {

@@ -12,6 +12,11 @@
 //! procedure's formals and locals copies no string, and a plain
 //! variable reference looks up its own text. Procedure bodies are
 //! shared too, so a call clones no syntax tree.
+//!
+//! A design file is run again and again with new parameter files (§4.1),
+//! so each thread keeps the last program it parsed, keyed by the whole
+//! source text: running the same file again re-lexes and re-parses
+//! nothing, and any change to the text parses afresh.
 
 use crate::ast::{Ast, ProcDef, TopLevel, VarRef};
 use crate::param::parse_parameter_file;
@@ -21,6 +26,7 @@ use crate::LangError;
 use rsg_core::Rsg;
 use rsg_layout::{CellId, CellTable};
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -77,6 +83,52 @@ struct Proc {
     def: ProcDef,
     formals: Vec<Rc<str>>,
     locals: Vec<Rc<str>>,
+}
+
+/// A parsed design file: its procedures under the names their
+/// definitions bind, in file order, and its top-level statements in
+/// order.
+#[derive(Debug)]
+struct Program {
+    src: String,
+    procs: Vec<(Rc<str>, Rc<Proc>)>,
+    stmts: Vec<Ast>,
+}
+
+thread_local! {
+    /// The last program parsed on this thread (never a parse error).
+    static PARSED: RefCell<Option<Rc<Program>>> = const { RefCell::new(None) };
+}
+
+/// The parsed program of `src`: this thread's last one when its source
+/// text equals `src`, else a fresh parse, which then replaces it.
+fn parsed(src: &str) -> Result<Rc<Program>, LangError> {
+    let hit = PARSED.with(|p| p.borrow().as_ref().filter(|p| p.src == src).cloned());
+    if let Some(program) = hit {
+        return Ok(program);
+    }
+    let mut procs = Vec::new();
+    let mut stmts = Vec::new();
+    for form in parse_program(src)? {
+        match form {
+            TopLevel::Proc(def) => {
+                let proc = Proc {
+                    formals: def.formals.iter().map(|f| Rc::from(f.as_str())).collect(),
+                    locals: def.locals.iter().map(|l| Rc::from(l.as_str())).collect(),
+                    def,
+                };
+                procs.push((proc.def.name.as_str().into(), Rc::new(proc)));
+            }
+            TopLevel::Stmt(stmt) => stmts.push(stmt),
+        }
+    }
+    let program = Rc::new(Program {
+        src: src.to_owned(),
+        procs,
+        stmts,
+    });
+    PARSED.with(|p| *p.borrow_mut() = Some(Rc::clone(&program)));
+    Ok(program)
 }
 
 /// Result of running a design file: the generator (cell + interface
@@ -176,30 +228,19 @@ impl Interpreter {
     }
 
     /// Parses and executes design-file source, returning the value of the
-    /// last top-level statement.
+    /// last top-level statement. A source text equal to the last one
+    /// parsed on this thread reuses that parse.
     ///
     /// # Errors
     ///
     /// Propagates parse and runtime errors; the interpreter remains usable
     /// for inspection afterwards.
     pub fn exec(&mut self, src: &str) -> Result<Value, LangError> {
-        let program = parse_program(src)?;
+        let program = parsed(src)?;
         // Definitions first (so statements may call procs defined later in
         // the file), then statements in order.
-        let mut stmts = Vec::with_capacity(program.len());
-        for form in program {
-            match form {
-                TopLevel::Proc(def) => {
-                    let proc = Proc {
-                        formals: def.formals.iter().map(|f| Rc::from(f.as_str())).collect(),
-                        locals: def.locals.iter().map(|l| Rc::from(l.as_str())).collect(),
-                        def,
-                    };
-                    self.procs
-                        .insert(proc.def.name.as_str().into(), Rc::new(proc));
-                }
-                TopLevel::Stmt(stmt) => stmts.push(stmt),
-            }
+        for (name, proc) in &program.procs {
+            self.procs.insert(Rc::clone(name), Rc::clone(proc));
         }
         let root = match self.root_frame {
             Some(r) => r,
@@ -210,7 +251,7 @@ impl Interpreter {
             }
         };
         let mut last = Value::Unit;
-        for stmt in &stmts {
+        for stmt in &program.stmts {
             last = self.eval(stmt, root)?;
         }
         Ok(last)
@@ -951,18 +992,8 @@ mod tests {
     #[test]
     fn run_design_via_sample() {
         // End-to-end Fig 1.1 flow through the public driver.
-        let mut sample = CellTable::new();
-        let mut tile = CellDefinition::new("tile");
-        tile.add_box(Layer::Poly, Rect::from_coords(0, 0, 6, 6));
-        let t = sample.insert(tile).unwrap();
-        let mut ab = CellDefinition::new("abut");
-        ab.add_instance(Instance::new(t, Point::new(0, 0), Orientation::NORTH));
-        ab.add_instance(Instance::new(t, Point::new(6, 0), Orientation::NORTH));
-        ab.add_label("1", Point::new(6, 3));
-        sample.insert(ab).unwrap();
-
         let run = crate::run_design(
-            sample,
+            abut_sample(),
             "(mk_instance a corecell)(mk_instance b corecell)(connect a b 1)(mk_cell \"pair\" a)",
             "corecell=tile\n",
         )
@@ -972,5 +1003,92 @@ mod tests {
             run.rsg.cells().require(pair).unwrap().instances().count(),
             2
         );
+    }
+
+    /// A sample with a 6-wide `tile` and its east interface #1.
+    fn abut_sample() -> CellTable {
+        let mut sample = CellTable::new();
+        let mut tile = CellDefinition::new("tile");
+        tile.add_box(Layer::Poly, Rect::from_coords(0, 0, 6, 6));
+        let t = sample.insert(tile).unwrap();
+        let mut ab = CellDefinition::new("abut");
+        ab.add_instance(Instance::new(t, Point::new(0, 0), Orientation::NORTH));
+        ab.add_instance(Instance::new(t, Point::new(6, 0), Orientation::NORTH));
+        ab.add_label("1", Point::new(6, 3));
+        sample.insert(ab).unwrap();
+        sample
+    }
+
+    /// Everything a run produced: every cell in id order, the printed
+    /// lines and the result.
+    fn snapshot(run: &DesignRun) -> (Vec<CellDefinition>, Vec<String>, Value) {
+        let cells = run.rsg.cells().iter().map(|(_, c)| c.clone()).collect();
+        (cells, run.output.clone(), run.result.clone())
+    }
+
+    const ROW: &str = "(macro mrow (size) (locals first prev cur)
+          (mk_instance first corecell) (setq prev first)
+          (do (i 2 (+ i 1) (> i size))
+            (mk_instance cur corecell) (connect prev cur 1) (setq prev cur))
+          (print size)
+          (mk_cell \"row\" first))
+        (mrow rowsize)";
+
+    #[test]
+    fn running_the_same_source_twice_gives_identical_runs() {
+        let first = crate::run_design(abut_sample(), ROW, "corecell=tile\nrowsize=5\n").unwrap();
+        let second = crate::run_design(abut_sample(), ROW, "corecell=tile\nrowsize=5\n").unwrap();
+        assert_eq!(snapshot(&first), snapshot(&second));
+        let row = first.rsg.cells().lookup("row").unwrap();
+        assert_eq!(
+            first.rsg.cells().require(row).unwrap().instances().count(),
+            5
+        );
+        // The parameters still bind per run: the cached program is only
+        // the syntax.
+        let three = crate::run_design(abut_sample(), ROW, "corecell=tile\nrowsize=3\n").unwrap();
+        let row = three.rsg.cells().lookup("row").unwrap();
+        assert_eq!(
+            three.rsg.cells().require(row).unwrap().instances().count(),
+            3
+        );
+        assert_eq!(three.output, vec!["3".to_string()]);
+    }
+
+    #[test]
+    fn the_parse_is_reused_for_equal_text_and_redone_for_changed_text() {
+        let a = parsed(ROW).unwrap();
+        assert!(
+            Rc::ptr_eq(&a, &parsed(ROW).unwrap()),
+            "same text, same parse"
+        );
+        // Equal text from another allocation is still a hit.
+        let copy = String::from(ROW);
+        assert!(Rc::ptr_eq(&a, &parsed(&copy).unwrap()));
+        let changed = ROW.replace("(print size)", "(print (+ size 1))");
+        let b = parsed(&changed).unwrap();
+        assert!(!Rc::ptr_eq(&a, &b), "changed text is parsed afresh");
+        assert_eq!(b.src, changed);
+        let run = crate::run_design(abut_sample(), &changed, "corecell=tile\nrowsize=2\n").unwrap();
+        assert_eq!(run.output, vec!["3".to_string()]);
+        // Back to the first text: one entry per thread, so a new parse
+        // that equals the first.
+        let again = parsed(ROW).unwrap();
+        assert!(!Rc::ptr_eq(&b, &again));
+        assert_eq!(again.stmts, a.stmts);
+    }
+
+    #[test]
+    fn a_parse_error_is_not_cached() {
+        let good = parsed(ROW).unwrap();
+        let bad = "(mrow rowsize";
+        let err = parsed(bad).unwrap_err();
+        assert!(matches!(err, LangError::Parse { .. }), "{err:?}");
+        // The failed text left nothing behind: the good parse stays, and
+        // the bad text fails again rather than hitting anything.
+        assert!(Rc::ptr_eq(&good, &parsed(ROW).unwrap()));
+        assert_eq!(parsed(bad).unwrap_err(), err);
+        let mut i = tiled_interp();
+        assert_eq!(i.exec(bad).unwrap_err(), err);
     }
 }

@@ -129,6 +129,20 @@ pub trait Solver: Sync {
 
     /// Solves the system for integral positions (and pitches, if any).
     ///
+    /// The positions are a function of the constraints alone, never of
+    /// the variables' initial values: two systems with equal constraints
+    /// get equal positions, so a caller may keep a solve and hand it back
+    /// for an equal system. Every backend here keeps this contract:
+    ///
+    /// * the least solution ([`BellmanFord`], [`Topological`], the
+    ///   refinement of [`SimplexPitch`]) is unique;
+    /// * [`Balanced`] is built from the earliest solution, a reversed
+    ///   longest path, and a repair relaxation to the least solution
+    ///   above that seed;
+    /// * initial values steer only the sorted relaxation order, which
+    ///   changes pass counts and which parallel edge the graph elects,
+    ///   never positions.
+    ///
     /// # Errors
     ///
     /// Returns [`SolveError`] when the system is infeasible or pitch
