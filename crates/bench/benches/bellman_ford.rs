@@ -42,7 +42,6 @@ fn layout_system() -> ConstraintSystem {
         rsg_compact::scanline::Method::Visibility,
         rsg_geom::Axis::X,
         rsg_compact::scanline::Prune::Apply,
-        rsg_compact::par::Parallelism::Serial,
     );
     sys
 }

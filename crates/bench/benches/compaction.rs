@@ -16,8 +16,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsg_compact::backend::{Balanced, BellmanFord, Solver};
 use rsg_compact::leaf::{
-    compact, compact_batch, LeafInterface, LeafOptions, LibraryJob, Parallelism, PitchKind,
+    compact, compact_batch, LeafInterface, LeafOptions, LibraryJob, PitchKind,
 };
+use rsg_compact::par::Parallelism;
 use rsg_compact::scanline::{generate, Method, Prune};
 use rsg_compact::solver::{solve, EdgeOrder};
 use rsg_geom::{Axis, Rect, Vector};
@@ -122,7 +123,6 @@ fn bench_flat_vs_leaf(c: &mut Criterion) {
             Method::Visibility,
             Axis::X,
             Prune::Keep,
-            Parallelism::Serial,
         );
         let (pruned, _) = generate(
             &boxes,
@@ -130,7 +130,6 @@ fn bench_flat_vs_leaf(c: &mut Criterion) {
             Method::Visibility,
             Axis::X,
             Prune::Apply,
-            Parallelism::Serial,
         );
         println!(
             "flat {n}x{n}: {} vars, {} constraints unpruned, {} pruned",
@@ -163,7 +162,6 @@ fn bench_flat_vs_leaf(c: &mut Criterion) {
                     Method::Visibility,
                     Axis::X,
                     Prune::Apply,
-                    Parallelism::Serial,
                 );
                 black_box(solve(&sys, EdgeOrder::Sorted).unwrap().extent())
             })
@@ -178,14 +176,7 @@ fn bench_flat_vs_leaf(c: &mut Criterion) {
     let boxes = tiled(16);
     group.bench_with_input(BenchmarkId::new("unpruned", 16), &boxes, |b, boxes| {
         b.iter(|| {
-            let (sys, _) = generate(
-                boxes,
-                &tech.rules,
-                Method::Visibility,
-                Axis::X,
-                Prune::Keep,
-                Parallelism::Serial,
-            );
+            let (sys, _) = generate(boxes, &tech.rules, Method::Visibility, Axis::X, Prune::Keep);
             black_box(solve(&sys, EdgeOrder::Sorted).unwrap().extent())
         })
     });
@@ -215,7 +206,6 @@ fn bench_backends(c: &mut Criterion) {
         Method::Visibility,
         Axis::X,
         Prune::Apply,
-        Parallelism::Serial,
     );
     let mut group = c.benchmark_group("compaction/backend");
     for backend in [

@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsg_compact::backend::BellmanFord;
 use rsg_compact::engine;
-use rsg_compact::leaf::Parallelism;
+use rsg_compact::par::Parallelism;
 use rsg_hpla::Personality;
 use rsg_layout::{drc, CellId, CellTable, Technology};
 use std::hint::black_box;

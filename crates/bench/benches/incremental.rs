@@ -22,7 +22,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rsg_compact::backend::BellmanFord;
 use rsg_compact::hier::ChipCompaction;
 use rsg_compact::incremental::CompactSession;
-use rsg_compact::leaf::Parallelism;
+use rsg_compact::par::Parallelism;
 use rsg_layout::{CellDefinition, CellId, CellTable, Instance, LayoutObject, Technology};
 use std::hint::black_box;
 

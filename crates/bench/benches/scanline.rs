@@ -5,7 +5,6 @@
 //! the x sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rsg_compact::par::Parallelism;
 use rsg_compact::scanline::{generate, Method, Prune};
 use rsg_geom::{Axis, Rect};
 use rsg_layout::{Layer, Technology};
@@ -32,22 +31,8 @@ fn bench_methods(c: &mut Criterion) {
     // (E24) would otherwise absorb.
     for n in [8usize, 16, 32, 64] {
         let boxes = fragmented(n);
-        let (band, _) = generate(
-            &boxes,
-            &rules,
-            Method::Band,
-            Axis::X,
-            Prune::Keep,
-            Parallelism::Serial,
-        );
-        let (vis, _) = generate(
-            &boxes,
-            &rules,
-            Method::Visibility,
-            Axis::X,
-            Prune::Apply,
-            Parallelism::Serial,
-        );
+        let (band, _) = generate(&boxes, &rules, Method::Band, Axis::X, Prune::Keep);
+        let (vis, _) = generate(&boxes, &rules, Method::Visibility, Axis::X, Prune::Apply);
         println!(
             "fragmented bus n={n}: band={} constraints, visibility={}",
             band.constraints().len(),
@@ -61,34 +46,20 @@ fn bench_methods(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("band", n), &boxes, |b, boxes| {
             b.iter(|| {
                 black_box(
-                    generate(
-                        boxes,
-                        &rules,
-                        Method::Band,
-                        Axis::X,
-                        Prune::Keep,
-                        Parallelism::Serial,
-                    )
-                    .0
-                    .constraints()
-                    .len(),
+                    generate(boxes, &rules, Method::Band, Axis::X, Prune::Keep)
+                        .0
+                        .constraints()
+                        .len(),
                 )
             })
         });
         group.bench_with_input(BenchmarkId::new("visibility", n), &boxes, |b, boxes| {
             b.iter(|| {
                 black_box(
-                    generate(
-                        boxes,
-                        &rules,
-                        Method::Visibility,
-                        Axis::X,
-                        Prune::Apply,
-                        Parallelism::Serial,
-                    )
-                    .0
-                    .constraints()
-                    .len(),
+                    generate(boxes, &rules, Method::Visibility, Axis::X, Prune::Apply)
+                        .0
+                        .constraints()
+                        .len(),
                 )
             })
         });
@@ -97,17 +68,10 @@ fn bench_methods(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("visibility-y", n), &boxes, |b, boxes| {
             b.iter(|| {
                 black_box(
-                    generate(
-                        boxes,
-                        &rules,
-                        Method::Visibility,
-                        Axis::Y,
-                        Prune::Apply,
-                        Parallelism::Serial,
-                    )
-                    .0
-                    .constraints()
-                    .len(),
+                    generate(boxes, &rules, Method::Visibility, Axis::Y, Prune::Apply)
+                        .0
+                        .constraints()
+                        .len(),
                 )
             })
         });

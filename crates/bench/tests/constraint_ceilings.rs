@@ -4,8 +4,9 @@
 //! The ceilings live in `BENCH_constraint_ceilings.json` beside
 //! `BENCH_compaction.json`: the pruned constraint count of the E13 8×8
 //! tiled array and of the E23 megachip flat lattice at 10⁵ boxes; the
-//! candidate pairs the hierarchical cell pass enumerates, the
-//! hidden-edge oracle queries it makes (`HierSweepStats::hidden_tests`),
+//! frames the hierarchical cell pass's partner walks visit
+//! (`HierSweepStats::frames_visited`) and the box pairs its box loops
+//! examine (`HierSweepStats::box_pairs`), the hidden-edge oracle queries it makes (`HierSweepStats::hidden_tests`),
 //! the difference constraints it generates (`HierSweepStats::constraints`),
 //! the relaxation passes its solves take (`HierSweepStats::solver_passes`),
 //! the CSR graphs those solves build (`HierSweepStats::graph_builds`),
@@ -72,14 +73,7 @@ fn tiled(n: usize) -> Vec<(Layer, Rect)> {
 
 fn pruned_count(boxes: &[(Layer, Rect)]) -> usize {
     let rules = &Technology::mead_conway(2).rules;
-    let (sys, _) = generate(
-        boxes,
-        rules,
-        Method::Visibility,
-        Axis::X,
-        Prune::Apply,
-        Parallelism::Serial,
-    );
+    let (sys, _) = generate(boxes, rules, Method::Visibility, Axis::X, Prune::Apply);
     sys.constraints().len()
 }
 
@@ -115,9 +109,16 @@ fn walk_sum(chip: &ChipLayout, counter: impl Fn(&HierSweepStats) -> usize) -> us
         .sum()
 }
 
-/// Candidate pairs the hierarchical cell pass enumerated over a walk.
-fn walk_candidates(chip: &ChipLayout) -> usize {
-    walk_sum(chip, |s| s.candidates)
+/// Frames the hierarchical cell pass's partner walks visited over a
+/// walk.
+fn walk_frames_visited(chip: &ChipLayout) -> usize {
+    walk_sum(chip, |s| s.frames_visited)
+}
+
+/// Box pairs the hierarchical cell pass's box loops examined over a
+/// walk.
+fn walk_box_pairs(chip: &ChipLayout) -> usize {
+    walk_sum(chip, |s| s.box_pairs)
 }
 
 /// Hidden-edge oracle queries the hierarchical cell pass made over a
@@ -175,23 +176,44 @@ fn multiplier_walk() -> ChipLayout {
 }
 
 #[test]
-fn megachip_hier_100k_candidates_stay_under_recorded_ceiling() {
+fn megachip_hier_100k_frames_visited_stay_under_recorded_ceiling() {
     let (out, boxes) = megachip_walk();
-    let count = walk_candidates(&out);
-    let ceiling = ceiling("megachip_hier_100k_candidates");
+    let count = walk_frames_visited(&out);
+    let ceiling = ceiling("megachip_hier_100k_frames_visited");
     assert!(
         count <= ceiling,
-        "megachip hier walk (n = {boxes}) candidate count regressed: {count} > recorded ceiling {ceiling}"
+        "megachip hier walk (n = {boxes}) frames-visited count regressed: {count} > recorded ceiling {ceiling}"
     );
 }
 
 #[test]
-fn multiplier_16x16_candidates_stay_under_recorded_ceiling() {
-    let count = walk_candidates(&multiplier_walk());
-    let ceiling = ceiling("multiplier_16x16_candidates");
+fn megachip_hier_100k_box_pairs_stay_under_recorded_ceiling() {
+    let (out, boxes) = megachip_walk();
+    let count = walk_box_pairs(&out);
+    let ceiling = ceiling("megachip_hier_100k_box_pairs");
     assert!(
         count <= ceiling,
-        "16x16 multiplier chip candidate count regressed: {count} > recorded ceiling {ceiling}"
+        "megachip hier walk (n = {boxes}) box-pair count regressed: {count} > recorded ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn multiplier_16x16_frames_visited_stay_under_recorded_ceiling() {
+    let count = walk_frames_visited(&multiplier_walk());
+    let ceiling = ceiling("multiplier_16x16_frames_visited");
+    assert!(
+        count <= ceiling,
+        "16x16 multiplier chip frames-visited count regressed: {count} > recorded ceiling {ceiling}"
+    );
+}
+
+#[test]
+fn multiplier_16x16_box_pairs_stay_under_recorded_ceiling() {
+    let count = walk_box_pairs(&multiplier_walk());
+    let ceiling = ceiling("multiplier_16x16_box_pairs");
+    assert!(
+        count <= ceiling,
+        "16x16 multiplier chip box-pair count regressed: {count} > recorded ceiling {ceiling}"
     );
 }
 

@@ -11,7 +11,6 @@
 //! relaxation passes, and the extent trajectory.
 
 use crate::backend::{SolveError, Solver};
-use crate::par::Parallelism;
 use crate::scanline::{self, BoxVars, Method, Prune};
 use crate::scratch::SweepScratch;
 use rsg_geom::{Axis, Rect};
@@ -124,15 +123,7 @@ fn sweep(
 ) -> Result<(Vec<(Layer, Rect)>, SweepStats), SolveError> {
     let SweepScratch { sys, scan, .. } = scratch;
     sys.reset(axis);
-    let vars = scanline::append_boxes(
-        sys,
-        boxes,
-        rules,
-        Method::Visibility,
-        Prune::Apply,
-        Parallelism::Serial,
-        scan,
-    );
+    let vars = scanline::append_boxes(sys, boxes, rules, Method::Visibility, Prune::Apply, scan);
     let out = solver.solve_system(sys, &[])?;
     let extent = {
         let max = out.positions.iter().copied().max().unwrap_or(0);

@@ -683,11 +683,13 @@ pub struct HierSweepStats {
     pub clusters: usize,
     /// Abstract boxes fed to the visibility kernel.
     pub abstract_boxes: usize,
-    /// Enumeration work: the frames the partner walks visited plus the
-    /// box pairs the box loops examined (weld and spacing tests) — a
-    /// deterministic measure that grows with every pair the kernel
-    /// reads, not only with the pairs it emits.
-    pub candidates: usize,
+    /// Frames the partner walks visited — a deterministic measure of
+    /// the walk's work that grows with every frame it reads, not only
+    /// with the partners it keeps.
+    pub frames_visited: usize,
+    /// Box pairs the box loops examined (weld and spacing tests), each
+    /// source box against each box of a kept partner it can reach.
+    pub box_pairs: usize,
     /// Hidden-edge oracle queries the box loops made: only spacing
     /// candidates of unshadowed cluster pairs whose weight would raise
     /// their pair's maximum ask.
@@ -1343,9 +1345,10 @@ fn raise(row: &mut [i64], touched: &mut Vec<usize>, b: usize, w: i64) {
 /// Work counters of one [`enumerate_pairs`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PairWork {
-    /// Frames the partner walks visited plus box pairs the box loops
-    /// examined (weld and spacing tests).
-    candidates: usize,
+    /// Frames the partner walks visited.
+    frames_visited: usize,
+    /// Box pairs the box loops examined (weld and spacing tests).
+    box_pairs: usize,
     /// Hidden-edge oracle queries made.
     hidden_tests: usize,
 }
@@ -1485,7 +1488,7 @@ fn enumerate_pairs(
         partners.clear();
         let from = fa.lo_along(axis).saturating_sub(widest);
         for kb in findex.ordered_after((), from, (a0, a1), reach) {
-            work.candidates += 1;
+            work.frames_visited += 1;
             let b = fowner[kb];
             let fb = findex.items()[kb].1;
             if b == a || fb.hi_along(axis) < fa.lo_along(axis) {
@@ -1515,9 +1518,10 @@ fn enumerate_pairs(
         }
 
         for &i in &owned[owned_start[a]..owned_start[a + 1]] {
-            if work.candidates >= next_check {
+            let examined = work.frames_visited + work.box_pairs;
+            if examined >= next_check {
                 limits.check_deadline()?;
-                next_check = work.candidates + DEADLINE_STRIDE;
+                next_check = examined + DEADLINE_STRIDE;
             }
             let (la, ra) = boxes[i];
             let (r0, r1) = (ra.lo_across(axis), ra.hi_across(axis));
@@ -1531,7 +1535,7 @@ fn enumerate_pairs(
                     continue;
                 }
                 for &j in &owned[owned_start[b]..owned_start[b + 1]] {
-                    work.candidates += 1;
+                    work.box_pairs += 1;
                     let (lb, rb) = boxes[j];
                     // Welds: same-layer material touching across a
                     // cluster boundary is one electrical net. Like the
@@ -1710,7 +1714,8 @@ fn sweep_axis(
             axis,
             clusters: n,
             abstract_boxes: owner.len(),
-            candidates: work.candidates,
+            frames_visited: work.frames_visited,
+            box_pairs: work.box_pairs,
             hidden_tests: work.hidden_tests,
             constraints,
             pitch_rounds: solve_work.rounds,
@@ -2341,8 +2346,20 @@ mod tests {
                         assert_eq!(got.1, fresh.1, "{what}: pitches");
                         let (g, f) = (&got.0, &fresh.0);
                         assert_eq!(
-                            (g.constraints, g.extent, g.candidates, g.hidden_tests),
-                            (f.constraints, f.extent, f.candidates, f.hidden_tests),
+                            (
+                                g.constraints,
+                                g.extent,
+                                g.frames_visited,
+                                g.box_pairs,
+                                g.hidden_tests
+                            ),
+                            (
+                                f.constraints,
+                                f.extent,
+                                f.frames_visited,
+                                f.box_pairs,
+                                f.hidden_tests
+                            ),
                             "{what}"
                         );
                         if g.pitch_rounds == 0 {
@@ -2657,7 +2674,7 @@ mod tests {
             }
         }
         let pboxes = index.items();
-        let mut cursor = VisibilityCursor::new(index);
+        let mut cursor = VisibilityCursor::with_cache(index, Vec::new());
         for (i, &(la, ra)) in pboxes.iter().enumerate() {
             for (j, &(lb, rb)) in pboxes.iter().enumerate() {
                 let (a, b) = (owner[i], owner[j]);
@@ -2916,7 +2933,7 @@ mod tests {
                 let (got, work) =
                     enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &Limits::NONE).unwrap();
                 seen[4] += check_against_reference(&got, &want, &bases, axis, &format!("{axis}"));
-                assert!(work.hidden_tests <= work.candidates, "{work:?}");
+                assert!(work.hidden_tests <= work.box_pairs, "{work:?}");
 
                 // The same sweep with the clusters relabeled by a random
                 // permutation: the boxes keep their order, so their owners
@@ -2941,7 +2958,7 @@ mod tests {
                     enumerate_pairs(&mut scan, &r, &owner_p, &frames_p, &bases_p, &Limits::NONE)
                         .unwrap();
                 check_against_reference(&got, &want, &bases_p, axis, &format!("{axis} relabeled"));
-                assert!(work.hidden_tests <= work.candidates, "{work:?}");
+                assert!(work.hidden_tests <= work.box_pairs, "{work:?}");
 
                 seen[0] += want.welds.len();
                 let boxes = scan.index.items();

@@ -23,7 +23,7 @@ use crate::limits::{Exhausted, Limits};
 use crate::scanline::{self, BoxVars, Method, Prune};
 use crate::scratch::ScanScratch;
 use crate::{Constraint, ConstraintSystem, PitchId, VarId};
-use rsg_geom::{Axis, GeomIndex, Rect, Vector};
+use rsg_geom::{Axis, Rect, Vector};
 use rsg_layout::{CellDefinition, DesignRules, Layer};
 
 /// How an interface displaces the second cell along the compaction axis.
@@ -154,8 +154,8 @@ struct VBox {
     pitch: Option<PitchId>,
 }
 
-/// How [`compact`] runs. The default is no budgets, serial generation
-/// and the prune applied.
+/// How [`compact`] runs. The default is no budgets and the prune
+/// applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeafOptions {
     /// Resource budgets: checkpoints fire after the flat box count is
@@ -163,13 +163,6 @@ pub struct LeafOptions {
     /// entry — deterministic points, so an exhausted run always fails
     /// identically.
     pub limits: Limits,
-    /// Workers for constraint *generation*: the intra-cell spacing scans
-    /// and the per-interface cross scans run their pair filters in
-    /// parallel, emitting into the system in the serial order. The
-    /// result — success or error — is bit-identical at any thread
-    /// count; only wall-clock changes. [`compact_batch`] sets this
-    /// itself for single-job batches.
-    pub parallelism: Parallelism,
     /// The intra-cell transitive-reduction prune. [`Prune::Keep`] hands
     /// the full spacing emission to the solver; the result (cells,
     /// pitches, and [`PitchBinding`]s) is identical either way, which
@@ -181,7 +174,6 @@ impl Default for LeafOptions {
     fn default() -> LeafOptions {
         LeafOptions {
             limits: Limits::NONE,
-            parallelism: Parallelism::Serial,
             prune: Prune::Apply,
         }
     }
@@ -201,11 +193,7 @@ pub fn compact(
     solver: &dyn Solver,
     opts: &LeafOptions,
 ) -> Result<CompactionResult, LeafError> {
-    let LeafOptions {
-        limits,
-        parallelism: par,
-        prune,
-    } = *opts;
+    let LeafOptions { limits, prune } = *opts;
     let axis = Axis::X;
     limits.check_deadline()?;
     // Ingest validation: coordinate budget (so interior arithmetic is
@@ -249,7 +237,6 @@ pub fn compact(
             rules,
             Method::Visibility,
             prune,
-            par,
             &mut scan,
         );
         // Anchor the cell's lowest edge at its original coordinate.
@@ -287,29 +274,10 @@ pub fn compact(
             Axis::X => Vector::new(x0, iface.y_offset),
             Axis::Y => Vector::new(iface.y_offset, x0),
         };
-        let a_view: Vec<VBox> = cell_boxes[iface.cell_a]
-            .iter()
-            .zip(&cell_vars[iface.cell_a])
-            .map(|(&(layer, rect), bv)| VBox {
-                layer,
-                rect,
-                left: bv.left,
-                right: bv.right,
-                pitch: None,
-            })
-            .collect();
-        let b_view: Vec<VBox> = cell_boxes[iface.cell_b]
-            .iter()
-            .zip(&cell_vars[iface.cell_b])
-            .map(|(&(layer, rect), bv)| VBox {
-                layer,
-                rect: rect.translate(shift),
-                left: bv.left,
-                right: bv.right,
-                pitch,
-            })
-            .collect();
-        append_cross_constraints(&mut sys, &a_view, &b_view, rules, par, &mut scan)?;
+        let (a, b) = (iface.cell_a, iface.cell_b);
+        let a_view = view(&cell_boxes[a], &cell_vars[a], Vector::ZERO, None);
+        let b_view = view(&cell_boxes[b], &cell_vars[b], shift, pitch);
+        append_cross_constraints(&mut sys, &a_view, &b_view, rules, &mut scan)?;
     }
 
     // Metric excludes the origin convenience variable (Fig 6.3 counts
@@ -425,10 +393,11 @@ impl LibraryJob {
 ///
 /// Each job is a closed constraint system, so the jobs are
 /// embarrassingly parallel and the output (including every error) is
-/// byte-identical to mapping [`compact`] serially with default options — [`Parallelism`] only
-/// changes wall-clock time. This is the batch entry point for compacting
-/// a whole generator library (the paper's "compact the cell A only
-/// once" economics, multiplied across a cell catalogue).
+/// byte-identical to mapping [`compact`] serially with default options
+/// — [`Parallelism`](crate::par::Parallelism) only changes wall-clock
+/// time. Each job runs on one worker. This is the batch entry point
+/// for compacting a whole generator library (the paper's "compact the
+/// cell A only once" economics, multiplied across a cell catalogue).
 ///
 /// Results are keyed **by job index** — `result[k]` always belongs to
 /// `jobs[k]` — never by cell or pitch name. Jobs whose cells or
@@ -438,20 +407,9 @@ pub fn compact_batch(
     jobs: &[LibraryJob],
     rules: &DesignRules,
     solver: &dyn Solver,
-    parallelism: Parallelism,
+    parallelism: crate::par::Parallelism,
 ) -> Vec<Result<CompactionResult, LeafError>> {
-    // A single-job batch has no job-level work to distribute, so the
-    // workers move inside the job: its constraint-generation scans fan
-    // out instead (bit-identical output either way).
-    let inner = if jobs.len() == 1 {
-        parallelism
-    } else {
-        Parallelism::Serial
-    };
-    let opts = LeafOptions {
-        parallelism: inner,
-        ..LeafOptions::default()
-    };
+    let opts = LeafOptions::default();
     crate::par::par_map(jobs, parallelism.threads(), |job| {
         compact(&job.cells, &job.interfaces, rules, solver, &opts)
     })
@@ -464,120 +422,81 @@ pub fn compact_batch(
     .collect()
 }
 
-pub use crate::par::Parallelism;
+/// One cell's boxes as one side of an interface: translated by `shift`
+/// and tagged with `pitch`, on the cell's own edge variables.
+fn view(
+    boxes: &[(Layer, Rect)],
+    vars: &[BoxVars],
+    shift: Vector,
+    pitch: Option<PitchId>,
+) -> Vec<VBox> {
+    boxes
+        .iter()
+        .zip(vars)
+        .map(|(&(layer, rect), bv)| VBox {
+            layer,
+            rect: rect.translate(shift),
+            left: bv.left,
+            right: bv.right,
+            pitch,
+        })
+        .collect()
+}
 
 /// Emits the cross constraints of one interface pair: spacing between
 /// A-side and B-side boxes, folded through the pitch term (paper Fig
 /// 6.3's edge replacement).
+///
+/// The pairs are the flat scan's visible spacing pairs over both views
+/// that straddle the interface: a strictly below b along the axis,
+/// shared across-range, not hidden. Abutting same-layer cross boxes are
+/// connected material and get no spacing requirement (their relative
+/// position is governed by the pitch).
 fn append_cross_constraints(
     sys: &mut ConstraintSystem,
     a_view: &[VBox],
     b_view: &[VBox],
     rules: &DesignRules,
-    par: Parallelism,
     scan: &mut ScanScratch,
 ) -> Result<(), LeafError> {
-    let axis = sys.axis();
     let all: Vec<VBox> = a_view.iter().chain(b_view).copied().collect();
-    let ScanScratch {
-        index,
-        items,
-        spacings,
-        ..
-    } = scan;
+    let ScanScratch { index, items, .. } = scan;
     items.clear();
     items.extend(all.iter().map(|v| (v.layer, v.rect)));
-    let stale = index.rebuild_from_vec(std::mem::take(items), axis);
+    let stale = index.rebuild_from_vec(std::mem::take(items), sys.axis());
     *items = stale;
-    let index: &GeomIndex<Layer> = index;
-
-    let emit = |sys: &mut ConstraintSystem, from: &VBox, to: &VBox, w: i64| {
-        // x_to − x_from + (coeff_to − coeff_from)·λ ≥ w, where a box's
-        // pitch tag contributes +λ to its edge positions.
-        let from_var = from.right;
-        let to_var = to.left;
-        match (from.pitch, to.pitch) {
-            (None, None) => sys.require(from_var, to_var, w),
-            (Some(p), Some(q)) if p == q => sys.require(from_var, to_var, w),
-            (None, Some(p)) => sys.require_with_pitch(from_var, to_var, w, p, 1),
-            (Some(p), None) => sys.require_with_pitch(from_var, to_var, w, p, -1),
-            // One view carries at most one pitch (a_view is always
-            // untagged), so two distinct pitches on one constraint can
-            // only mean the views were built wrong.
-            (Some(_), Some(_)) => {
-                return Err(LeafError::Input(
-                    "cross constraint spans two distinct pitch variables".into(),
-                ))
-            }
-        }
-        Ok(())
-    };
-
-    // Spacing: a strictly below b along the axis, shared across-range,
-    // not hidden. Abutting same-layer cross boxes are connected material
-    // and get no spacing requirement (their relative position is
-    // governed by the pitch). The scan is a pure pair filter (the oracle
-    // is read-only behind per-worker cursors), so ranges of low boxes
-    // fan across workers; the collected pairs are emitted serially in
-    // the (i, j) order the serial loop would use, so the system — and
-    // any emission error — is bit-identical at every thread count.
-    let scan_range = |range: std::ops::Range<usize>, out: &mut Vec<(usize, usize, i64)>| {
-        let mut cursor = scanline::VisibilityCursor::new(index);
-        for i in range {
-            let a = &all[i];
-            for (j, b) in all.iter().enumerate() {
-                if i == j || (i < a_view.len()) == (j < a_view.len()) {
-                    continue;
-                }
-                let Some(spacing) = rules.min_spacing(a.layer, b.layer) else {
-                    continue;
-                };
-                if a.rect.hi_along(axis) > b.rect.lo_along(axis) {
-                    continue;
-                }
-                if a.rect.lo_across(axis) >= b.rect.hi_across(axis)
-                    || b.rect.lo_across(axis) >= a.rect.hi_across(axis)
-                {
-                    continue;
-                }
-                if a.layer == b.layer && a.rect.intersect(b.rect).is_some() {
-                    continue; // abutting/connected across the interface
-                }
-                if cursor.hidden_between(i, j) {
-                    continue;
-                }
-                out.push((i, j, spacing));
-            }
-        }
-    };
-    let threads = par.threads().min(all.len().max(1));
-    let pairs = spacings;
-    pairs.clear();
-    if threads <= 1 {
-        scan_range(0..all.len(), pairs);
-    } else {
-        let chunk = all.len().div_ceil(threads * 8).max(1);
-        let ranges: Vec<(usize, usize)> = (0..all.len())
-            .step_by(chunk)
-            .map(|s| (s, (s + chunk).min(all.len())))
-            .collect();
-        let blocks = crate::par::par_map(&ranges, threads, |&(s, e)| {
-            let mut block = Vec::new();
-            scan_range(s..e, &mut block);
-            block
-        });
-        for (block, &(s, e)) in blocks.into_iter().zip(&ranges) {
-            match block {
-                Ok(mut b) => pairs.append(&mut b),
-                // The scan closure is panic-free; if a worker still
-                // died, recompute the range inline so any genuine panic
-                // surfaces on the caller's thread, as in serial.
-                Err(_) => scan_range(s..e, pairs),
-            }
-        }
+    let a_side = |k: usize| k < a_view.len();
+    scanline::scan_spacings(scan, rules, Method::Visibility, |i, j| {
+        a_side(i) != a_side(j)
+    });
+    for &(i, j, spacing) in &scan.spacings {
+        require_cross(sys, &all[i], &all[j], spacing)?;
     }
-    for &(i, j, spacing) in pairs.iter() {
-        emit(sys, &all[i], &all[j], spacing)?;
+    Ok(())
+}
+
+/// Requires `to`'s low edge at least `spacing` past `from`'s high edge,
+/// where a box's pitch tag contributes +λ to its edge positions:
+/// `x_to − x_from + (coeff_to − coeff_from)·λ ≥ spacing`.
+fn require_cross(
+    sys: &mut ConstraintSystem,
+    from: &VBox,
+    to: &VBox,
+    spacing: i64,
+) -> Result<(), LeafError> {
+    match (from.pitch, to.pitch) {
+        (None, None) => sys.require(from.right, to.left, spacing),
+        (Some(p), Some(q)) if p == q => sys.require(from.right, to.left, spacing),
+        (None, Some(p)) => sys.require_with_pitch(from.right, to.left, spacing, p, 1),
+        (Some(p), None) => sys.require_with_pitch(from.right, to.left, spacing, p, -1),
+        // One view carries at most one pitch (a_view is always
+        // untagged), so two distinct pitches on one constraint can
+        // only mean the views were built wrong.
+        (Some(_), Some(_)) => {
+            return Err(LeafError::Input(
+                "cross constraint spans two distinct pitch variables".into(),
+            ))
+        }
     }
     Ok(())
 }
@@ -586,6 +505,7 @@ fn append_cross_constraints(
 mod tests {
     use super::*;
     use crate::backend::{Balanced, BellmanFord, SimplexPitch};
+    use crate::par::Parallelism;
     use rsg_layout::Technology;
 
     fn rules() -> DesignRules {
@@ -752,14 +672,7 @@ mod tests {
                 flat.push((l, rect.translate(rsg_geom::Vector::new(k * lambda, 0))));
             }
         }
-        let (sys, vars) = scanline::generate(
-            &flat,
-            &r,
-            Method::Visibility,
-            Axis::X,
-            Prune::Apply,
-            Parallelism::Serial,
-        );
+        let (sys, vars) = scanline::generate(&flat, &r, Method::Visibility, Axis::X, Prune::Apply);
         let positions: Vec<i64> = flat
             .iter()
             .flat_map(|(_, rect)| [rect.lo().x, rect.hi().x])
@@ -970,6 +883,126 @@ mod tests {
                 "{} failed a batch job",
                 backend.name()
             );
+        }
+    }
+
+    /// The all-pairs cross filter the leaf compactor ran before it took
+    /// its pairs from the scanline's indexed walk: every A/B pair,
+    /// filtered directly, in (i, j) order.
+    fn all_pairs_cross(all: &[VBox], a_len: usize, r: &DesignRules) -> Vec<(usize, usize, i64)> {
+        let axis = Axis::X;
+        let items: Vec<(Layer, Rect)> = all.iter().map(|v| (v.layer, v.rect)).collect();
+        let index = rsg_geom::GeomIndex::build(&items, axis);
+        let mut cursor = scanline::VisibilityCursor::with_cache(&index, Vec::new());
+        let mut out = Vec::new();
+        for (i, a) in all.iter().enumerate() {
+            for (j, b) in all.iter().enumerate() {
+                if i == j || (i < a_len) == (j < a_len) {
+                    continue;
+                }
+                let Some(spacing) = r.min_spacing(a.layer, b.layer) else {
+                    continue;
+                };
+                if a.rect.hi_along(axis) > b.rect.lo_along(axis)
+                    || a.rect.lo_across(axis) >= b.rect.hi_across(axis)
+                    || b.rect.lo_across(axis) >= a.rect.hi_across(axis)
+                    || (a.layer == b.layer && a.rect.intersect(b.rect).is_some())
+                    || cursor.hidden_between(i, j)
+                {
+                    continue;
+                }
+                out.push((i, j, spacing));
+            }
+        }
+        out
+    }
+
+    /// One interface's system before its cross constraints, and its A
+    /// and B views, built as [`compact`] builds them: B is A itself on
+    /// a self-interface, and carries the pitch when the interface is
+    /// `VariableX`.
+    fn interface_views(
+        a: &[(Layer, Rect)],
+        b: &[(Layer, Rect)],
+        same_cell: bool,
+        variable: bool,
+        shift: Vector,
+    ) -> (ConstraintSystem, Vec<VBox>, Vec<VBox>) {
+        let mut sys = ConstraintSystem::new_along(Axis::X);
+        let mut vars = |boxes: &[(Layer, Rect)]| -> Vec<BoxVars> {
+            boxes
+                .iter()
+                .map(|(_, r)| BoxVars {
+                    left: sys.add_var(r.lo().x),
+                    right: sys.add_var(r.hi().x),
+                })
+                .collect()
+        };
+        let vars_a = vars(a);
+        let (b, vars_b) = if same_cell {
+            (a, vars_a.clone())
+        } else {
+            (b, vars(b))
+        };
+        let pitch = variable.then(|| sys.add_pitch("l"));
+        let a_view = view(a, &vars_a, Vector::ZERO, None);
+        let b_view = view(b, &vars_b, shift, pitch);
+        (sys, a_view, b_view)
+    }
+
+    const LAYERS: [Layer; 3] = [Layer::Poly, Layer::Diffusion, Layer::Metal1];
+
+    /// Dense small cells: abutting, overlapping and zero-extent boxes.
+    fn arb_cell() -> impl Strategy<Value = Vec<(Layer, Rect)>> {
+        proptest::collection::vec((0i64..30, 0i64..20, 0i64..10, 0i64..10, 0usize..3), 1..12)
+            .prop_map(|seeds| {
+                seeds
+                    .into_iter()
+                    .map(|(x, y, w, h, l)| {
+                        (
+                            LAYERS[l],
+                            Rect::from_origin_size(rsg_geom::Point::new(x, y), w, h),
+                        )
+                    })
+                    .collect()
+            })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        /// The cross scan emits exactly the all-pairs reference's
+        /// `(i, j, spacing)` list, and so the same constraint system, on
+        /// random self and two-cell interfaces: pitch-tagged
+        /// (`VariableX`) and fixed B sides, offsets across, abutting
+        /// same-layer cross boxes, zero-extent boxes, partly hidden
+        /// pairs.
+        #[test]
+        fn cross_scan_matches_the_all_pairs_reference(
+            a in arb_cell(),
+            b in arb_cell(),
+            (same_cell, variable, dx, y_offset) in (0usize..2, 0usize..2, 0i64..40, -12i64..13),
+        ) {
+            let r = rules();
+            let shift = Vector::new(dx, y_offset);
+            let (same_cell, variable) = (same_cell == 1, variable == 1);
+
+            let (mut want_sys, a_view, b_view) = interface_views(&a, &b, same_cell, variable, shift);
+            let all: Vec<VBox> = a_view.iter().chain(&b_view).copied().collect();
+            let want = all_pairs_cross(&all, a_view.len(), &r);
+            for &(i, j, spacing) in &want {
+                require_cross(&mut want_sys, &all[i], &all[j], spacing).unwrap();
+            }
+
+            let (mut sys, a_view, b_view) = interface_views(&a, &b, same_cell, variable, shift);
+            let mut scan = ScanScratch::new();
+            append_cross_constraints(&mut sys, &a_view, &b_view, &r, &mut scan).unwrap();
+            prop_assert_eq!(&scan.spacings, &want);
+            prop_assert_eq!(sys.constraints(), want_sys.constraints());
+            prop_assert_eq!(sys.num_vars(), want_sys.num_vars());
+            prop_assert_eq!(sys.num_pitches(), want_sys.num_pitches());
         }
     }
 }

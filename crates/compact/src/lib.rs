@@ -40,7 +40,7 @@
 //!
 //! ```
 //! use rsg_compact::scanline::{self, Method, Prune};
-//! use rsg_compact::{par::Parallelism, solver};
+//! use rsg_compact::solver;
 //! use rsg_geom::{Axis, Rect};
 //! use rsg_layout::{Layer, Technology};
 //!
@@ -55,7 +55,6 @@
 //!     Method::Visibility,
 //!     Axis::X,
 //!     Prune::Apply,
-//!     Parallelism::Serial,
 //! );
 //! let sol = solver::solve(&sys, solver::EdgeOrder::Sorted).unwrap();
 //! // Left-packed: the right box pulls in to the 2λ poly spacing.

@@ -34,7 +34,6 @@
 //! sweep axis (edge coordinates that become variables) and *across* the
 //! perpendicular axis (frozen during the sweep).
 
-use crate::par::Parallelism;
 use crate::scratch::ScanScratch;
 use crate::{ConstraintSystem, VarId};
 use rsg_geom::{Axis, CoverageProfile, GeomIndex, Rect};
@@ -82,19 +81,13 @@ pub enum Prune {
 /// coordinates across the axis are untouched throughout.
 ///
 /// With [`Prune::Keep`] the full spacing emission is kept (the
-/// reference the pruning-equivalence tests compare against). `par` fans
-/// the spacing scan across workers; the emitted system is
-/// **bit-identical** at any thread count: workers scan disjoint ranges
-/// of low boxes against the shared read-only index and their constraint
-/// blocks are appended in range order, reproducing the serial emission
-/// order exactly (the prune pass then runs serially over that list).
+/// reference the pruning-equivalence tests compare against).
 pub fn generate(
     boxes: &[(Layer, Rect)],
     rules: &DesignRules,
     method: Method,
     axis: Axis,
     prune: Prune,
-    par: Parallelism,
 ) -> (ConstraintSystem, Vec<BoxVars>) {
     let mut sys = ConstraintSystem::new_along(axis);
     let vars = append_boxes(
@@ -103,7 +96,6 @@ pub fn generate(
         rules,
         method,
         prune,
-        par,
         &mut ScanScratch::new(),
     );
     (sys, vars)
@@ -120,7 +112,6 @@ pub(crate) fn append_boxes(
     rules: &DesignRules,
     method: Method,
     prune: Prune,
-    par: Parallelism,
     scratch: &mut ScanScratch,
 ) -> Vec<BoxVars> {
     let axis = sys.axis();
@@ -131,20 +122,13 @@ pub(crate) fn append_boxes(
             right: sys.add_var(r.hi_along(axis)),
         })
         .collect();
-    let ScanScratch {
-        index,
-        items,
-        spacings,
-        cand,
-        keep,
-        starts,
-        profiles,
-        ..
-    } = scratch;
 
     // One spatial index serves candidate enumeration (spacing and
     // connectivity) and the hidden-edge oracle. Its storage — bucket
     // columns and the item list — is recycled from the previous scan.
+    let ScanScratch {
+        index, items, cand, ..
+    } = scratch;
     items.clear();
     items.extend_from_slice(boxes);
     let stale = index.rebuild_from_vec(std::mem::take(items), axis);
@@ -176,66 +160,16 @@ pub(crate) fn append_boxes(
         }
     }
 
-    // Spacing constraints. The visibility method consults the hidden-edge
-    // oracle, which answers coverage queries from the shared index
-    // instead of rescanning every box per candidate pair. Each worker
-    // scans its own range of low boxes with a private oracle cursor; the
-    // per-range constraint lists are appended in range order, matching
-    // the serial (i, j) emission order exactly.
-    spacings.clear();
-    let threads = par.threads().min(boxes.len().max(1));
-    if threads <= 1 {
-        let mut cursor = (method == Method::Visibility)
-            .then(|| VisibilityCursor::with_cache(index, std::mem::take(profiles)));
-        scan_spacings(
-            rules,
-            index,
-            cursor.as_mut(),
-            0..boxes.len(),
-            cand,
-            spacings,
-        );
-        if let Some(c) = cursor {
-            *profiles = c.into_cache();
-        }
-    } else {
-        let chunk = boxes.len().div_ceil(threads * 8).max(1);
-        let ranges: Vec<(usize, usize)> = (0..boxes.len())
-            .step_by(chunk)
-            .map(|s| (s, (s + chunk).min(boxes.len())))
-            .collect();
-        let index_ref: &GeomIndex<Layer> = index;
-        let blocks = crate::par::par_map(&ranges, threads, |&(s, e)| {
-            let mut block = Vec::new();
-            let mut buf = Vec::new();
-            let mut cursor =
-                (method == Method::Visibility).then(|| VisibilityCursor::new(index_ref));
-            scan_spacings(
-                rules,
-                index_ref,
-                cursor.as_mut(),
-                s..e,
-                &mut buf,
-                &mut block,
-            );
-            block
-        });
-        for (block, &(s, e)) in blocks.into_iter().zip(&ranges) {
-            match block {
-                Ok(mut b) => spacings.append(&mut b),
-                // The scan is panic-free; if a worker still died,
-                // recompute the range inline so any genuine panic
-                // surfaces on the caller's thread, as in serial.
-                Err(_) => {
-                    let mut cursor =
-                        (method == Method::Visibility).then(|| VisibilityCursor::new(index_ref));
-                    scan_spacings(rules, index_ref, cursor.as_mut(), s..e, cand, spacings);
-                }
-            }
-        }
-    }
+    // Spacing constraints over every candidate pair.
+    scan_spacings(scratch, rules, method, |_, _| true);
 
     // A chain through box `k` also crosses `k`'s exact width.
+    let ScanScratch {
+        spacings,
+        keep,
+        starts,
+        ..
+    } = scratch;
     let width = |k: usize| boxes[k].1.extent_along(axis);
     reduce_transitively(boxes.len(), spacings, |&e| e, width, prune, starts, keep);
     for (&(i, j, spacing), _) in spacings.iter().zip(keep.iter()).filter(|(_, &k)| k) {
@@ -244,26 +178,41 @@ pub(crate) fn append_boxes(
     vars
 }
 
-/// Collects `(i, j, spacing)` triples for low boxes in `range`, in the
-/// historical (i ascending, j ascending) emission order.
-fn scan_spacings(
+/// Fills `scratch.spacings` with the `(i, j, spacing)` triples over the
+/// boxes of `scratch.index`, in the historical (i ascending, j
+/// ascending) emission order: each [`spacing_candidates`] pair that
+/// `pair` accepts and, under [`Method::Visibility`], the hidden-edge
+/// oracle does not hide. The oracle answers coverage queries from the
+/// same index instead of rescanning every box per candidate pair. The
+/// flat sweep accepts every pair; the leaf compactor's cross scan keeps
+/// only pairs that straddle an interface.
+pub(crate) fn scan_spacings(
+    scratch: &mut ScanScratch,
     rules: &DesignRules,
-    index: &GeomIndex<Layer>,
-    mut cursor: Option<&mut VisibilityCursor<'_>>,
-    range: std::ops::Range<usize>,
-    cand: &mut Vec<(usize, i64)>,
-    out: &mut Vec<(usize, usize, i64)>,
+    method: Method,
+    pair: impl Fn(usize, usize) -> bool,
 ) {
-    for i in range {
+    let ScanScratch {
+        index,
+        spacings,
+        cand,
+        profiles,
+        ..
+    } = scratch;
+    spacings.clear();
+    let mut cursor = (method == Method::Visibility)
+        .then(|| VisibilityCursor::with_cache(index, std::mem::take(profiles)));
+    for i in 0..index.len() {
         spacing_candidates(index, rules, i, cand);
         for &(j, spacing) in cand.iter() {
-            if let Some(c) = cursor.as_deref_mut() {
-                if c.hidden_between(i, j) {
-                    continue;
-                }
+            if !pair(i, j) || cursor.as_mut().is_some_and(|c| c.hidden_between(i, j)) {
+                continue;
             }
-            out.push((i, j, spacing));
+            spacings.push((i, j, spacing));
         }
+    }
+    if let Some(c) = cursor {
+        *profiles = c.into_cache();
     }
 }
 
@@ -272,8 +221,9 @@ fn scan_spacings(
 /// between the two layers, `j`'s low edge along the axis is at or past
 /// `i`'s high edge, and `j`'s across span strictly overlaps `i`'s.
 /// Same-layer partners that touch `i` are connected material, never
-/// spaced, and are left out. Flat scanline only: the hierarchical cell
-/// pass walks partner clusters instead (`hier::enumerate_pairs`).
+/// spaced, and are left out. The flat sweep and the leaf compactor's
+/// cross scan share it; the hierarchical cell pass walks partner
+/// clusters instead (`hier::enumerate_pairs`).
 ///
 /// Each partner sits in exactly one layer bucket, so it appears once;
 /// the sort restores the (i ascending, j ascending) visiting order the
@@ -378,8 +328,8 @@ pub(crate) fn reduce_transitively<E>(
     }
 }
 
-/// One worker's view of the hidden-edge oracle of Fig 6.4: the shared
-/// read-only [`GeomIndex`] plus a private per-low-box profile cache.
+/// The hidden-edge oracle of Fig 6.4: a read-only [`GeomIndex`] plus a
+/// per-low-box profile cache.
 ///
 /// A pair `(i, j)` is *hidden* when the gap between box `i`'s high edge
 /// and box `j`'s low edge (along the sweep axis) is fully covered, over
@@ -394,9 +344,6 @@ pub(crate) fn reduce_transitively<E>(
 /// layer then answers in one range-minimum lookup, because the pair is
 /// hidden exactly when the minimum coverage reach over the shared
 /// across range reaches `j`'s low edge.
-///
-/// The index is immutable, so any number of cursors (one per worker
-/// thread) can query it concurrently, each with its own cache.
 pub(crate) struct VisibilityCursor<'a> {
     index: &'a GeomIndex<Layer>,
     /// Profiles for the current low box, keyed by partner layer.
@@ -406,11 +353,6 @@ pub(crate) struct VisibilityCursor<'a> {
 }
 
 impl<'a> VisibilityCursor<'a> {
-    /// A cursor over `index` with a cold profile cache.
-    pub(crate) fn new(index: &'a GeomIndex<Layer>) -> VisibilityCursor<'a> {
-        VisibilityCursor::with_cache(index, Vec::new())
-    }
-
     /// A cursor reusing `cache`'s allocation (contents are discarded).
     pub(crate) fn with_cache(
         index: &'a GeomIndex<Layer>,
@@ -496,22 +438,8 @@ mod tests {
         let boxes = fragmented_bus(n);
         let r = rules();
 
-        let (band, _) = generate(
-            &boxes,
-            &r,
-            Method::Band,
-            Axis::X,
-            Prune::Apply,
-            Parallelism::Serial,
-        );
-        let (vis, vv) = generate(
-            &boxes,
-            &r,
-            Method::Visibility,
-            Axis::X,
-            Prune::Apply,
-            Parallelism::Serial,
-        );
+        let (band, _) = generate(&boxes, &r, Method::Band, Axis::X, Prune::Apply);
+        let (vis, vv) = generate(&boxes, &r, Method::Visibility, Axis::X, Prune::Apply);
         assert!(band.constraints().len() > vis.constraints().len());
 
         // Visibility: the bus survives at its natural length.
@@ -536,22 +464,8 @@ mod tests {
             (Layer::Poly, Rect::from_coords(20, 0, 24, 10)),
         ];
         let r = rules();
-        let (vis, _) = generate(
-            &boxes,
-            &r,
-            Method::Visibility,
-            Axis::X,
-            Prune::Apply,
-            Parallelism::Serial,
-        );
-        let (band, _) = generate(
-            &boxes,
-            &r,
-            Method::Band,
-            Axis::X,
-            Prune::Keep,
-            Parallelism::Serial,
-        );
+        let (vis, _) = generate(&boxes, &r, Method::Visibility, Axis::X, Prune::Apply);
+        let (band, _) = generate(&boxes, &r, Method::Band, Axis::X, Prune::Keep);
         let spacing_constraints = |s: &ConstraintSystem| {
             s.constraints()
                 .iter()
@@ -573,14 +487,7 @@ mod tests {
             (Layer::Poly, Rect::from_coords(30, 0, 34, 20)),
         ];
         let r = rules();
-        let (vis, vars) = generate(
-            &boxes,
-            &r,
-            Method::Visibility,
-            Axis::X,
-            Prune::Keep,
-            Parallelism::Serial,
-        );
+        let (vis, vars) = generate(&boxes, &r, Method::Visibility, Axis::X, Prune::Keep);
         let has = vis
             .constraints()
             .iter()
@@ -595,14 +502,7 @@ mod tests {
             (Layer::Metal1, Rect::from_coords(0, 0, 6, 10)),
             (Layer::Poly, Rect::from_coords(10, 0, 14, 10)),
         ];
-        let (sys, _) = generate(
-            &boxes,
-            &rules(),
-            Method::Visibility,
-            Axis::X,
-            Prune::Apply,
-            Parallelism::Serial,
-        );
+        let (sys, _) = generate(&boxes, &rules(), Method::Visibility, Axis::X, Prune::Apply);
         // Only the 4 width constraints (2 per box).
         assert_eq!(sys.constraints().len(), 4);
     }
@@ -613,14 +513,7 @@ mod tests {
             (Layer::Poly, Rect::from_coords(0, 0, 4, 10)),
             (Layer::Poly, Rect::from_coords(10, 20, 14, 30)),
         ];
-        let (sys, _) = generate(
-            &boxes,
-            &rules(),
-            Method::Band,
-            Axis::X,
-            Prune::Apply,
-            Parallelism::Serial,
-        );
+        let (sys, _) = generate(&boxes, &rules(), Method::Band, Axis::X, Prune::Apply);
         assert_eq!(sys.constraints().len(), 4);
     }
 
@@ -634,14 +527,7 @@ mod tests {
             (Layer::Metal1, Rect::from_coords(60, 0, 70, 6)),
         ];
         let r = rules();
-        let (sys, vars) = generate(
-            &boxes,
-            &r,
-            Method::Visibility,
-            Axis::X,
-            Prune::Apply,
-            Parallelism::Serial,
-        );
+        let (sys, vars) = generate(&boxes, &r, Method::Visibility, Axis::X, Prune::Apply);
         let sol = solve(&sys, EdgeOrder::Sorted).unwrap();
         // Boxes 0 and 1 stay rigidly attached (overlap preserved).
         assert_eq!(
@@ -664,14 +550,7 @@ mod tests {
             (Layer::Diffusion, Rect::from_coords(5, 0, 17, 8)),
             (Layer::Diffusion, Rect::from_coords(40, 2, 49, 6)),
         ];
-        let (sys, vars) = generate(
-            &boxes,
-            &rules(),
-            Method::Visibility,
-            Axis::X,
-            Prune::Apply,
-            Parallelism::Serial,
-        );
+        let (sys, vars) = generate(&boxes, &rules(), Method::Visibility, Axis::X, Prune::Apply);
         let sol = solve(&sys, EdgeOrder::Sorted).unwrap();
         assert_eq!(sol.position(vars[0].right) - sol.position(vars[0].left), 12);
         assert_eq!(sol.position(vars[1].right) - sol.position(vars[1].left), 9);
@@ -692,9 +571,8 @@ mod tests {
         let r = rules();
         for method in [Method::Band, Method::Visibility] {
             for prune in [Prune::Apply, Prune::Keep] {
-                let (sys_y, _) = generate(&boxes, &r, method, Axis::Y, prune, Parallelism::Serial);
-                let (sys_xt, _) =
-                    generate(&transposed, &r, method, Axis::X, prune, Parallelism::Serial);
+                let (sys_y, _) = generate(&boxes, &r, method, Axis::Y, prune);
+                let (sys_xt, _) = generate(&transposed, &r, method, Axis::X, prune);
                 assert_eq!(sys_y.axis(), Axis::Y);
                 assert_eq!(sys_y.constraints(), sys_xt.constraints());
                 assert_eq!(sys_y.num_vars(), sys_xt.num_vars());
@@ -709,14 +587,7 @@ mod tests {
             (Layer::Metal1, Rect::from_coords(0, 40, 20, 46)), // far above: slack
         ];
         let r = rules();
-        let (sys, vars) = generate(
-            &boxes,
-            &r,
-            Method::Visibility,
-            Axis::Y,
-            Prune::Apply,
-            Parallelism::Serial,
-        );
+        let (sys, vars) = generate(&boxes, &r, Method::Visibility, Axis::Y, Prune::Apply);
         let sol = solve(&sys, EdgeOrder::Sorted).unwrap();
         let spacing = r.min_spacing(Layer::Metal1, Layer::Metal1).unwrap();
         assert_eq!(
@@ -736,56 +607,27 @@ mod tests {
             (Layer::Poly, Rect::from_coords(34, 0, 38, 10)),
         ];
         let r = rules();
-        let (pruned, pv) = generate(
-            &boxes,
-            &r,
-            Method::Visibility,
-            Axis::X,
-            Prune::Apply,
-            Parallelism::Serial,
-        );
-        let (full, fv) = generate(
-            &boxes,
-            &r,
-            Method::Visibility,
-            Axis::X,
-            Prune::Keep,
-            Parallelism::Serial,
-        );
+        let (pruned, pv) = generate(&boxes, &r, Method::Visibility, Axis::X, Prune::Apply);
+        let (full, fv) = generate(&boxes, &r, Method::Visibility, Axis::X, Prune::Keep);
         assert_eq!(full.constraints().len(), pruned.constraints().len() + 1);
         let sp = solve(&pruned, EdgeOrder::Sorted).unwrap();
         let sf = solve(&full, EdgeOrder::Sorted).unwrap();
         assert_eq!(sp.positions(), sf.positions());
         assert_eq!(pv, fv);
-    }
 
-    #[test]
-    fn parallel_generation_matches_serial_with_pruning() {
-        let mut boxes = Vec::new();
+        // A staggered two-layer row (poly posts of rising height under
+        // a metal rail): many implied edges, the same solution.
+        let mut row = Vec::new();
         for k in 0..12i64 {
             let x = 11 * k;
-            boxes.push((Layer::Poly, Rect::from_coords(x, 0, x + 4, 10 + k)));
-            boxes.push((Layer::Metal1, Rect::from_coords(x, 12, x + 6, 30)));
+            row.push((Layer::Poly, Rect::from_coords(x, 0, x + 4, 10 + k)));
+            row.push((Layer::Metal1, Rect::from_coords(x, 12, x + 6, 30)));
         }
-        let r = rules();
-        for prune in [Prune::Apply, Prune::Keep] {
-            let (serial, _) = generate(
-                &boxes,
-                &r,
-                Method::Visibility,
-                Axis::X,
-                prune,
-                Parallelism::Serial,
-            );
-            let (par, _) = generate(
-                &boxes,
-                &r,
-                Method::Visibility,
-                Axis::X,
-                prune,
-                Parallelism::Threads(4),
-            );
-            assert_eq!(serial.constraints(), par.constraints());
-        }
+        let (pruned, _) = generate(&row, &r, Method::Visibility, Axis::X, Prune::Apply);
+        let (full, _) = generate(&row, &r, Method::Visibility, Axis::X, Prune::Keep);
+        assert!(pruned.constraints().len() < full.constraints().len());
+        let sp = solve(&pruned, EdgeOrder::Sorted).unwrap();
+        let sf = solve(&full, EdgeOrder::Sorted).unwrap();
+        assert_eq!(sp.positions(), sf.positions());
     }
 }

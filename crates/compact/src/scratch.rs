@@ -31,7 +31,7 @@ pub struct ScanScratch {
     /// Recycled storage for the index's item list.
     pub(crate) items: Vec<(Layer, Rect)>,
     /// Collected `(low box, high box, spacing)` triples, in emission
-    /// order, shared by the serial scan and the parallel merge.
+    /// order: the flat scan's, or a leaf interface's cross pairs.
     pub(crate) spacings: Vec<(usize, usize, i64)>,
     /// Per-low-box candidate merge buffer `(high box, spacing)`.
     pub(crate) cand: Vec<(usize, i64)>,
@@ -39,7 +39,7 @@ pub struct ScanScratch {
     pub(crate) keep: Vec<bool>,
     /// Per-source offsets into `spacings` for chain lookups.
     pub(crate) starts: Vec<usize>,
-    /// The serial visibility cursor's profile cache.
+    /// The visibility cursor's profile cache.
     pub(crate) profiles: Vec<(Layer, CoverageProfile)>,
     /// The hierarchical sweep's dense weight row: per partner cluster,
     /// the strongest weight the current source cluster has emitted so

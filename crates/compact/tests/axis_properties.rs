@@ -5,7 +5,6 @@
 use proptest::prelude::*;
 use rsg_compact::backend::BellmanFord;
 use rsg_compact::engine;
-use rsg_compact::par::Parallelism;
 use rsg_compact::scanline::{generate, Method, Prune};
 use rsg_geom::{Axis, Point, Rect};
 use rsg_layout::{Layer, Technology};
@@ -69,8 +68,8 @@ proptest! {
         let flipped: Vec<(Layer, Rect)> =
             boxes.iter().map(|&(l, r)| (l, r.transpose())).collect();
         for method in [Method::Band, Method::Visibility] {
-            let (sys_y, vars_y) = generate(&boxes, &rules, method, Axis::Y, Prune::Apply, Parallelism::Serial);
-            let (sys_x, vars_x) = generate(&flipped, &rules, method, Axis::X, Prune::Apply, Parallelism::Serial);
+            let (sys_y, vars_y) = generate(&boxes, &rules, method, Axis::Y, Prune::Apply);
+            let (sys_x, vars_x) = generate(&flipped, &rules, method, Axis::X, Prune::Apply);
             prop_assert_eq!(sys_y.constraints(), sys_x.constraints());
             prop_assert_eq!(&vars_y, &vars_x);
             for (by, bx) in vars_y.iter().zip(&vars_x) {

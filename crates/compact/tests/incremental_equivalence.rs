@@ -17,7 +17,7 @@ use rsg_compact::backend::BellmanFord;
 use rsg_compact::hier::{compact_hierarchy, ChipLayout, HierOptions};
 use rsg_compact::incremental::CompactSession;
 use rsg_compact::par::Parallelism;
-use rsg_geom::{Orientation, Point, Rect};
+use rsg_geom::{BoundingBox, Orientation, Point, Rect};
 use rsg_layout::{drc, flatten, CellDefinition, CellId, CellTable, Instance, Layer, Technology};
 
 const LANE_LAYERS: [Layer; 4] = [Layer::Diffusion, Layer::Poly, Layer::Metal1, Layer::Metal2];
@@ -38,10 +38,34 @@ fn lane_cell(name: &str, lanes: &[(usize, i64, i64, i64)]) -> CellDefinition {
     c
 }
 
+/// The union of the images of `bbs` under all eight orientations about
+/// the origin: a grid cell this size, with the instance's origin at the
+/// cell corner minus its low corner, holds any of them in any
+/// orientation.
+fn oriented_reach(bbs: &[Rect]) -> Rect {
+    let mut reach = BoundingBox::new();
+    for &bb in bbs {
+        for o in Orientation::ALL {
+            reach.include_rect(bb.transform_orientation(o));
+        }
+    }
+    reach.rect().expect("non-empty")
+}
+
 /// A three-level chip: two leaf definitions, one grid block over each,
 /// and a top row alternating the blocks — enough hierarchy for an edit
-/// in `leaf_a` to be invisible from `block_b`.
-fn chip(lanes_a: &Lanes, lanes_b: &Lanes, nx: i64, ny: i64, blocks: i64) -> (CellTable, CellId) {
+/// in `leaf_a` to be invisible from `block_b`. Instance `k` of each cell
+/// takes orientation `Orientation::ALL[orients[k % orients.len()]]`, on
+/// a grid pitched 8 past the children's oriented reach so the input
+/// stays clean.
+fn chip(
+    lanes_a: &Lanes,
+    lanes_b: &Lanes,
+    (nx, ny): (i64, i64),
+    blocks: i64,
+    orients: &[usize],
+) -> (CellTable, CellId) {
+    let orient = |k: i64| Orientation::ALL[orients[k as usize % orients.len()]];
     let mut t = CellTable::new();
     let a = lane_cell("leaf_a", lanes_a);
     let b = lane_cell("leaf_b", lanes_b);
@@ -51,14 +75,15 @@ fn chip(lanes_a: &Lanes, lanes_b: &Lanes, nx: i64, ny: i64, blocks: i64) -> (Cel
     let b_id = t.insert(b).unwrap();
 
     let block = |t: &mut CellTable, name: &str, leaf: CellId, bb: Rect| {
-        let (px, py) = (bb.hi().x + 8, bb.hi().y + 8);
+        let reach = oriented_reach(&[bb]);
+        let (px, py) = (reach.width() + 8, reach.height() + 8);
         let mut blk = CellDefinition::new(name);
         for row in 0..ny {
             for col in 0..nx {
                 blk.add_instance(Instance::new(
                     leaf,
-                    Point::new(col * px, row * py),
-                    Orientation::NORTH,
+                    Point::new(col * px - reach.lo().x, row * py - reach.lo().y),
+                    orient(row * nx + col),
                 ));
             }
         }
@@ -66,17 +91,20 @@ fn chip(lanes_a: &Lanes, lanes_b: &Lanes, nx: i64, ny: i64, blocks: i64) -> (Cel
     };
     let blk_a = block(&mut t, "block_a", a_id, bb_a);
     let blk_b = block(&mut t, "block_b", b_id, bb_b);
+    let blk_bbs = [blk_a, blk_b].map(|id| {
+        let flat = flatten(&t, id).unwrap();
+        flat.bbox().rect().expect("non-empty block")
+    });
 
-    let width_a = (nx - 1) * (bb_a.hi().x + 8) + bb_a.hi().x;
-    let width_b = (nx - 1) * (bb_b.hi().x + 8) + bb_b.hi().x;
-    let pitch = width_a.max(width_b) + 8;
+    let reach = oriented_reach(&blk_bbs);
+    let pitch = reach.width() + 8;
     let mut top = CellDefinition::new("chip");
     for k in 0..blocks {
         let id = if k % 2 == 0 { blk_a } else { blk_b };
         top.add_instance(Instance::new(
             id,
-            Point::new(k * pitch, 0),
-            Orientation::NORTH,
+            Point::new(k * pitch - reach.lo().x, -reach.lo().y),
+            orient(k),
         ));
     }
     let top_id = t.insert(top).unwrap();
@@ -113,9 +141,9 @@ fn assert_same(inc: &ChipLayout, cold: &ChipLayout) {
 fn check_sequence(
     mut lanes_a: Lanes,
     mut lanes_b: Lanes,
-    nx: i64,
-    ny: i64,
+    grid: (i64, i64),
     blocks: i64,
+    orients: &[usize],
     edits: &[(u64, u64, usize, i64, i64, Lanes)],
 ) {
     let tech = Technology::mead_conway(2);
@@ -134,7 +162,7 @@ fn check_sequence(
             };
             apply_edit(lanes, kind, lane, x, w, fresh);
         }
-        let (table, top) = chip(&lanes_a, &lanes_b, nx, ny, blocks);
+        let (table, top) = chip(&lanes_a, &lanes_b, grid, blocks, orients);
         prop_assert!(
             drc::check_flat(&flatten(&table, top).unwrap(), &tech.rules).is_empty(),
             "generator produced a dirty input"
@@ -171,16 +199,19 @@ fn edit_strategy() -> impl Strategy<Value = (u64, u64, usize, i64, i64, Lanes)> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
+    /// Every instance takes a random one of the eight orientations
+    /// (`nx, ny` share one parameter: the proptest stand-in takes at
+    /// most six).
     #[test]
     fn edit_sequences_match_cold_bit_for_bit(
         lanes_a in lanes_strategy(2),
         lanes_b in lanes_strategy(2),
-        nx in 1i64..3,
-        ny in 1i64..3,
+        grid in (1i64..3, 1i64..3),
         blocks in 2i64..4,
+        orients in proptest::collection::vec(0usize..8, 5..6),
         edits in proptest::collection::vec(edit_strategy(), 1..4),
     ) {
-        check_sequence(lanes_a, lanes_b, nx, ny, blocks, &edits);
+        check_sequence(lanes_a, lanes_b, grid, blocks, &orients, &edits);
     }
 }
 
@@ -192,12 +223,12 @@ proptest! {
     fn long_edit_sequences_match_cold(
         lanes_a in lanes_strategy(3),
         lanes_b in lanes_strategy(3),
-        nx in 1i64..4,
-        ny in 1i64..4,
+        grid in (1i64..4, 1i64..4),
         blocks in 2i64..5,
+        orients in proptest::collection::vec(0usize..8, 5..6),
         edits in proptest::collection::vec(edit_strategy(), 3..7),
     ) {
-        check_sequence(lanes_a, lanes_b, nx, ny, blocks, &edits);
+        check_sequence(lanes_a, lanes_b, grid, blocks, &orients, &edits);
     }
 }
 
@@ -212,7 +243,7 @@ fn one_leaf_edit_leaves_sibling_cache_untouched() {
     let mut lanes_b: Lanes = vec![(0, 1, 14, 8)];
 
     let mut session = CompactSession::new();
-    let (table, top) = chip(&lanes_a, &lanes_b, 2, 2, 3);
+    let (table, top) = chip(&lanes_a, &lanes_b, (2, 2), 3, &[0]);
     session
         .compact_hierarchy(&table, top, &tech.rules, &solver, &opts)
         .unwrap();
@@ -225,7 +256,7 @@ fn one_leaf_edit_leaves_sibling_cache_untouched() {
 
     // Edit leaf_b only: block_b and chip re-run, block_a replays.
     lanes_b[0].2 = 11;
-    let (table, top) = chip(&lanes_a, &lanes_b, 2, 2, 3);
+    let (table, top) = chip(&lanes_a, &lanes_b, (2, 2), 3, &[0]);
     let inc = session
         .compact_hierarchy(&table, top, &tech.rules, &solver, &opts)
         .unwrap();

@@ -20,7 +20,6 @@ use proptest::prelude::*;
 use rsg_compact::backend::BellmanFord;
 use rsg_compact::hier::{compact_hierarchy, HierOptions};
 use rsg_compact::leaf::{compact, LeafInterface, LeafOptions, PitchKind};
-use rsg_compact::par::Parallelism;
 use rsg_compact::scanline::{generate, Method, Prune};
 use rsg_compact::solver::{solve, EdgeOrder};
 use rsg_geom::{Axis, BoundingBox, Orientation, Point, Rect, Vector};
@@ -83,10 +82,10 @@ proptest! {
         let rules = Technology::mead_conway(2).rules.clone();
         for axis in Axis::BOTH {
             let (full, vars_full) = generate(
-                &boxes, &rules, Method::Visibility, axis, Prune::Keep, Parallelism::Serial,
+                &boxes, &rules, Method::Visibility, axis, Prune::Keep,
             );
             let (pruned, vars_pruned) = generate(
-                &boxes, &rules, Method::Visibility, axis, Prune::Apply, Parallelism::Serial,
+                &boxes, &rules, Method::Visibility, axis, Prune::Apply,
             );
             prop_assert_eq!(&vars_full, &vars_pruned);
             prop_assert!(pruned.constraints().len() <= full.constraints().len());
@@ -244,22 +243,9 @@ fn prune_is_sound_at_the_coordinate_budget_edge() {
         (Layer::Metal1, Rect::from_coords(m - 100, m - 40, m - 60, m)),
     ];
     for axis in Axis::BOTH {
-        let (full, vars_full) = generate(
-            &boxes,
-            &rules,
-            Method::Visibility,
-            axis,
-            Prune::Keep,
-            Parallelism::Serial,
-        );
-        let (pruned, vars_pruned) = generate(
-            &boxes,
-            &rules,
-            Method::Visibility,
-            axis,
-            Prune::Apply,
-            Parallelism::Serial,
-        );
+        let (full, vars_full) = generate(&boxes, &rules, Method::Visibility, axis, Prune::Keep);
+        let (pruned, vars_pruned) =
+            generate(&boxes, &rules, Method::Visibility, axis, Prune::Apply);
         assert_eq!(vars_full, vars_pruned);
         assert!(pruned.constraints().len() <= full.constraints().len());
         let sol_full = solve(&full, EdgeOrder::Sorted);
@@ -306,22 +292,8 @@ fn tiled(n: usize) -> Vec<(Layer, Rect)> {
 fn tiled_8x8_constraint_count_drops_at_least_30_percent() {
     let rules = Technology::mead_conway(2).rules.clone();
     let boxes = tiled(8);
-    let (full, _) = generate(
-        &boxes,
-        &rules,
-        Method::Visibility,
-        Axis::X,
-        Prune::Keep,
-        Parallelism::Serial,
-    );
-    let (pruned, _) = generate(
-        &boxes,
-        &rules,
-        Method::Visibility,
-        Axis::X,
-        Prune::Apply,
-        Parallelism::Serial,
-    );
+    let (full, _) = generate(&boxes, &rules, Method::Visibility, Axis::X, Prune::Keep);
+    let (pruned, _) = generate(&boxes, &rules, Method::Visibility, Axis::X, Prune::Apply);
     assert_eq!(
         full.constraints().len(),
         1568,

@@ -15,7 +15,6 @@
 //! same geometry.
 
 use proptest::prelude::*;
-use rsg_compact::par::Parallelism;
 use rsg_compact::scanline::{generate, BoxVars, Method, Prune};
 use rsg_compact::ConstraintSystem;
 use rsg_geom::{Axis, Point, Rect};
@@ -179,7 +178,6 @@ proptest! {
                 Method::Visibility,
                 axis,
                 Prune::Keep,
-                Parallelism::Serial,
             );
             let (ref_sys, ref_vars) = reference_generate(&boxes, &rules, axis);
             prop_assert_eq!(new_sys.constraints(), ref_sys.constraints(), "{}", axis);
@@ -241,14 +239,7 @@ fn directed_hidden_edge_cases() {
     ];
     for (k, boxes) in cases.iter().enumerate() {
         for axis in Axis::BOTH {
-            let (new_sys, _) = generate(
-                boxes,
-                &rules,
-                Method::Visibility,
-                axis,
-                Prune::Keep,
-                Parallelism::Serial,
-            );
+            let (new_sys, _) = generate(boxes, &rules, Method::Visibility, axis, Prune::Keep);
             let (ref_sys, _) = reference_generate(boxes, &rules, axis);
             assert_eq!(
                 new_sys.constraints(),

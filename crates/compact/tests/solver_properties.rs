@@ -2,7 +2,6 @@
 //! balanced-mode feasibility, and scanline/DRC agreement.
 
 use proptest::prelude::*;
-use rsg_compact::par::Parallelism;
 use rsg_compact::scanline::{generate, Method, Prune};
 use rsg_compact::solver::{solve, solve_balanced, EdgeOrder};
 use rsg_compact::ConstraintSystem;
@@ -91,7 +90,7 @@ proptest! {
             })
             .collect();
         let tech = Technology::mead_conway(1);
-        let (sys, vars) = generate(&boxes, &tech.rules, Method::Visibility, Axis::X, Prune::Apply, Parallelism::Serial);
+        let (sys, vars) = generate(&boxes, &tech.rules, Method::Visibility, Axis::X, Prune::Apply);
         let sol = solve(&sys, EdgeOrder::Sorted).unwrap();
         let compacted: Vec<(Layer, Rect)> = boxes
             .iter()
@@ -128,7 +127,7 @@ proptest! {
             .map(|&x| (Layer::Metal1, Rect::from_origin_size(Point::new(x * 3, 0), 6, 6)))
             .collect();
         let tech = Technology::mead_conway(2);
-        let (sys, vars) = generate(&boxes, &tech.rules, Method::Visibility, Axis::X, Prune::Apply, Parallelism::Serial);
+        let (sys, vars) = generate(&boxes, &tech.rules, Method::Visibility, Axis::X, Prune::Apply);
         let sol = solve(&sys, EdgeOrder::Sorted).unwrap();
         let orig_extent = boxes.iter().map(|(_, r)| r.hi().x).max().unwrap()
             - boxes.iter().map(|(_, r)| r.lo().x).min().unwrap();

@@ -11,9 +11,8 @@ use crate::cells::{PITCH, REG_HEIGHT};
 use rsg_compact::backend::Solver;
 use rsg_compact::hier::{self, ChipCompaction, HierOptions};
 use rsg_compact::incremental::CompactSession;
-use rsg_compact::leaf::{
-    compact_batch, CompactionResult, LeafInterface, LibraryJob, Parallelism, PitchKind,
-};
+use rsg_compact::leaf::{compact_batch, CompactionResult, LeafInterface, LibraryJob, PitchKind};
+use rsg_compact::par::Parallelism;
 use rsg_core::RsgError;
 use rsg_layout::{CellDefinition, CellId, CellTable, DesignRules, LayoutError};
 use rsg_serve::{JobOutput, JobQueue, JobSpec, ServeError};

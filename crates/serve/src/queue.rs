@@ -453,7 +453,6 @@ fn solve_spec(
         JobSpec::Library(job) => {
             let opts = LeafOptions {
                 limits: shared.opts.limits,
-                parallelism: shared.opts.parallelism,
                 ..LeafOptions::default()
             };
             let result = leaf::compact(

@@ -15,7 +15,7 @@
 
 use rsg::compact::backend::BellmanFord;
 use rsg::compact::hier::ChipCompaction;
-use rsg::compact::leaf::Parallelism;
+use rsg::compact::par::Parallelism;
 use rsg::layout::{drc, CellId, CellTable, Technology};
 
 fn report(name: &str, table: &CellTable, top: CellId, out: &ChipCompaction) {

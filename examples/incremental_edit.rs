@@ -22,7 +22,7 @@
 use rsg::compact::backend::BellmanFord;
 use rsg::compact::hier::ChipCompaction;
 use rsg::compact::incremental::{CompactSession, EditStats};
-use rsg::compact::leaf::Parallelism;
+use rsg::compact::par::Parallelism;
 use rsg::layout::{drc, Technology};
 
 fn verify(label: &str, inc: &ChipCompaction, cold: &ChipCompaction) {

@@ -12,8 +12,9 @@
 use rsg::compact::backend::{Balanced, BellmanFord, Solver};
 use rsg::compact::layers::expand_contacts;
 use rsg::compact::leaf::{
-    compact, compact_batch, LeafInterface, LeafOptions, LibraryJob, Parallelism, PitchKind,
+    compact, compact_batch, LeafInterface, LeafOptions, LibraryJob, PitchKind,
 };
+use rsg::compact::par::Parallelism;
 use rsg::geom::Rect;
 use rsg::layout::{CellDefinition, Layer, Technology};
 

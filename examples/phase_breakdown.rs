@@ -13,7 +13,7 @@
 //! Run with `cargo run --release --example phase_breakdown`.
 
 use rsg::compact::backend::BellmanFord;
-use rsg::compact::leaf::Parallelism;
+use rsg::compact::par::Parallelism;
 use rsg::compact::scanline::{self, Method, Prune};
 use rsg::compact::solver::{solve, EdgeOrder};
 use rsg::core::Rsg;
@@ -112,7 +112,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Method::Visibility,
         Axis::X,
         Prune::Apply,
-        Parallelism::Serial,
     );
     let sol = solve(&sys, EdgeOrder::Sorted)?;
     let widest = sys

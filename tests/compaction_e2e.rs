@@ -4,7 +4,6 @@
 
 use rsg::compact::backend::BellmanFord;
 use rsg::compact::leaf::{compact, LeafInterface, LeafOptions, PitchKind};
-use rsg::compact::par::Parallelism;
 use rsg::compact::scanline::{generate as gen_constraints, Method, Prune};
 use rsg::compact::solver::{solve, solve_balanced, EdgeOrder};
 use rsg::geom::{Axis, Rect, Vector};
@@ -110,7 +109,6 @@ fn unknown_count_constant_vs_quadratic() {
             Method::Visibility,
             Axis::X,
             Prune::Apply,
-            Parallelism::Serial,
         );
         flat_unknowns.push(sys.num_vars());
     }
@@ -164,7 +162,6 @@ fn flat_compaction_of_generated_multiplier_metal() {
         Method::Visibility,
         Axis::X,
         Prune::Apply,
-        Parallelism::Serial,
     );
     let left = solve(&sys, EdgeOrder::Sorted).unwrap();
     let balanced = solve_balanced(&sys).unwrap();
@@ -194,7 +191,6 @@ fn critical_path_explains_the_solved_extent() {
         Method::Visibility,
         Axis::X,
         Prune::Apply,
-        Parallelism::Serial,
     );
     let sol = solve(&sys, EdgeOrder::Sorted).unwrap();
     // Width 4 + spacing 4 + width 4 + spacing 4 + width 4 = 20.

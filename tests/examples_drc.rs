@@ -11,7 +11,8 @@ mod common;
 
 use common::{full_adder_pla, quickstart_layout};
 use rsg::compact::backend::BellmanFord;
-use rsg::compact::leaf::{compact, LeafOptions, Parallelism};
+use rsg::compact::leaf::{compact, LeafOptions};
+use rsg::compact::par::Parallelism;
 use rsg::geom::{Rect, Vector};
 use rsg::layout::{drc, CellId, CellTable, Layer, Technology};
 

@@ -21,7 +21,7 @@ mod common;
 use common::{full_adder_pla, quickstart_layout};
 use rsg::compact::backend::BellmanFord;
 use rsg::compact::hier::CellAbstract;
-use rsg::compact::leaf::Parallelism;
+use rsg::compact::par::Parallelism;
 use rsg::geom::{Isometry, Orientation};
 use rsg::layout::{flatten, CellTable, Technology};
 use std::path::PathBuf;

@@ -8,7 +8,7 @@
 use rsg::compact::backend::BellmanFord;
 use rsg::compact::hier::ChipCompaction;
 use rsg::compact::incremental::CompactSession;
-use rsg::compact::leaf::Parallelism;
+use rsg::compact::par::Parallelism;
 use rsg::layout::{
     drc, flatten, CellDefinition, CellId, CellTable, Instance, LayoutObject, Technology,
 };
