@@ -32,21 +32,8 @@ use rsg_bench::{megachip_flat, megachip_hier};
 use rsg_compact::backend::BellmanFord;
 use rsg_compact::hier::{compact_hierarchy, ChipLayout, HierOptions};
 use rsg_compact::par::Parallelism;
-use rsg_layout::{drc, flatten, FlatBox, FlatLayout, Technology};
+use rsg_layout::{drc, flatten, FlatLayout, Technology};
 use std::hint::black_box;
-
-fn flat_layout(boxes: &[(rsg_layout::Layer, rsg_geom::Rect)]) -> FlatLayout {
-    FlatLayout::from_boxes(
-        boxes
-            .iter()
-            .map(|&(layer, rect)| FlatBox {
-                layer,
-                rect,
-                depth: 0,
-            })
-            .collect(),
-    )
-}
 
 fn assert_same_layout(par: &ChipLayout, serial: &ChipLayout) {
     assert_eq!(par.cells.len(), serial.cells.len(), "walk cell count");
@@ -102,7 +89,7 @@ fn bench_megachip(c: &mut Criterion) {
     // --- full-chip DRC over the flat lattice ---------------------------
     let mut group = c.benchmark_group("megachip/drc_flat");
     for &n in &sizes {
-        let flat = flat_layout(&megachip_flat(n));
+        let flat = FlatLayout::from_boxes(megachip_flat(n));
         println!("megachip: flat lattice n={n} -> {} boxes", flat.len());
         bench_drc(&mut group, n, &flat, &tech);
     }

@@ -205,16 +205,7 @@ mod tests {
         let tech = Technology::mead_conway(2);
         let boxes = megachip_flat(10_000);
         assert!(boxes.len() >= 10_000);
-        let flat = rsg_layout::FlatLayout::from_boxes(
-            boxes
-                .iter()
-                .map(|&(layer, rect)| rsg_layout::FlatBox {
-                    layer,
-                    rect,
-                    depth: 0,
-                })
-                .collect(),
-        );
+        let flat = rsg_layout::FlatLayout::from_boxes(boxes);
         assert!(drc::check_flat(&flat, &tech.rules).is_empty());
     }
 

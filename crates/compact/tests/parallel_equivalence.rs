@@ -24,8 +24,8 @@ use rsg_compact::incremental::CompactSession;
 use rsg_compact::par::Parallelism;
 use rsg_geom::{BoundingBox, Orientation, Point, Rect};
 use rsg_layout::{
-    drc, CellDefinition, CellId, CellTable, DesignRules, FlatBox, FlatLayout, Instance, Layer,
-    LayoutError, Technology,
+    drc, CellDefinition, CellId, CellTable, DesignRules, FlatLayout, Instance, Layer, LayoutError,
+    Technology,
 };
 use std::collections::HashMap;
 
@@ -351,10 +351,9 @@ proptest! {
         let flat = FlatLayout::from_boxes(
             boxes
                 .iter()
-                .map(|&(layer_idx, x, y, w, h)| FlatBox {
-                    layer: LANE_LAYERS[layer_idx % LANE_LAYERS.len()],
-                    rect: Rect::from_coords(x, y, x + w, y + h),
-                    depth: 0,
+                .map(|&(layer_idx, x, y, w, h)| {
+                    let layer = LANE_LAYERS[layer_idx % LANE_LAYERS.len()];
+                    (layer, Rect::from_coords(x, y, x + w, y + h))
                 })
                 .collect(),
         );

@@ -7,8 +7,8 @@
 //! * every [`rsg_layout::LayoutObject::Label`] whose text parses as a `u32`
 //!   is an interface declaration;
 //! * the two instances it declares are those whose *deep bounding box*
-//!   (the instance's cell flattened through the calling isometry) contains
-//!   the label anchor point;
+//!   (the bounding box of the instance's cell flattened, taken through the
+//!   calling isometry) contains the label anchor point;
 //! * the **reference** instance — the one deskewed to north, from whose
 //!   point of call the interface vector starts — is the instance that
 //!   appears *earlier* in the cell's object list. This is the graphical
@@ -41,9 +41,11 @@ pub struct ExtractedInterface {
 ///
 /// Returns [`RsgError::AmbiguousLabel`] when a numeric label's anchor is
 /// contained in fewer or more than two instance bounding boxes, and
-/// propagates layout errors (dangling ids, recursion) from flattening.
+/// propagates layout errors (dangling ids, recursion) from the hierarchy
+/// walk under each instance.
 pub fn extract_interfaces(sample: &CellTable) -> Result<Vec<ExtractedInterface>, RsgError> {
     let mut out = Vec::new();
+    let mut deep = DeepBoxes::new(sample);
     for (cell_id, def) in sample.iter() {
         let instances: Vec<Instance> = def.instances().copied().collect();
         if instances.is_empty() {
@@ -52,7 +54,7 @@ pub fn extract_interfaces(sample: &CellTable) -> Result<Vec<ExtractedInterface>,
         // Deep bbox of each instance, in the sample cell's coordinates.
         let mut bboxes = Vec::with_capacity(instances.len());
         for inst in &instances {
-            bboxes.push(deep_bbox(sample, inst)?);
+            bboxes.push(deep.of_instance(inst)?);
         }
         for (text, at) in def.labels() {
             let Ok(index) = text.parse::<u32>() else {
@@ -85,12 +87,59 @@ pub fn extract_interfaces(sample: &CellTable) -> Result<Vec<ExtractedInterface>,
     Ok(out)
 }
 
-/// Deep bounding box of one instance: the union of all its flattened boxes,
-/// expressed in the calling cell's coordinates.
-fn deep_bbox(sample: &CellTable, inst: &Instance) -> Result<BoundingBox, RsgError> {
-    let flat = rsg_layout::flatten(sample, inst.cell)?;
-    let iso = inst.isometry();
-    Ok(flat.into_iter().map(|b| b.rect.transform(iso)).collect())
+/// The deep bounding boxes of a sample's definitions — the bounding box
+/// of each definition flattened — folded once per definition over a
+/// [`CellTable::bottom_up`] order: a definition's own boxes united with
+/// each child's deep box taken through the calling isometry. Every
+/// orientation maps rectangles to rectangles, so the fold is exact.
+struct DeepBoxes<'a> {
+    sample: &'a CellTable,
+    /// `bbox[id]`: the deep bounding box of cell `id`, once folded.
+    bbox: Vec<Option<BoundingBox>>,
+}
+
+impl<'a> DeepBoxes<'a> {
+    fn new(sample: &'a CellTable) -> DeepBoxes<'a> {
+        DeepBoxes {
+            sample,
+            bbox: vec![None; sample.len()],
+        }
+    }
+
+    /// The deep bounding box of one instance, in the calling cell's
+    /// coordinates.
+    fn of_instance(&mut self, inst: &Instance) -> Result<BoundingBox, RsgError> {
+        let deep = self.of(inst.cell)?;
+        let iso = inst.isometry();
+        Ok(deep.rect().map(|r| r.transform(iso)).into_iter().collect())
+    }
+
+    /// The deep bounding box of `cell`, folding every definition below it
+    /// not folded yet.
+    ///
+    /// # Errors
+    ///
+    /// The layout error [`CellTable::bottom_up`] meets under `cell`.
+    fn of(&mut self, cell: CellId) -> Result<BoundingBox, RsgError> {
+        let slot = |id: CellId| id.raw() as usize;
+        if let Some(&Some(bb)) = self.bbox.get(slot(cell)) {
+            return Ok(bb);
+        }
+        for id in self.sample.bottom_up(cell)? {
+            if self.bbox[slot(id)].is_some() {
+                continue;
+            }
+            let def = self.sample.require(id)?;
+            let mut bb = def.local_bbox();
+            for inst in def.instances() {
+                if let Some(r) = self.bbox[slot(inst.cell)].and_then(BoundingBox::rect) {
+                    bb.include_rect(r.transform(inst.isometry()));
+                }
+            }
+            self.bbox[slot(id)] = Some(bb);
+        }
+        Ok(self.bbox[slot(cell)].unwrap_or_default())
+    }
 }
 
 #[cfg(test)]
@@ -221,5 +270,58 @@ mod tests {
         assert_eq!(found.len(), 2);
         let idx: Vec<u32> = found.iter().map(|e| e.index).collect();
         assert!(idx.contains(&1) && idx.contains(&2));
+    }
+
+    /// The folded deep bounding box of every instance equals the bounding
+    /// box of its cell flattened and then transformed, on a nested sample
+    /// whose calls take all eight orientations (rotations and mirrors),
+    /// with an empty cell and a zero-area box among the definitions.
+    #[test]
+    fn folded_deep_boxes_match_flattening_on_every_instance() {
+        let mut t = CellTable::new();
+        let mut leaf = CellDefinition::new("leaf");
+        leaf.add_box(Layer::Metal1, Rect::from_coords(0, 0, 10, 3));
+        leaf.add_box(Layer::Poly, Rect::from_coords(2, -5, 4, 7));
+        leaf.add_box(Layer::Poly, Rect::from_coords(13, 1, 13, 9));
+        let leaf = t.insert(leaf).unwrap();
+        let empty = t.insert(CellDefinition::new("empty")).unwrap();
+        let mut mid = CellDefinition::new("mid");
+        mid.add_box(Layer::Diffusion, Rect::from_coords(-6, 20, -2, 26));
+        for (k, o) in Orientation::ALL.into_iter().enumerate() {
+            let k = k as i64;
+            mid.add_instance(Instance::new(leaf, Point::new(17 * k, -3 * k), o));
+        }
+        mid.add_instance(Instance::new(
+            empty,
+            Point::new(500, 500),
+            Orientation::EAST,
+        ));
+        let mid = t.insert(mid).unwrap();
+        let mut top = CellDefinition::new("top");
+        for (k, o) in Orientation::ALL.into_iter().enumerate() {
+            let k = k as i64;
+            top.add_instance(Instance::new(mid, Point::new(-40 * k, 90 + 11 * k), o));
+        }
+        top.add_instance(Instance::new(leaf, Point::new(3, 4), Orientation::MIRROR_X));
+        let top = t.insert(top).unwrap();
+
+        // One fold from the top covers every definition below it ...
+        let whole = rsg_layout::flatten(&t, top).unwrap().bbox();
+        assert_eq!(DeepBoxes::new(&t).of(top).unwrap(), whole);
+        // ... and definition-by-definition folds reuse the finished ones.
+        let mut deep = DeepBoxes::new(&t);
+        let mut instances = 0;
+        for (id, def) in t.iter() {
+            let flat = rsg_layout::flatten(&t, id).unwrap();
+            assert_eq!(deep.of(id).unwrap(), flat.bbox(), "{}", def.name());
+            for inst in def.instances() {
+                let iso = inst.isometry();
+                let flat = rsg_layout::flatten(&t, inst.cell).unwrap();
+                let want: BoundingBox = flat.into_iter().map(|(_, r)| r.transform(iso)).collect();
+                assert_eq!(deep.of_instance(inst).unwrap(), want, "{inst:?}");
+                instances += 1;
+            }
+        }
+        assert_eq!(instances, 18);
     }
 }

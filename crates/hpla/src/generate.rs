@@ -222,7 +222,7 @@ mod tests {
     ) -> BTreeMap<(rsg_layout::Layer, rsg_geom::Rect), usize> {
         let mut sig = BTreeMap::new();
         for b in rsg_layout::flatten(cells, top).unwrap() {
-            *sig.entry((b.layer, b.rect)).or_insert(0) += 1;
+            *sig.entry(b).or_insert(0) += 1;
         }
         sig
     }

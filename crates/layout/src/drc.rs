@@ -10,15 +10,19 @@
 //! [`check`] finds spacing partners through a uniform 2-D bucket grid
 //! built once per check, in O(n), from the box slice itself. Cells are
 //! at least as wide as the largest spacing rule among the layers
-//! present, every box is registered in each cell its closed rectangle
-//! overlaps, and each box visits only the cells its rule-expanded
-//! rectangle overlaps. A pair that meets in several cells is reported
-//! only from one *reference cell*, so no per-worker visited set is
-//! needed. On layouts of bounded local density that costs O(n + k),
-//! with k the number of near pairs, in both axes at once. The all-pairs
-//! double loop survives as [`check_pairwise`], the reference the
-//! equivalence proptests and the `drc` bench compare against. Both
-//! produce the identical violation list, in the identical order.
+//! present, and every box is registered in each cell its half-open
+//! rectangle `[lo, hi)` overlaps. A box on a layer of reach `d` (its
+//! largest rule to any present layer) visits the half-open window
+//! `[lo − d, hi + d)`, one grid row at a time, each row one contiguous
+//! run of the grid's id array. A pair at gap `d` or more is never
+//! needed: every rule it could break is at most `d`. A pair closer than
+//! `d` is met in at least one visited cell, and is taken only in one
+//! *reference cell*, so no per-worker visited set is needed. On layouts
+//! of bounded local density that costs O(n + k), with k the number of
+//! near pairs, in both axes at once. The all-pairs double loop survives
+//! as [`check_pairwise`], the reference the equivalence proptests and
+//! the `drc` bench compare against. Both produce the identical violation
+//! list, in the identical order.
 
 use crate::{DesignRules, FlatLayout, Layer};
 use rsg_geom::par::{par_map, Parallelism};
@@ -224,8 +228,10 @@ const ENTRIES_PER_BOX: usize = 8;
 /// A uniform bucket grid over the boxes that take part in spacing
 /// checks, in CSR form: the ids registered in cell `c` (row-major,
 /// `c = row * cols + col`) are `ids[offsets[c]..offsets[c + 1]]`, in
-/// ascending box order. A box is registered in every cell its closed
-/// rectangle overlaps. Cells are squares of side `1 << shift`, so
+/// ascending box order, so the cells `c0..=c1` of one row are the one
+/// run `ids[offsets[row * cols + c0]..offsets[row * cols + c1 + 1]]`.
+/// A box is registered in every cell its half-open rectangle
+/// `[lo, hi)` overlaps. Cells are squares of side `1 << shift`, so
 /// locating a coordinate is a shift, not a division.
 struct Grid {
     x0: i64,
@@ -307,7 +313,11 @@ impl Grid {
     }
 
     /// An unfilled grid of cell side `1 << shift` covering `lo..=hi`
-    /// (no cells when `lo > hi`, the bounds of an empty box set).
+    /// (no cells when `lo > hi`, the bounds of an empty box set). The
+    /// half-open boxes never reach a last column or row that starts at
+    /// `hi`. Sizing over the half-open extent instead was measured: it
+    /// kept the wire-bundle megachip exactly within the cell budget on
+    /// cells half as wide, and its check ran slower.
     fn sized(lo: (i64, i64), hi: (i64, i64), shift: u32) -> Grid {
         let cells = |lo: i64, hi: i64| {
             let n = ((i128::from(hi) - i128::from(lo)) >> shift) + 1;
@@ -336,20 +346,19 @@ impl Grid {
         (k as usize).min(self.rows - 1)
     }
 
-    /// The cells the closed rectangle `r` overlaps, clamped to the grid,
-    /// in row-major order.
+    /// The cells the half-open positive-area rectangle `[r.lo, r.hi)`
+    /// overlaps, in row-major order.
     fn cells(&self, r: Rect) -> impl Iterator<Item = usize> {
-        let (c0, c1) = (self.col(r.lo().x), self.col(r.hi().x));
+        let (c0, c1) = (self.col(r.lo().x), self.col(r.hi().x - 1));
         let cols = self.cols;
-        (self.row(r.lo().y)..=self.row(r.hi().y))
+        (self.row(r.lo().y)..=self.row(r.hi().y - 1))
             .flat_map(move |row| row * cols + c0..=row * cols + c1)
     }
 
-    /// The half-open coordinate range `[lo, hi)` of column or row `k`
-    /// along an axis starting at `origin`.
-    fn bounds(&self, origin: i64, k: usize) -> (i64, i64) {
-        let at = |k: usize| origin.saturating_add((k as i64) << self.shift);
-        (at(k), at(k + 1))
+    /// The low edge of column or row `k` along an axis starting at
+    /// `origin`.
+    fn start(&self, origin: i64, k: usize) -> i64 {
+        origin.saturating_add((k as i64) << self.shift)
     }
 }
 
@@ -369,14 +378,21 @@ impl Scan {
     /// Checks the boxes `i` in `range` for width, and against every
     /// partner `j > i` for spacing.
     ///
-    /// Box `i` visits the cells its rectangle expanded by its reach `d`
-    /// overlaps, and in each cell only the ids above `i`. A partner `j`
-    /// met in several cells is taken only in the cell holding the low
-    /// corner of `rb ∩ expand(ra, d)`, `(max(rb.lo.x, ra.lo.x − d),
-    /// max(rb.lo.y, ra.lo.y − d))`. That point lies in `rb`, so in the
-    /// grid, and when `rb` meets the query region it lies there too: every
-    /// pair within reach is taken exactly once, and a pair out of reach at
-    /// most once (its gap exceeds `d`, so it cannot violate).
+    /// Box `i`, of reach `d`, visits the cells of the half-open window
+    /// `[ra.lo − d, ra.hi + d)`, walking each row's cells as one run of
+    /// ids and skipping the ids `j ≤ i` inline. A partner `j` met in
+    /// several cells is taken only in the cell holding its reference
+    /// point `p = (max(rb.lo.x, ra.lo.x − d), max(rb.lo.y, ra.lo.y − d))`.
+    /// A pair at gap `g < d` has `rb.lo ≤ p < rb.hi` and `p < ra.hi + d`
+    /// on both axes, so `p`'s cell holds `j` and lies in the window: the
+    /// pair is taken exactly once. A pair at gap `d` or more is taken at
+    /// most once, and can never violate, since every rule it could break
+    /// is at most `d`.
+    ///
+    /// Every registered entry met in row `r` and column `c` of the window
+    /// has `p` below the cell's high edges, so the reference test is two
+    /// comparisons: `rb.lo.y` at or past row `r`'s low edge unless `r` is
+    /// the window's first row, and the same for `rb.lo.x` and column `c`.
     fn run(
         &mut self,
         grid: &Grid,
@@ -402,40 +418,53 @@ impl Scan {
                 continue;
             }
             let spacing = &table.spacing[la.index()];
-            let (qx, qy) = (ra.lo().x.saturating_sub(d), ra.lo().y.saturating_sub(d));
-            let (c0, c1) = (grid.col(qx), grid.col(ra.hi().x.saturating_add(d)));
-            let (r0, r1) = (grid.row(qy), grid.row(ra.hi().y.saturating_add(d)));
+            let (c0, c1) = (
+                grid.col(ra.lo().x.saturating_sub(d)),
+                grid.col(ra.hi().x.saturating_add(d - 1)),
+            );
+            let (r0, r1) = (
+                grid.row(ra.lo().y.saturating_sub(d)),
+                grid.row(ra.hi().y.saturating_add(d - 1)),
+            );
             for row in r0..=r1 {
-                let (ylo, yhi) = grid.bounds(grid.y0, row);
-                for col in c0..=c1 {
-                    let (xlo, xhi) = grid.bounds(grid.x0, col);
-                    let c = row * grid.cols + col;
-                    let cell = &grid.ids[grid.offsets[c]..grid.offsets[c + 1]];
-                    let above = cell.partition_point(|&j| j as usize <= i);
-                    for &j in &cell[above..] {
-                        let j = j as usize;
-                        let (lb, rb) = boxes[j];
-                        let (px, py) = (rb.lo().x.max(qx), rb.lo().y.max(qy));
-                        if px < xlo || px >= xhi || py < ylo || py >= yhi {
-                            continue; // taken in its reference cell
-                        }
-                        self.candidates += 1;
-                        let required = spacing[lb.index()];
-                        if required == 0 {
-                            continue;
-                        }
-                        if la == lb && ra.intersect(rb).is_some() {
-                            continue; // connected material
-                        }
-                        let gap = rect_gap(ra, rb);
-                        if gap < required {
-                            near.push(Violation::Spacing {
-                                a: i,
-                                b: j,
-                                actual: gap,
-                                required,
-                            });
-                        }
+                let ymin = if row == r0 {
+                    i64::MIN
+                } else {
+                    grid.start(grid.y0, row)
+                };
+                let base = row * grid.cols;
+                let (mut col, mut xmin) = (c0, i64::MIN);
+                let mut cell_end = grid.offsets[base + c0 + 1];
+                for k in grid.offsets[base + c0]..grid.offsets[base + c1 + 1] {
+                    while k >= cell_end {
+                        col += 1;
+                        cell_end = grid.offsets[base + col + 1];
+                        xmin = grid.start(grid.x0, col);
+                    }
+                    let j = grid.ids[k] as usize;
+                    if j <= i {
+                        continue;
+                    }
+                    let (lb, rb) = boxes[j];
+                    if rb.lo().x < xmin || rb.lo().y < ymin {
+                        continue; // taken in its reference cell
+                    }
+                    self.candidates += 1;
+                    let required = spacing[lb.index()];
+                    if required == 0 {
+                        continue;
+                    }
+                    if la == lb && ra.intersect(rb).is_some() {
+                        continue; // connected material
+                    }
+                    let gap = rect_gap(ra, rb);
+                    if gap < required {
+                        near.push(Violation::Spacing {
+                            a: i,
+                            b: j,
+                            actual: gap,
+                            required,
+                        });
                     }
                 }
             }
@@ -622,15 +651,19 @@ mod tests {
 
     #[test]
     fn spacing_candidates_stay_linear_on_a_tall_bar_lattice() {
-        for (cols, rows, pinned) in [(10, 1_000, 12_992), (20, 2_000, 53_486)] {
+        // (cols, rows, candidates, grid entries).
+        for (cols, rows, pinned, entries) in
+            [(10, 1_000, 5_000, 25_000), (20, 2_000, 20_000, 100_000)]
+        {
             let boxes = bar_lattice(cols, rows);
-            let (_, scan) = scan(&boxes);
+            let (grid, scan) = scan(&boxes);
             assert!(
                 scan.widths.is_empty() && scan.spacings.is_empty(),
                 "the lattice is clean"
             );
             let candidates = scan.candidates;
             assert_eq!(candidates, pinned, "{cols}x{rows} candidates");
+            assert_eq!(grid.ids.len(), entries, "{cols}x{rows} grid entries");
             assert!(
                 candidates <= 4 * boxes.len(),
                 "{candidates} candidates for {} boxes",

@@ -1,37 +1,26 @@
 //! Hierarchical flattening of a cell to absolute-coordinate boxes.
 //!
 //! [`flatten`] expands the hierarchy once for the whole flat pipeline
-//! and returns a [`FlatLayout`]: the box list, also held as the
-//! `(Layer, Rect)` slice that DRC and the compactor take, so no consumer
-//! converts it again. Like every hierarchy consumer it checks the
-//! hierarchy through [`CellTable::bottom_up`] first; the expansion
-//! itself is iterative.
+//! and returns a [`FlatLayout`]: one `(Layer, Rect)` vector, the slice
+//! shape DRC and the compactor take, so no consumer converts it again.
+//! Like every hierarchy consumer it checks the hierarchy through
+//! [`CellTable::bottom_up`] first, and a box-count fold over that same
+//! order sizes the vector exactly before the expansion fills it; the
+//! expansion itself is iterative.
 
-use crate::{CellDefinition, CellId, CellTable, Layer, LayoutError};
+use crate::{CellDefinition, CellId, CellTable, Layer, LayoutError, LayoutObject};
 use rsg_geom::{BoundingBox, Isometry, Rect};
 
-/// A box in the flattened, absolute coordinate system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FlatBox {
-    /// Mask layer of the box.
-    pub layer: Layer,
-    /// Absolute geometry.
-    pub rect: Rect,
-    /// Hierarchy depth at which the box was found (0 = in the root cell).
-    pub depth: u32,
-}
-
-/// A flattened layout: absolute-coordinate boxes, the same boxes as
-/// `(Layer, Rect)` pairs, and the expansion's tallies.
+/// A flattened layout: absolute-coordinate `(Layer, Rect)` boxes and the
+/// expansion's tallies.
 ///
 /// Returned by [`flatten`]; consumed by [`crate::drc::check_flat`],
 /// [`crate::stats::LayoutStats`], [`crate::write_cif_flat`], and the
 /// compaction entry points (via [`FlatLayout::layer_rects`] /
 /// [`FlatLayout::to_cell`]). Indexing, iteration, and `len` behave like
-/// the underlying `Vec<FlatBox>`.
+/// the underlying `Vec<(Layer, Rect)>`.
 #[derive(Debug, Clone)]
 pub struct FlatLayout {
-    boxes: Vec<FlatBox>,
     rects: Vec<(Layer, Rect)>,
     total_instances: usize,
     distinct_cells: usize,
@@ -41,38 +30,30 @@ pub struct FlatLayout {
 impl FlatLayout {
     /// Builds a flat layout directly from a box list — the entry point
     /// for geometry that never lived in a hierarchy.
-    /// With no hierarchy behind it, instance and cell tallies are
-    /// the single-cell defaults; depth comes from the boxes themselves.
-    pub fn from_boxes(boxes: Vec<FlatBox>) -> FlatLayout {
-        let rects = boxes.iter().map(|b| (b.layer, b.rect)).collect();
-        let max_depth = boxes.iter().map(|b| b.depth).max().unwrap_or(0);
+    /// With no hierarchy behind it, the tallies are the single-cell
+    /// defaults: no instances, one cell, depth 0.
+    pub fn from_boxes(boxes: Vec<(Layer, Rect)>) -> FlatLayout {
         FlatLayout {
-            boxes,
-            rects,
+            rects: boxes,
             total_instances: 0,
             distinct_cells: 1,
-            max_depth,
+            max_depth: 0,
         }
     }
 
-    /// The flat boxes, in discovery (pre-order) order.
-    pub fn boxes(&self) -> &[FlatBox] {
-        &self.boxes
-    }
-
-    /// Iterates over the flat boxes.
-    pub fn iter(&self) -> std::slice::Iter<'_, FlatBox> {
-        self.boxes.iter()
+    /// Iterates over the flat boxes, in discovery (pre-order) order.
+    pub fn iter(&self) -> std::slice::Iter<'_, (Layer, Rect)> {
+        self.rects.iter()
     }
 
     /// Number of flat boxes.
     pub fn len(&self) -> usize {
-        self.boxes.len()
+        self.rects.len()
     }
 
     /// `true` when the layout holds no boxes.
     pub fn is_empty(&self) -> bool {
-        self.boxes.is_empty()
+        self.rects.is_empty()
     }
 
     /// The boxes as `(layer, rect)` pairs — the slice shape the
@@ -83,7 +64,7 @@ impl FlatLayout {
 
     /// Bounding box of all flat boxes.
     pub fn bbox(&self) -> BoundingBox {
-        self.boxes.iter().map(|b| b.rect).collect()
+        self.rects.iter().map(|&(_, r)| r).collect()
     }
 
     /// Every expanded instance call counted during the expansion.
@@ -106,36 +87,36 @@ impl FlatLayout {
     /// works on cells.
     pub fn to_cell(&self, name: impl Into<String>) -> CellDefinition {
         let mut cell = CellDefinition::new(name);
-        for b in &self.boxes {
-            cell.add_box(b.layer, b.rect);
+        for &(layer, rect) in &self.rects {
+            cell.add_box(layer, rect);
         }
         cell
     }
 }
 
 impl std::ops::Index<usize> for FlatLayout {
-    type Output = FlatBox;
+    type Output = (Layer, Rect);
 
-    fn index(&self, k: usize) -> &FlatBox {
-        &self.boxes[k]
+    fn index(&self, k: usize) -> &(Layer, Rect) {
+        &self.rects[k]
     }
 }
 
 impl IntoIterator for FlatLayout {
-    type Item = FlatBox;
-    type IntoIter = std::vec::IntoIter<FlatBox>;
+    type Item = (Layer, Rect);
+    type IntoIter = std::vec::IntoIter<(Layer, Rect)>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.boxes.into_iter()
+        self.rects.into_iter()
     }
 }
 
 impl<'a> IntoIterator for &'a FlatLayout {
-    type Item = &'a FlatBox;
-    type IntoIter = std::slice::Iter<'a, FlatBox>;
+    type Item = &'a (Layer, Rect);
+    type IntoIter = std::slice::Iter<'a, (Layer, Rect)>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.boxes.iter()
+        self.rects.iter()
     }
 }
 
@@ -144,24 +125,27 @@ impl<'a> IntoIterator for &'a FlatLayout {
 /// Labels are dropped (they are annotations); instances are expanded by
 /// composing calling isometries, the `I₂(I₁(Ob))` chain of paper §2.6.
 /// The expansion also tallies instances and depth, and the hierarchy
-/// order behind it counts the reachable cells, so
-/// [`crate::stats::LayoutStats`] needs no second traversal.
+/// order behind it counts the reachable cells and sizes the box vector,
+/// so [`crate::stats::LayoutStats`] needs no second traversal and the
+/// vector is allocated once.
 ///
 /// # Errors
 ///
 /// Returns [`LayoutError::UnknownCell`] for dangling ids and
 /// [`LayoutError::RecursiveCell`] if the hierarchy is cyclic.
 pub fn flatten(table: &CellTable, root: CellId) -> Result<FlatLayout, LayoutError> {
-    let mut boxes = Vec::new();
-    let tally = expand(table, root, |layer, rect, depth| {
-        boxes.push(FlatBox { layer, rect, depth });
-    })?;
-    let rects = boxes.iter().map(|b| (b.layer, b.rect)).collect();
+    let order = table.bottom_up(root)?;
+    let mut rects = Vec::new();
+    // An overflowing count or a failed reservation only costs the exact
+    // size: the expansion then grows the vector as it goes.
+    if let Some(n) = flat_box_count(table, &order) {
+        let _ = rects.try_reserve_exact(n);
+    }
+    let tally = expand(table, root, |layer, rect| rects.push((layer, rect)))?;
     Ok(FlatLayout {
-        boxes,
         rects,
         total_instances: tally.instances,
-        distinct_cells: tally.cells,
+        distinct_cells: order.len(),
         max_depth: tally.max_depth,
     })
 }
@@ -177,8 +161,9 @@ pub fn flatten_boxes_of(
     root: CellId,
     wanted: Layer,
 ) -> Result<Vec<Rect>, LayoutError> {
+    table.bottom_up(root)?;
     let mut out = Vec::new();
-    expand(table, root, |layer, rect, _| {
+    expand(table, root, |layer, rect| {
         if layer == wanted {
             out.push(rect);
         }
@@ -186,10 +171,31 @@ pub fn flatten_boxes_of(
     Ok(out)
 }
 
+/// The flat box count of the last cell of `order`, a
+/// [`CellTable::bottom_up`] order: each cell's own boxes plus its
+/// children's counts, one per instance. `None` when the count overflows
+/// `usize`.
+fn flat_box_count(table: &CellTable, order: &[CellId]) -> Option<usize> {
+    let mut count = vec![0usize; table.len()];
+    let mut last = 0;
+    for &id in order {
+        let mut n = 0usize;
+        for obj in table.get(id)?.objects() {
+            let k = match obj {
+                LayoutObject::Box { .. } => 1,
+                LayoutObject::Instance(inst) => *count.get(inst.cell.raw() as usize)?,
+                LayoutObject::Label { .. } => 0,
+            };
+            n = n.checked_add(k)?;
+        }
+        count[id.raw() as usize] = n;
+        last = n;
+    }
+    Some(last)
+}
+
 /// What one expansion counted.
 struct Tally {
-    /// Distinct cells reachable from the root.
-    cells: usize,
     /// Every expanded instance call.
     instances: usize,
     /// Deepest level expanded.
@@ -197,25 +203,23 @@ struct Tally {
 }
 
 /// Expands every instance under `root` in pre-order, handing each box to
-/// `sink` in absolute coordinates with its depth: a cell's own boxes
-/// first, then its instances in object order. The cycle and
-/// dangling-id checks run up front in [`CellTable::bottom_up`]; the
-/// expansion itself keeps an explicit `(isometry, depth, remaining
-/// instances)` stack, so depth costs heap, never call stack.
+/// `sink` in absolute coordinates: a cell's own boxes first, then its
+/// instances in object order. Callers run the cycle and dangling-id
+/// checks up front in [`CellTable::bottom_up`]; the expansion itself
+/// keeps an explicit `(isometry, depth, remaining instances)` stack, so
+/// depth costs heap, never call stack.
 fn expand(
     table: &CellTable,
     root: CellId,
-    mut sink: impl FnMut(Layer, Rect, u32),
+    mut sink: impl FnMut(Layer, Rect),
 ) -> Result<Tally, LayoutError> {
-    let cells = table.bottom_up(root)?.len();
     let mut tally = Tally {
-        cells,
         instances: 0,
         max_depth: 0,
     };
     let def = table.require(root)?;
     for (layer, rect) in def.boxes() {
-        sink(layer, rect, 0);
+        sink(layer, rect);
     }
     let mut stack = vec![(Isometry::IDENTITY, 0u32, def.instances())];
     while let Some((iso, depth, kids)) = stack.last_mut() {
@@ -228,7 +232,7 @@ fn expand(
         tally.instances += 1;
         tally.max_depth = tally.max_depth.max(depth);
         for (layer, rect) in def.boxes() {
-            sink(layer, rect.transform(iso), depth);
+            sink(layer, rect.transform(iso));
         }
         stack.push((iso, depth, def.instances()));
     }
@@ -254,8 +258,7 @@ mod tests {
         let (t, id) = leaf_table();
         let flat = flatten(&t, id).unwrap();
         assert_eq!(flat.len(), 1);
-        assert_eq!(flat[0].rect, Rect::from_coords(0, 0, 4, 2));
-        assert_eq!(flat[0].depth, 0);
+        assert_eq!(flat[0], (Layer::Metal1, Rect::from_coords(0, 0, 4, 2)));
         assert_eq!(flat.total_instances(), 0);
         assert_eq!(flat.distinct_cells(), 1);
         assert_eq!(flat.max_depth(), 0);
@@ -278,8 +281,7 @@ mod tests {
         let flat = flatten(&t, top_id).unwrap();
         assert_eq!(flat.len(), 1);
         // leaf box (0,0)-(4,2) south-rotated => (-4,-2)-(0,0), +(10,0), +(0,100).
-        assert_eq!(flat[0].rect, Rect::from_coords(6, 98, 10, 100));
-        assert_eq!(flat[0].depth, 2);
+        assert_eq!(flat[0].1, Rect::from_coords(6, 98, 10, 100));
         assert_eq!(flat.total_instances(), 2);
         assert_eq!(flat.distinct_cells(), 3);
         assert_eq!(flat.max_depth(), 2);
@@ -335,9 +337,7 @@ mod tests {
             .add_box(Layer::Poly, Rect::from_coords(8, 0, 12, 2));
         let flat = flatten(&t, leaf).unwrap();
         assert_eq!(flat.layer_rects().len(), flat.len());
-        for (b, &(l, r)) in flat.iter().zip(flat.layer_rects()) {
-            assert_eq!((b.layer, b.rect), (l, r));
-        }
+        assert!(flat.iter().eq(flat.layer_rects()));
         let cell = flat.to_cell("flat");
         assert_eq!(cell.boxes().count(), flat.len());
     }

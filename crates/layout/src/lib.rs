@@ -55,7 +55,7 @@ mod technology;
 pub use cell::{CellDefinition, CellId, CellTable, LayoutObject};
 pub use cif::{cif_safe_name, read_cif, write_cif, write_cif_flat};
 pub use error::LayoutError;
-pub use flatten::{flatten, flatten_boxes_of, FlatBox, FlatLayout};
+pub use flatten::{flatten, flatten_boxes_of, FlatLayout};
 pub use instance::Instance;
 pub use layer::Layer;
 pub use rsgl::{read_rsgl, write_rsgl};

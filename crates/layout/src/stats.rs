@@ -40,8 +40,8 @@ impl LayoutStats {
     /// Summarizes an already-flattened layout (no hierarchy walk).
     pub fn of_flat(flat: &FlatLayout) -> LayoutStats {
         let mut boxes_per_layer: HashMap<Layer, usize> = HashMap::new();
-        for b in flat.iter() {
-            *boxes_per_layer.entry(b.layer).or_insert(0) += 1;
+        for &(layer, _) in flat {
+            *boxes_per_layer.entry(layer).or_insert(0) += 1;
         }
         LayoutStats {
             boxes_per_layer,

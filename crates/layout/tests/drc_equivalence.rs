@@ -13,22 +13,13 @@
 use proptest::prelude::*;
 use rsg_geom::par::Parallelism;
 use rsg_geom::{Point, Rect};
-use rsg_layout::{drc, FlatBox, FlatLayout, Layer, Technology};
+use rsg_layout::{drc, FlatLayout, Layer, Technology};
 
 /// The ingest coordinate budget: every coordinate lies in ±2³⁰.
 const BUDGET: i64 = 1 << 30;
 
 fn flat_of(boxes: &[(Layer, Rect)]) -> FlatLayout {
-    FlatLayout::from_boxes(
-        boxes
-            .iter()
-            .map(|&(layer, rect)| FlatBox {
-                layer,
-                rect,
-                depth: 0,
-            })
-            .collect(),
-    )
+    FlatLayout::from_boxes(boxes.to_vec())
 }
 
 /// Box soups over the interacting layers, on a fine grid so touching,
@@ -185,6 +176,140 @@ fn directed_edge_cases() {
             drc::check_pairwise(boxes, &rules),
             "case {k}"
         );
+    }
+}
+
+/// The grid registers each box in the cells its half-open rectangle
+/// `[lo, hi)` overlaps and visits the half-open window `[lo − d, hi + d)`
+/// around it, `d` the box's reach. Each case anchors the grid origin at
+/// 0, so with cells of 4 (poly only, reach 4) or 8 (metal1 reach 6, or
+/// diffusion present, reach 6) the boxes below put `hi` edges exactly
+/// on cell boundaries. Every case runs in both box orders, through every
+/// entry point, and states how many spacing violations it holds.
+#[test]
+fn half_open_cell_boundaries() {
+    let rules = Technology::mead_conway(2).rules.clone();
+    let poly = |x0, y0, x1, y1| (Layer::Poly, Rect::from_coords(x0, y0, x1, y1));
+    let diff = |x0, y0, x1, y1| (Layer::Diffusion, Rect::from_coords(x0, y0, x1, y1));
+    let metal = |x0, y0, x1, y1| (Layer::Metal1, Rect::from_coords(x0, y0, x1, y1));
+    let cases = [
+        // Poly, reach 4, cells of 4: `a.hi` on the boundary at 4.
+        (
+            "gap d along x",
+            vec![poly(0, 0, 4, 4), poly(8, 0, 12, 4)],
+            0,
+        ),
+        (
+            "gap d-1 along x",
+            vec![poly(0, 0, 4, 4), poly(7, 0, 11, 4)],
+            1,
+        ),
+        (
+            "gap d along y",
+            vec![poly(0, 0, 4, 4), poly(0, 8, 4, 12)],
+            0,
+        ),
+        (
+            "gap d-1 along y",
+            vec![poly(0, 0, 4, 4), poly(0, 7, 4, 11)],
+            1,
+        ),
+        (
+            "gap d diagonal",
+            vec![poly(0, 0, 4, 4), poly(8, 8, 12, 12)],
+            0,
+        ),
+        (
+            "gap d-1 diagonal",
+            vec![poly(0, 0, 4, 4), poly(7, 7, 11, 11)],
+            1,
+        ),
+        // Metal1, reach 6, cells of 8: the partner at gap d starts past
+        // the window but shares a cell with it.
+        (
+            "metal gap d",
+            vec![metal(0, 0, 8, 8), metal(14, 0, 22, 8)],
+            0,
+        ),
+        (
+            "metal gap d-1",
+            vec![metal(0, 0, 8, 8), metal(13, 0, 21, 8)],
+            1,
+        ),
+        (
+            "metal gap d-1 above",
+            vec![metal(0, 0, 8, 8), metal(0, 13, 8, 21)],
+            1,
+        ),
+        // `a.hi` ends on a boundary; the partner lies just inside the
+        // next cell.
+        (
+            "poly into next cell",
+            vec![poly(0, 0, 4, 4), poly(5, 0, 9, 4)],
+            1,
+        ),
+        (
+            "abutting same layer",
+            vec![poly(0, 0, 4, 4), poly(4, 0, 8, 4)],
+            0,
+        ),
+        (
+            "abutting poly/diffusion",
+            vec![poly(0, 0, 8, 8), diff(8, 0, 12, 8)],
+            1,
+        ),
+        (
+            "poly/diffusion gap 1",
+            vec![poly(0, 0, 8, 8), diff(9, 0, 13, 8)],
+            1,
+        ),
+        (
+            "poly/diffusion gap 2",
+            vec![poly(0, 0, 8, 8), diff(10, 0, 14, 8)],
+            0,
+        ),
+        (
+            "diffusion above poly",
+            vec![poly(0, 0, 8, 8), diff(0, 8, 8, 12)],
+            1,
+        ),
+        // 1x1 boxes: narrow, but still spaced and connected.
+        (
+            "1x1 corner touch",
+            vec![poly(3, 3, 4, 4), poly(4, 4, 5, 5)],
+            0,
+        ),
+        ("1x1 gap d-1", vec![poly(0, 0, 1, 1), poly(4, 0, 8, 4)], 1),
+        (
+            "1x1 pair gap d",
+            vec![poly(0, 0, 1, 1), poly(5, 5, 6, 6)],
+            0,
+        ),
+        (
+            "1x1 pair gap d-1",
+            vec![poly(0, 0, 1, 1), poly(4, 4, 5, 5)],
+            1,
+        ),
+        ("1x1 diffusion", vec![poly(0, 0, 4, 4), diff(5, 1, 6, 2)], 1),
+    ];
+    for (name, boxes, spacings) in cases {
+        let mut reversed = boxes.clone();
+        reversed.reverse();
+        for boxes in [boxes, reversed] {
+            let reference = drc::check_pairwise(&boxes, &rules);
+            let found = reference
+                .iter()
+                .filter(|v| matches!(v, drc::Violation::Spacing { .. }))
+                .count();
+            assert_eq!(found, spacings, "{name}: {reference:?}");
+            assert_eq!(drc::check(&boxes, &rules), reference, "{name}");
+            let flat = flat_of(&boxes);
+            assert_eq!(drc::check_flat(&flat, &rules), reference, "{name}");
+            for n in [1, 2, 4, 9] {
+                let par = drc::check_flat_par(&flat, &rules, Parallelism::Threads(n));
+                assert_eq!(par, reference, "{name} at {n} threads");
+            }
+        }
     }
 }
 

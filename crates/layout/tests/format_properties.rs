@@ -72,12 +72,10 @@ proptest! {
     /// Flattening through the writer/reader agrees with direct flattening.
     #[test]
     fn flatten_invariant_under_serialization((table, top) in arb_table()) {
-        let direct: Vec<_> = flatten(&table, top).unwrap()
-            .into_iter().map(|b| (b.layer, b.rect)).collect();
+        let direct: Vec<_> = flatten(&table, top).unwrap().into_iter().collect();
         let text = write_rsgl(&table, top).unwrap();
         let (table2, top2) = read_rsgl(&text).unwrap();
-        let reread: Vec<_> = flatten(&table2, top2).unwrap()
-            .into_iter().map(|b| (b.layer, b.rect)).collect();
+        let reread: Vec<_> = flatten(&table2, top2).unwrap().into_iter().collect();
         prop_assert_eq!(direct, reread);
     }
 
@@ -158,9 +156,8 @@ proptest! {
         let top_id = t.insert(top).unwrap();
         let flat = flatten(&t, top_id).unwrap();
         let iso = inst.isometry();
-        for (k, (l, r)) in boxes.iter().enumerate() {
-            prop_assert_eq!(flat[k].layer, *l);
-            prop_assert_eq!(flat[k].rect, r.transform(iso));
+        for (k, &(l, r)) in boxes.iter().enumerate() {
+            prop_assert_eq!(flat[k], (l, r.transform(iso)));
         }
     }
 }

@@ -215,7 +215,7 @@ fn deep_hierarchies_parse_without_recursion_blowup() {
     let (table, top) = read_rsgl(&text).unwrap();
     let flat = flatten(&table, top).unwrap();
     assert_eq!(flat.len(), 1);
-    assert_eq!(flat.boxes()[0].rect.lo(), Point::new(depth, depth));
+    assert_eq!(flat[0].1.lo(), Point::new(depth, depth));
 }
 
 #[test]

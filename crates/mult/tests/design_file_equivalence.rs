@@ -16,7 +16,7 @@ fn flat_signature(
 ) -> BTreeMap<(rsg_layout::Layer, rsg_geom::Rect), usize> {
     let mut sig = BTreeMap::new();
     for b in rsg_layout::flatten(cells, top).unwrap() {
-        *sig.entry((b.layer, b.rect)).or_insert(0) += 1;
+        *sig.entry(b).or_insert(0) += 1;
     }
     sig
 }

@@ -74,8 +74,8 @@ fn masks_superimpose_without_layer_conflicts() {
     // in-cell positions).
     let m2: Vec<Rect> = flat
         .iter()
-        .filter(|b| b.layer == Layer::Metal2)
-        .map(|b| b.rect)
+        .filter(|(layer, _)| *layer == Layer::Metal2)
+        .map(|&(_, rect)| rect)
         .collect();
     for (i, a) in m2.iter().enumerate() {
         for b in &m2[i + 1..] {

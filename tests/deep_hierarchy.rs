@@ -77,12 +77,15 @@ fn every_walk_survives_a_chain_deeper_than_its_stack() {
             let flat = flatten(&table, top).unwrap();
             let at = DEPTH as i64;
             assert_eq!(flat.len(), 1);
-            assert_eq!(flat[0].rect, Rect::from_coords(at, 0, at + 4, 4));
-            assert_eq!(flat[0].depth, DEPTH as u32);
+            assert_eq!(
+                flat[0],
+                (Layer::Metal1, Rect::from_coords(at, 0, at + 4, 4))
+            );
+            assert_eq!(flat.max_depth(), DEPTH as u32);
             assert_eq!(flat.total_instances(), DEPTH);
             assert_eq!(flat.distinct_cells(), cells);
             let metal = flatten_boxes_of(&table, top, Layer::Metal1).unwrap();
-            assert_eq!(metal, [flat[0].rect]);
+            assert_eq!(metal, [flat[0].1]);
             let stats = LayoutStats::compute(&table, top).unwrap();
             assert_eq!(stats.max_depth, DEPTH as u32);
 
