@@ -7,17 +7,20 @@
 //! levels are [`rsg_bench::VARIANTS`] definitions wide, so the parallel
 //! hierarchy walk has real fan-out. Rows:
 //!
+//! * `walk_hier/<n>` and `walk_hier/<n>/threads<k>` — the hierarchical
+//!   compaction walk over the hierarchical variant (the flat-vs-hier
+//!   pair: the walk touches each *definition* once, the flat sweep
+//!   touches every *box*),
+//! * `walk_hier/<n>/flatten` — the hierarchy→flat expansion, for scale,
 //! * `drc_flat/<n>` — serial full-chip DRC at 10⁵ and ≥10⁶ boxes,
 //! * `drc_flat/<n>/threads<k>` — the same check fanned across workers,
 //! * `drc_hier/<n>` and `drc_hier/<n>/threads<k>` — DRC of the
 //!   flattened *compacted* hierarchical variant: a tall stack of
 //!   horizontal bars, the layout a one-axis candidate window handles
-//!   worst (every bar's window holds its whole column),
-//! * `walk_hier/<n>` and `walk_hier/<n>/threads<k>` — the hierarchical
-//!   compaction walk over the same material (the flat-vs-hier pair: the
-//!   walk touches each *definition* once, the flat sweep touches every
-//!   *box*),
-//! * `flatten/<n>` — the hierarchy→flat expansion, for scale.
+//!   worst (every bar's window holds its whole column).
+//!
+//! The walk rows run first: run after the 10⁶ DRC and flatten rows,
+//! the walk's timing followed the heap those rows left behind.
 //!
 //! Verified in-bench, before any timing: both DRC inputs report zero
 //! violations at every parallelism, parallel DRC output is identical to
@@ -86,34 +89,8 @@ fn bench_megachip(c: &mut Criterion) {
         vec![large]
     };
 
-    // --- full-chip DRC over the flat lattice ---------------------------
-    let mut group = c.benchmark_group("megachip/drc_flat");
-    for &n in &sizes {
-        let flat = FlatLayout::from_boxes(megachip_flat(n));
-        println!("megachip: flat lattice n={n} -> {} boxes", flat.len());
-        bench_drc(&mut group, n, &flat, &tech);
-    }
-    group.finish();
-
-    // --- full-chip DRC over the compacted wire-bundle hierarchy --------
-    let mut group = c.benchmark_group("megachip/drc_hier");
-    for &n in &sizes {
-        let chip = megachip_hier(n).expect("generates");
-        let out = compact_hierarchy(
-            &chip.table,
-            chip.top,
-            &tech.rules,
-            &solver,
-            &HierOptions::default(),
-        )
-        .expect("walk compacts");
-        let flat = flatten(&out.table, out.top).expect("flattens");
-        println!("megachip: compacted hier n={n} -> {} boxes", flat.len());
-        bench_drc(&mut group, n, &flat, &tech);
-    }
-    group.finish();
-
-    // --- hierarchy walk over the same material -------------------------
+    // --- hierarchy walk over the wire-bundle hierarchy ------------------
+    // First, so the 10⁶ DRC rows' heap does not time the walk.
     let mut group = c.benchmark_group("megachip/walk_hier");
     for &n in &sizes {
         let chip = megachip_hier(n).expect("generates");
@@ -161,6 +138,33 @@ fn bench_megachip(c: &mut Criterion) {
                 black_box(flat.len())
             })
         });
+    }
+    group.finish();
+
+    // --- full-chip DRC over the flat lattice ---------------------------
+    let mut group = c.benchmark_group("megachip/drc_flat");
+    for &n in &sizes {
+        let flat = FlatLayout::from_boxes(megachip_flat(n));
+        println!("megachip: flat lattice n={n} -> {} boxes", flat.len());
+        bench_drc(&mut group, n, &flat, &tech);
+    }
+    group.finish();
+
+    // --- full-chip DRC over the compacted wire-bundle hierarchy --------
+    let mut group = c.benchmark_group("megachip/drc_hier");
+    for &n in &sizes {
+        let chip = megachip_hier(n).expect("generates");
+        let out = compact_hierarchy(
+            &chip.table,
+            chip.top,
+            &tech.rules,
+            &solver,
+            &HierOptions::default(),
+        )
+        .expect("walk compacts");
+        let flat = flatten(&out.table, out.top).expect("flattens");
+        println!("megachip: compacted hier n={n} -> {} boxes", flat.len());
+        bench_drc(&mut group, n, &flat, &tech);
     }
     group.finish();
 }

@@ -872,15 +872,106 @@ pub(crate) fn substitute_library(
 /// Pins and pitch classes of one sweep axis, derived once from the input
 /// placement (the design's structure, stable across alternations).
 pub(crate) struct AxisStructure {
-    /// Cluster pairs pinned at along-offset 0: any two clusters *drawn
-    /// at the same along-coordinate* stay at the same along-coordinate —
+    /// Clusters pinned at along-offset 0: any two clusters *drawn at the
+    /// same along-coordinate* stay at the same along-coordinate —
     /// coincidence alone pins, no touch test (a buffer drawn on its
     /// column keeps the column even after the leaf pass shrinks the
     /// bodies apart). These keep rows/columns from shearing; a pin that
     /// contradicts ordered spacing makes the cell report `Infeasible`.
-    pins: Vec<(usize, usize)>,
+    pins: PinGroups,
     /// Pitch classes over row-consecutive cluster pairs.
     classes: Vec<PitchClassDef>,
+}
+
+/// The pin groups of one axis: clusters drawn at the same
+/// along-coordinate. Each group chains into consecutive exact pins, and
+/// the partner walk reads a source's group to find the bounds its pins
+/// already imply ([`enumerate_pairs`]).
+#[derive(Default)]
+pub(crate) struct PinGroups {
+    /// Groups of two or more clusters, each in ascending cluster order.
+    groups: Vec<Vec<usize>>,
+    /// Each cluster's index in `groups`; `None` for a cluster alone at
+    /// its along-coordinate.
+    group_of: Vec<Option<usize>>,
+}
+
+impl PinGroups {
+    /// Groups the clusters by along-origin, `along[c]` being cluster
+    /// `c`'s.
+    fn new(along: &[i64]) -> PinGroups {
+        let mut by_origin: BTreeMap<i64, Vec<usize>> = BTreeMap::new();
+        for (c, &x) in along.iter().enumerate() {
+            by_origin.entry(x).or_default().push(c);
+        }
+        let groups: Vec<Vec<usize>> = by_origin.into_values().filter(|g| g.len() > 1).collect();
+        let mut group_of = vec![None; along.len()];
+        for (g, members) in groups.iter().enumerate() {
+            for &c in members {
+                group_of[c] = Some(g);
+            }
+        }
+        PinGroups { groups, group_of }
+    }
+
+    /// The exact pins: consecutive members of each group.
+    fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.groups
+            .iter()
+            .flat_map(|g| g.windows(2).map(|w| (w[0], w[1])))
+    }
+
+    /// The number of exact pins.
+    fn len(&self) -> usize {
+        self.groups.iter().map(|g| g.len() - 1).sum()
+    }
+
+    /// Appends group `g`'s frames to `pinned` and returns their range,
+    /// sorted by low edge across and with the running maximum of the
+    /// high edge across (`reach`): the pinned frames facing a given span
+    /// are then a run that one binary search ends and a backward scan
+    /// leaves once `reach` falls short.
+    fn load_frames(
+        &self,
+        g: usize,
+        frames: &[Option<Rect>],
+        bases: &[i64],
+        axis: Axis,
+        pinned: &mut Vec<PinnedFrame>,
+    ) -> (usize, usize) {
+        let from = pinned.len();
+        pinned.extend(self.groups[g].iter().filter_map(|&d| {
+            let fd = frames[d]?;
+            let (lo, hi, end) = (fd.lo_across(axis), fd.hi_across(axis), fd.hi_along(axis));
+            Some(PinnedFrame {
+                lo,
+                hi,
+                reach: hi,
+                end,
+                end_rel: end - bases[d],
+            })
+        }));
+        pinned[from..].sort_unstable_by_key(|p| p.lo);
+        let mut reach = i64::MIN;
+        for p in &mut pinned[from..] {
+            reach = reach.max(p.hi);
+            p.reach = reach;
+        }
+        (from, pinned.len())
+    }
+}
+
+/// A pinned cluster's frame as the partner walk reads it: across span,
+/// high edge along, and that edge relative to the cluster's base.
+/// `reach` is the largest `hi` across of this entry and every one before
+/// it in its group's low-edge order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PinnedFrame {
+    lo: i64,
+    hi: i64,
+    reach: i64,
+    end: i64,
+    end_rel: i64,
 }
 
 struct PitchClassDef {
@@ -1239,21 +1330,9 @@ fn axis_structure(
     // along-coordinate — the design-by-example reading of alignment. A
     // buffer drawn on its column keeps its column; a register stack drawn
     // level with its array stays level, even after the leaf pass shrinks
-    // the bodies so they no longer touch. Each coincidence group chains
-    // into consecutive exact pins.
-    let mut pins = Vec::new();
-    let mut by_origin: BTreeMap<i64, Vec<usize>> = BTreeMap::new();
-    for (ci, c) in clusters.iter().enumerate() {
-        by_origin
-            .entry(along(origin(c), axis))
-            .or_default()
-            .push(ci);
-    }
-    for group in by_origin.values() {
-        for w in group.windows(2) {
-            pins.push((w[0], w[1]));
-        }
-    }
+    // the bodies so they no longer touch.
+    let origins: Vec<i64> = clusters.iter().map(|c| along(origin(c), axis)).collect();
+    let pins = PinGroups::new(&origins);
 
     // Rows: clusters sharing an across-origin, ordered along the axis.
     let mut rows: BTreeMap<i64, Vec<usize>> = BTreeMap::new();
@@ -1384,21 +1463,38 @@ fn push_wall(wall: &mut Vec<(i64, i64, i64)>, (hi, c0, c1): (i64, i64, i64)) {
 /// * **Partners** — a one-label index over the material frames yields
 ///   every frame within the largest spacing rule `S` of `a`'s frame
 ///   across that reaches `a`'s low edge along (the walk starts one
-///   widest frame before it). A frame wholly past `a`'s high edge whose
-///   across span strictly overlaps `a`'s is a *frame pair*: its weight
-///   raises the dense row (`scan.row`), and when it is at least `S`
-///   wide it joins the shadow *wall*.
-/// * **Frame shadow** — the pair `(a, b)` is skipped outright, frame
-///   and spacing, when a wall frame `c` lies between them along
-///   (`fa.hi ≤ fc.lo`, `fc.hi ≤ fb.lo`) and strictly overlaps `fb`
-///   across. Every abstract box lies inside its cluster's frame, so
-///   every weight of `(a, b)` is at most
-///   `U = S + (fa.hi − base_a) − (fb.lo − base_b)`, while the frame
-///   weights `(a, c)` and `(c, b)` sum to `U − S + width(c) ≥ U`; by
-///   induction on the along distance the chain holds even where its own
-///   links were skipped. The kept pairs carry the same weights as an
-///   all-pairs pass and the dropped ones are implied, so solutions are
-///   unchanged (DESIGN.md, "Indexed cell pass").
+///   widest frame before it). A frame `b` wholly past `a`'s high edge
+///   whose across span strictly overlaps `a`'s is a *frame pair*: its
+///   weight `(fa.hi − base_a) − (fb.lo − base_b)` raises the dense row
+///   (`scan.row`).
+/// * **Pin links** — the clusters pinned to `a` (`pins`, exact at
+///   offset 0, so they share `a`'s base) already bound each past frame
+///   `b`: a pinned frame `d` that ends before it (`fd.hi ≤ fb.lo`) and
+///   strictly overlaps it across carries the frame pair `(d, b)`, so the
+///   system holds `b − a ≥ L = (fd.hi − base_d) − (fb.lo − base_b)`,
+///   the largest over such `d`. Every abstract box lies inside its
+///   cluster's frame, so every weight of `(a, b)` is at most
+///   `U = S + (fa.hi − base_a) − (fb.lo − base_b)`; when `L ≥ U` the
+///   pair is skipped outright, frame and spacing.
+/// * **Wall** — a past frame `b` joins the shadow *wall* when the bound
+///   the walk knows on `b − a` (its frame weight if it faces `a`, or
+///   `L`) is at least `T = U − width(b)`: `b`'s high edge then lies `S`
+///   or more past `a`'s. For a frame that faces `a` this is "at least
+///   `S` wide"; through a link, a frame diagonal to `a` in the next row
+///   can join, and then shadows the rest of that row.
+/// * **Frame shadow** — the pair `(a, b)` is skipped outright when a
+///   wall frame `c` ends before it (`fc.hi ≤ fb.lo`) and strictly
+///   overlaps `fb` across: the bound on `c − a` (at least `T(a, c)`)
+///   plus the frame pair `(c, b)` is at least `U(a, b)`. Every link of
+///   such a chain — `(a, c)`, `(d, c)` and `(c, b)` — has a smaller
+///   along gap than `(a, b)` (a linked wall frame needs
+///   `width(c) ≥ S + fa.hi − fd.hi`, so `(d, c)` is at least `S`
+///   closer), so by induction on the gap the chain holds even where its
+///   own links were skipped. A frame that is itself skipped does not
+///   join the wall. The kept pairs carry the same weights as an
+///   all-pairs pass and the dropped ones are implied by the kept ones
+///   and the pins, so solutions are unchanged (DESIGN.md, "Indexed cell
+///   pass").
 /// * **Box pairs** — every box of `a` against every box of each partner
 ///   near it: same-layer boxes that touch (closed intersection) are one
 ///   net, a *weld* that keeps the two clusters' offset; any other pair
@@ -1411,9 +1507,12 @@ fn push_wall(wall: &mut Vec<(i64, i64, i64)>, (hi, c0, c1): (i64, i64, i64)) {
 /// A spacing candidate whose weight does not exceed the row's value for
 /// its partner — the frame weight, or an earlier candidate — cannot
 /// change the maximum, hidden or not, so only the others ask the
-/// hidden-edge oracle. Boxes are grouped by owner (`scan.owned`), so
-/// each source is walked once however the owners are numbered, and the
-/// emission comes out sorted by pair.
+/// hidden-edge oracle. A box pair whose across spans overlap lies in
+/// frames that overlap across too, so the oracle's profiles for `a`'s
+/// boxes stop at the furthest high edge of a partner facing `a`, not at
+/// the cell's furthest box. Boxes are grouped by owner (`scan.owned`),
+/// so each source is walked once however the owners are numbered, and
+/// the emission comes out sorted by pair.
 ///
 /// # Errors
 ///
@@ -1426,6 +1525,7 @@ fn enumerate_pairs(
     owner: &[usize],
     frames: &[Option<Rect>],
     bases: &[i64],
+    pins: &PinGroups,
     limits: &Limits,
 ) -> Result<(Emission, PairWork), Exhausted> {
     let ScanScratch {
@@ -1437,6 +1537,8 @@ fn enumerate_pairs(
         owned,
         wall,
         partners,
+        pinned,
+        pinned_at,
         ..
     } = scan;
     let index: &GeomIndex<Layer> = index;
@@ -1479,13 +1581,28 @@ fn enumerate_pairs(
         .map(|&(_, f)| f.extent_along(axis))
         .max()
         .unwrap_or(0);
+    // Each pin group's frames, loaded at the first past frame one of its
+    // clusters reaches as a source.
+    pinned.clear();
+    pinned_at.clear();
+    pinned_at.resize(pins.groups.len(), None);
     let mut cursor = VisibilityCursor::with_cache(index, std::mem::take(profiles));
     let mut next_check = 0;
     for (a, fa) in frames.iter().enumerate() {
         let Some(fa) = *fa else { continue };
         let (a0, a1) = (fa.lo_across(axis), fa.hi_across(axis));
+        let a_hi = fa.hi_along(axis) - bases[a];
+        // `a`'s pin group. `a`'s own frame in it adds nothing: through it
+        // the bound is the frame weight, `S` short of skipping and no more
+        // than the frame test for the wall. Links need a positive rule: at
+        // `S = 0` two pinned frames that end level could each skip their
+        // pair through the other.
+        let group = pins.group_of.get(a).copied().flatten().filter(|_| wide > 0);
         wall.clear();
         partners.clear();
+        // The furthest high edge of a partner facing `a` across: only
+        // those pose hidden-edge queries with positive overlap.
+        let mut until = i64::MIN;
         let from = fa.lo_along(axis).saturating_sub(widest);
         for kb in findex.ordered_after((), from, (a0, a1), reach) {
             work.frames_visited += 1;
@@ -1494,25 +1611,53 @@ fn enumerate_pairs(
             if b == a || fb.hi_along(axis) < fa.lo_along(axis) {
                 continue;
             }
+            let (b0, b1) = (fb.lo_across(axis), fb.hi_across(axis));
+            let facing = b0 < a1 && a0 < b1;
             if fb.lo_along(axis) >= fa.hi_along(axis) {
-                let (b0, b1) = (fb.lo_across(axis), fb.hi_across(axis));
-                // Every wall frame starts before `fb` (the walk runs in
-                // low-edge order) and strictly overlaps `fa` across.
-                let shadowed = wall
+                if wall
                     .iter()
-                    .any(|&(hi, c0, c1)| hi <= fb.lo_along(axis) && c0 < b1 && b0 < c1);
-                if b0 < a1 && a0 < b1 {
-                    if fb.extent_along(axis) >= wide {
-                        push_wall(wall, (fb.hi_along(axis), b0, b1));
-                    }
-                    if !shadowed {
-                        let w = (fa.hi_along(axis) - bases[a]) - (fb.lo_along(axis) - bases[b]);
-                        raise(row, touched, b, w);
-                    }
-                }
-                if shadowed {
+                    .any(|&(hi, c0, c1)| hi <= fb.lo_along(axis) && c0 < b1 && b0 < c1)
+                {
                     continue;
                 }
+                let links = match group {
+                    Some(g) => {
+                        let load = || pins.load_frames(g, frames, bases, axis, pinned);
+                        let (start, end) = *pinned_at[g].get_or_insert_with(load);
+                        &pinned[start..end]
+                    }
+                    None => &[],
+                };
+                let (b_lo, b_hi) = (fb.lo_along(axis) - bases[b], fb.hi_along(axis) - bases[b]);
+                // The bound on `b − a` the pins already imply: a frame `d`
+                // pinned to `a` that ends before `fb` and faces it holds
+                // the frame pair `(d, b)`, and `d − a = 0`.
+                let linked = links[..links.partition_point(|p| p.lo < b1)]
+                    .iter()
+                    .rev()
+                    .take_while(|p| p.reach > b0)
+                    .filter(|p| p.hi > b0 && p.end <= fb.lo_along(axis))
+                    .map(|p| p.end_rel - b_lo)
+                    .max()
+                    .unwrap_or(i64::MIN);
+                // A bound of `t` puts `b`'s high edge `S` past `a`'s; every
+                // weight of `(a, b)` is at most `t + width(b)`.
+                let t = wide + a_hi - b_hi;
+                if linked >= t + (b_hi - b_lo) {
+                    continue;
+                }
+                let implied = if facing {
+                    raise(row, touched, b, a_hi - b_lo);
+                    linked.max(a_hi - b_lo)
+                } else {
+                    linked
+                };
+                if implied >= t {
+                    push_wall(wall, (fb.hi_along(axis), b0, b1));
+                }
+            }
+            if facing {
+                until = until.max(fb.hi_along(axis));
             }
             partners.push(b);
         }
@@ -1564,7 +1709,7 @@ fn enumerate_pairs(
                         continue;
                     }
                     work.hidden_tests += 1;
-                    if !cursor.hidden_between(i, j) {
+                    if !cursor.hidden_between(i, j, Some(until)) {
                         raise(row, touched, b, w);
                     }
                 }
@@ -1641,6 +1786,7 @@ fn sweep_axis(
         &owner,
         &frames,
         &bases,
+        &structure.pins,
         &opts.limits,
     )?;
 
@@ -1793,7 +1939,7 @@ fn solve_fixpoint(
     for &((a, b), d) in &emission.welds {
         sys.require_exact(vars[a], vars[b], d);
     }
-    for &(a, b) in &structure.pins {
+    for (a, b) in structure.pins.pairs() {
         sys.require_exact(vars[a], vars[b], 0);
     }
     let mut class_slots: Vec<Vec<usize>> = Vec::with_capacity(structure.classes.len());
@@ -2698,7 +2844,7 @@ mod tests {
                 {
                     continue;
                 }
-                if cursor.hidden_between(i, j) {
+                if cursor.hidden_between(i, j, None) {
                     continue;
                 }
                 let w = s + (ra.hi_along(axis) - bases[a]) - (rb.lo_along(axis) - bases[b]);
@@ -2730,12 +2876,17 @@ mod tests {
         (rng.next_u64() % n) as i64
     }
 
-    /// A random assembly: instances of three random leaves in all eight
-    /// orientations, plus loose boxes, packed tightly enough that bodies
-    /// nest and spacing windows catch diagonal pairs. Corners sit on an
-    /// even grid so same-layer material of separate clusters often abuts
-    /// (a weld).
-    fn random_assembly(rng: &mut Rng, r: &DesignRules) -> (Vec<Item>, Vec<Arc<CellAbstract>>) {
+    /// Movable items and their shapes, as `compact_cell_with` builds them.
+    type Assembly = (Vec<Item>, Vec<Arc<CellAbstract>>);
+
+    /// Random leaves and the cell ids their instances are keyed by.
+    struct Library {
+        leaves: Vec<Vec<(Layer, Rect)>>,
+        ids: Vec<CellId>,
+    }
+
+    /// A random box on one of five layers, its corner on an even grid.
+    fn random_box(rng: &mut Rng) -> (Layer, Rect) {
         const LAYERS: [Layer; 5] = [
             Layer::Poly,
             Layer::Metal1,
@@ -2743,66 +2894,136 @@ mod tests {
             Layer::Metal2,
             Layer::Well,
         ];
-        let random_box = |rng: &mut Rng| {
-            let (x, y) = (2 * pick(rng, 6), 2 * pick(rng, 6));
-            let (w, h) = (1 + pick(rng, 8), 1 + pick(rng, 8));
-            (
-                LAYERS[pick(rng, 5) as usize],
-                Rect::from_coords(x, y, x + w, y + h),
-            )
-        };
+        let (x, y) = (2 * pick(rng, 6), 2 * pick(rng, 6));
+        let (w, h) = (1 + pick(rng, 8), 1 + pick(rng, 8));
+        (
+            LAYERS[pick(rng, 5) as usize],
+            Rect::from_coords(x, y, x + w, y + h),
+        )
+    }
+
+    /// Three random leaves of one to four boxes each.
+    fn random_leaves(rng: &mut Rng) -> Library {
         let leaves: Vec<Vec<(Layer, Rect)>> = (0..3)
             .map(|_| (0..1 + pick(rng, 4)).map(|_| random_box(rng)).collect())
             .collect();
-        let mut leaf_table = CellTable::new();
-        let leaf_ids: Vec<CellId> = (0..leaves.len())
+        let mut table = CellTable::new();
+        let ids = (0..leaves.len())
             .map(|i| {
-                leaf_table
+                table
                     .insert(CellDefinition::new(format!("leaf{i}")))
                     .unwrap()
             })
             .collect();
-        let (mut items, mut shapes) = (Vec::new(), Vec::new());
-        for object in 0..4 + pick(rng, 10) as usize {
+        Library { leaves, ids }
+    }
+
+    /// Appends an instance of leaf `def` in orientation `o` at `pos`.
+    fn place_leaf(
+        lib: &Library,
+        def: usize,
+        o: Orientation,
+        pos: Point,
+        r: &DesignRules,
+        out: &mut Assembly,
+    ) {
+        let iso = Isometry::orient(o);
+        let boxes: Vec<_> = lib.leaves[def]
+            .iter()
+            .map(|&(l, b)| (l, b.transform(iso)))
+            .collect();
+        let key = ShapeKey::Cell(lib.ids[def], (o.rotation as u8, o.mirror_y));
+        place(boxes, key, pos, r, out);
+    }
+
+    /// Appends one item of the given abstract boxes at `pos`.
+    fn place(
+        boxes: Vec<(Layer, Rect)>,
+        key: ShapeKey,
+        pos: Point,
+        r: &DesignRules,
+        (items, shapes): &mut Assembly,
+    ) {
+        shapes.push(Arc::new(CellAbstract::from_boxes(&boxes, r)));
+        items.push(Item {
+            object: items.len(),
+            pos,
+            key,
+            shape: shapes.len() - 1,
+        });
+    }
+
+    /// A random assembly: instances of three random leaves in all eight
+    /// orientations, plus loose boxes, packed tightly enough that bodies
+    /// nest and spacing windows catch diagonal pairs. Corners sit on an
+    /// even grid so same-layer material of separate clusters often abuts
+    /// (a weld).
+    fn random_assembly(rng: &mut Rng, r: &DesignRules) -> Assembly {
+        let lib = random_leaves(rng);
+        let mut out = (Vec::new(), Vec::new());
+        for _ in 0..4 + pick(rng, 10) as usize {
             let pos = Point::new(2 * pick(rng, 24), 2 * pick(rng, 24));
-            let (boxes, key) = if pick(rng, 4) == 0 {
+            if pick(rng, 4) == 0 {
                 let (l, b) = random_box(rng);
-                (
-                    vec![(l, b)],
-                    ShapeKey::Box(l.index(), (b.width(), b.height())),
-                )
+                let key = ShapeKey::Box(l.index(), (b.width(), b.height()));
+                place(vec![(l, b)], key, pos, r, &mut out);
             } else {
                 let def = pick(rng, 3) as usize;
                 let o = Orientation::ALL[pick(rng, 8) as usize];
-                let iso = Isometry::orient(o);
-                let boxes = leaves[def]
-                    .iter()
-                    .map(|&(l, b)| (l, b.transform(iso)))
-                    .collect::<Vec<_>>();
-                (
-                    boxes,
-                    ShapeKey::Cell(leaf_ids[def], (o.rotation as u8, o.mirror_y)),
-                )
-            };
-            shapes.push(Arc::new(CellAbstract::from_boxes(&boxes, r)));
-            items.push(Item {
-                object,
-                pos,
-                key,
-                shape: shapes.len() - 1,
-            });
+                place_leaf(&lib, def, o, pos, r, &mut out);
+            }
         }
-        (items, shapes)
+        out
+    }
+
+    /// A random array: rows × columns of three random leaves, all in
+    /// one of the eight orientations, on shared row and column origins.
+    /// The pitch is the leaves' joint extent plus a gap of 0 to 4, so the
+    /// next row's diagonal frames are partners and whole columns are
+    /// pinned. About one coordinate in six is jittered off its row or
+    /// column by 2, breaking that pin.
+    fn random_array(rng: &mut Rng, r: &DesignRules) -> Assembly {
+        let lib = random_leaves(rng);
+        let o = Orientation::ALL[pick(rng, 8) as usize];
+        let mut extent = BoundingBox::new();
+        for &(_, b) in lib.leaves.iter().flatten() {
+            extent.include_rect(b.transform(Isometry::orient(o)));
+        }
+        let extent = extent.rect().unwrap();
+        let (rows, cols) = (2 + pick(rng, 4), 2 + pick(rng, 4));
+        let px = extent.width() + 2 * pick(rng, 3);
+        let py = extent.height() + 2 * pick(rng, 3);
+        let jitter = |rng: &mut Rng| match pick(rng, 12) {
+            0 => -2,
+            1 => 2,
+            _ => 0,
+        };
+        let mut out = (Vec::new(), Vec::new());
+        for row in 0..rows {
+            for col in 0..cols {
+                let pos = Point::new(col * px + jitter(rng), row * py + jitter(rng));
+                let def = pick(rng, 3) as usize;
+                place_leaf(&lib, def, o, pos, r, &mut out);
+            }
+        }
+        out
     }
 
     /// Longest path from cluster `from` to `to` over `em`'s weights plus
-    /// its welds in both directions; `None` when `to` is unreachable and
-    /// `i64::MAX` when a positive cycle is reachable (an infeasible
-    /// system implies every constraint).
-    fn longest_path(n: usize, em: &Emission, from: usize, to: usize) -> Option<i64> {
+    /// its welds and `pins` (offset 0) in both directions; `None` when
+    /// `to` is unreachable and `i64::MAX` when a positive cycle is
+    /// reachable (an infeasible system implies every constraint).
+    fn longest_path(
+        n: usize,
+        em: &Emission,
+        pins: &PinGroups,
+        from: usize,
+        to: usize,
+    ) -> Option<i64> {
         let mut edges: Vec<(usize, usize, i64)> =
             em.weights.iter().map(|&((a, b), w)| (a, b, w)).collect();
-        for &((a, b), d) in &em.welds {
+        let exact = em.welds.iter().copied().chain(pins.pairs().map(|p| (p, 0)));
+        for ((a, b), d) in exact {
             edges.push((a, b, d));
             edges.push((b, a, -d));
         }
@@ -2825,9 +3046,14 @@ mod tests {
         Some(i64::MAX)
     }
 
-    /// The positions the sweep system of `em` alone solves to (`None`
-    /// when it is infeasible).
-    fn solve_emission(em: &Emission, bases: &[i64], axis: Axis) -> Option<Vec<i64>> {
+    /// The positions the sweep system of `em` and `pins` solves to
+    /// (`None` when it is infeasible).
+    fn solve_emission(
+        em: &Emission,
+        pins: &PinGroups,
+        bases: &[i64],
+        axis: Axis,
+    ) -> Option<Vec<i64>> {
         let min_base = bases.iter().copied().min().unwrap_or(0);
         let mut sys = ConstraintSystem::new_along(axis);
         let vars: Vec<_> = bases.iter().map(|&b| sys.add_var(b - min_base)).collect();
@@ -2837,22 +3063,27 @@ mod tests {
         for &((a, b), d) in &em.welds {
             sys.require_exact(vars[a], vars[b], d);
         }
+        for (a, b) in pins.pairs() {
+            sys.require_exact(vars[a], vars[b], 0);
+        }
         bf().solve_system(&sys, &[]).ok().map(|out| out.positions)
     }
 
     /// Checks one sweep's emission `got` against the all-pairs reference
     /// `want`: (a) every emitted pair is a reference pair with the same
     /// weight, and the welds are equal; (b) every reference pair left out
-    /// is implied by a longest path over the emitted weights and welds;
-    /// (c) the sweep systems built from either emission solve to the same
-    /// positions. Returns the number of pairs left out.
+    /// is implied by a longest path over the emitted weights, the welds
+    /// and the pins; (c) the sweep systems built from either emission
+    /// with the pins solve to the same positions. Returns the number of
+    /// pairs left out, and how many of them only the pins imply.
     fn check_against_reference(
         got: &Emission,
         want: &Emission,
+        pins: &PinGroups,
         bases: &[i64],
         axis: Axis,
         what: &str,
-    ) -> usize {
+    ) -> (usize, usize) {
         assert_eq!(got.welds, want.welds, "{what}: welds diverged");
         assert!(
             got.weights.windows(2).all(|w| w[0].0 < w[1].0),
@@ -2867,39 +3098,49 @@ mod tests {
             );
         }
         let emitted: HashSet<(usize, usize)> = got.weights.iter().map(|&(p, _)| p).collect();
-        let mut dropped = 0;
+        let (mut dropped, mut through_pins) = (0, 0);
         for &((a, b), w) in &want.weights {
             if emitted.contains(&(a, b)) {
                 continue;
             }
             dropped += 1;
-            let path = longest_path(bases.len(), got, a, b);
+            let path = longest_path(bases.len(), got, pins, a, b);
             assert!(
                 path.is_some_and(|p| p >= w),
                 "{what}: dropped ({a}, {b}) at {w} is not implied (longest path {path:?})"
             );
+            let unpinned = longest_path(bases.len(), got, &PinGroups::default(), a, b);
+            if unpinned.is_none_or(|p| p < w) {
+                through_pins += 1;
+            }
         }
         assert_eq!(
-            solve_emission(got, bases, axis),
-            solve_emission(want, bases, axis),
+            solve_emission(got, pins, bases, axis),
+            solve_emission(want, pins, bases, axis),
             "{what}: solutions diverged"
         );
-        dropped
+        (dropped, through_pins)
     }
 
     #[test]
     fn indexed_cell_pass_matches_the_all_pairs_reference() {
         let r = rules();
+        let table = CellTable::new();
         let mut rng = Rng::from_name("indexed_cell_pass_matches_the_all_pairs_reference");
+        let mut arrays = Rng::from_name("indexed_cell_pass_random_arrays");
         // A separate stream draws the relabelings, so the assemblies are
         // the same as without them.
         let mut relabel = Rng::from_name("indexed_cell_pass_relabeled_clusters");
         // Cases exercised: welds, diagonal pairs inside the L∞ window,
         // abutting frames, owners that are not contiguous, pairs the
-        // frame shadow drops.
-        let mut seen = [0usize; 5];
-        for _ in 0..400 {
-            let (items, shapes) = random_assembly(&mut rng, &r);
+        // frame shadow drops, pairs only the pins imply.
+        let mut seen = [0usize; 6];
+        for draw in 0..800 {
+            let (items, shapes) = if draw % 2 == 0 {
+                random_assembly(&mut rng, &r)
+            } else {
+                random_array(&mut arrays, &r)
+            };
             let clusters = rigid_clusters(&items, &shapes);
             assert_eq!(clusters, all_pairs_clusters(&items, &shapes));
             let positions: Vec<Point> = items.iter().map(|i| i.pos).collect();
@@ -2929,10 +3170,16 @@ mod tests {
                     .iter()
                     .map(|c| along(positions[c.rep], axis))
                     .collect();
+                let pins = axis_structure(&table, axis, &items, &clusters).pins;
                 let want = all_pairs_emission(&scan.index, &r, &owner, &frames, &bases);
                 let (got, work) =
-                    enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &Limits::NONE).unwrap();
-                seen[4] += check_against_reference(&got, &want, &bases, axis, &format!("{axis}"));
+                    enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &pins, &Limits::NONE)
+                        .unwrap();
+                let what = format!("draw {draw}, {axis}");
+                let (dropped, through_pins) =
+                    check_against_reference(&got, &want, &pins, &bases, axis, &what);
+                seen[4] += dropped;
+                seen[5] += through_pins;
                 assert!(work.hidden_tests <= work.box_pairs, "{work:?}");
 
                 // The same sweep with the clusters relabeled by a random
@@ -2953,11 +3200,20 @@ mod tests {
                 if owner_p.windows(2).any(|w| w[0] > w[1]) {
                     seen[3] += 1;
                 }
+                let pins_p = PinGroups::new(&bases_p);
                 let want = all_pairs_emission(&scan.index, &r, &owner_p, &frames_p, &bases_p);
-                let (got, work) =
-                    enumerate_pairs(&mut scan, &r, &owner_p, &frames_p, &bases_p, &Limits::NONE)
-                        .unwrap();
-                check_against_reference(&got, &want, &bases_p, axis, &format!("{axis} relabeled"));
+                let (got, work) = enumerate_pairs(
+                    &mut scan,
+                    &r,
+                    &owner_p,
+                    &frames_p,
+                    &bases_p,
+                    &pins_p,
+                    &Limits::NONE,
+                )
+                .unwrap();
+                let what = format!("{what} relabeled");
+                check_against_reference(&got, &want, &pins_p, &bases_p, axis, &what);
                 assert!(work.hidden_tests <= work.box_pairs, "{work:?}");
 
                 seen[0] += want.welds.len();
@@ -2984,8 +3240,14 @@ mod tests {
 
     /// One sweep of [`enumerate_pairs`] over hand-placed clusters:
     /// `boxes[k]` is `(cluster, layer, rect)`, each cluster's frame is
-    /// its boxes' bounding box and its base the frame's low edge.
+    /// its boxes' bounding box and its base the frame's low edge. No
+    /// cluster is pinned.
     fn emit(axis: Axis, boxes: &[(usize, Layer, Rect)]) -> Emission {
+        emit_with(axis, boxes, false)
+    }
+
+    /// [`emit`], with clusters of equal base pinned when `pinned`.
+    fn emit_with(axis: Axis, boxes: &[(usize, Layer, Rect)], pinned: bool) -> Emission {
         let n = boxes.iter().map(|b| b.0 + 1).max().unwrap_or(0);
         let mut scan = ScanScratch::new();
         let items = boxes.iter().map(|&(_, l, rect)| (l, rect)).collect();
@@ -3000,9 +3262,22 @@ mod tests {
             .iter()
             .map(|f| f.map_or(0, |f| f.lo_along(axis)))
             .collect();
-        enumerate_pairs(&mut scan, &rules(), &owner, &frames, &bases, &Limits::NONE)
-            .unwrap()
-            .0
+        let pins = if pinned {
+            PinGroups::new(&bases)
+        } else {
+            PinGroups::default()
+        };
+        enumerate_pairs(
+            &mut scan,
+            &rules(),
+            &owner,
+            &frames,
+            &bases,
+            &pins,
+            &Limits::NONE,
+        )
+        .unwrap()
+        .0
     }
 
     fn pairs_of(em: &Emission) -> Vec<(usize, usize)> {
@@ -3046,6 +3321,90 @@ mod tests {
         assert!(pairs_of(&em).contains(&(0, 2)), "{em:?}");
     }
 
+    /// A column of two 10-wide metal1 cells at x = 0 (clusters 0 and 1,
+    /// pinned when `pinned`) and, in the second cell's row, a cell
+    /// `width` wide at x = 20 and a far cell at x = 40: the far diagonal
+    /// pair is `(0, 3)`.
+    fn column_and_next_row(width: i64, pinned: bool) -> Emission {
+        let cell = |c: usize, x: i64, w: i64, y: i64| {
+            (c, Layer::Metal1, Rect::from_coords(x, y, x + w, y + 10))
+        };
+        let boxes = [
+            cell(0, 0, 10, 0),
+            cell(1, 0, 10, 12),
+            cell(2, 20, width, 12),
+            cell(3, 40, 10, 12),
+        ];
+        emit_with(Axis::X, &boxes, pinned)
+    }
+
+    #[test]
+    fn a_pinned_column_shadows_the_far_diagonal_of_the_next_row() {
+        // Cluster 1, pinned to 0, ends before cluster 2 and faces it, so
+        // the system holds 2 − 0 ≥ 10: cluster 2's high edge lies the
+        // largest rule (8) past cluster 0's, and it shadows cluster 3.
+        let em = column_and_next_row(10, true);
+        assert_eq!(pairs_of(&em), vec![(0, 2), (1, 2), (2, 3)]);
+        // At exactly the rule the link still walls.
+        let em = column_and_next_row(8, true);
+        assert_eq!(pairs_of(&em), vec![(0, 2), (1, 2), (2, 3)]);
+    }
+
+    #[test]
+    fn an_unpinned_column_keeps_the_far_diagonal_of_the_next_row() {
+        let em = column_and_next_row(10, false);
+        assert_eq!(pairs_of(&em), vec![(0, 2), (0, 3), (1, 2), (2, 3)]);
+        // Pinned, but one short of the rule: no wall, from either cell
+        // of the column.
+        let em = column_and_next_row(7, true);
+        assert_eq!(pairs_of(&em), vec![(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+    }
+
+    #[test]
+    fn the_link_scan_looks_past_a_pinned_frame_that_misses_the_partner() {
+        // Clusters 0, 1 and 2 are pinned at x = 0. In low-edge order
+        // across, the tall frame 1 comes before 2, which lies wholly below
+        // cluster 3 across but ends far along: only 1 links to 3, and its
+        // bound 10 reaches `T` = 8 but not `U` = 18, so 3 stays a partner
+        // of 0 and walls off 4.
+        let m2 = |c: usize, x0: i64, y0: i64, x1: i64, y1: i64| {
+            (c, Layer::Metal2, Rect::from_coords(x0, y0, x1, y1))
+        };
+        let em = emit_with(
+            Axis::X,
+            &[
+                m2(0, 0, 0, 10, 10),
+                m2(1, 0, 12, 10, 40),
+                m2(2, 0, 14, 30, 16),
+                m2(3, 40, 17, 50, 27),
+                m2(4, 60, 17, 70, 27),
+            ],
+            true,
+        );
+        let pairs = pairs_of(&em);
+        assert!(pairs.contains(&(0, 3)), "{em:?}");
+        assert!(!pairs.contains(&(0, 4)), "{em:?}");
+    }
+
+    #[test]
+    fn the_oracle_cap_reaches_the_furthest_facing_partner() {
+        // Cluster 1's poly bar covers the gap between cluster 0's poly
+        // and the box of cluster 2 at x = 40, which starts 2 past its
+        // frame: the spacing candidate (6) would beat the frame weight
+        // (4) if it were not hidden.
+        let em = emit(
+            Axis::X,
+            &[
+                (0, Layer::Poly, Rect::from_coords(0, 0, 4, 10)),
+                (1, Layer::Poly, Rect::from_coords(4, 0, 40, 10)),
+                (2, Layer::Poly, Rect::from_coords(40, 0, 44, 10)),
+                (2, Layer::Poly, Rect::from_coords(38, 20, 42, 24)),
+            ],
+        );
+        assert_eq!(em.weights, vec![((0, 1), 4), ((0, 2), 4)]);
+        assert_eq!(em.welds, vec![((0, 1), 4), ((1, 2), 34)]);
+    }
+
     #[test]
     fn abutting_clusters_that_overlap_along_still_weld() {
         // Two metal1 bars share the edge y = 10 over x ∈ [5, 10].
@@ -3082,9 +3441,27 @@ mod tests {
             deadline: Some(std::time::Instant::now() - std::time::Duration::from_secs(1)),
             ..Limits::NONE
         };
-        let err = enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &expired).unwrap_err();
+        let err = enumerate_pairs(
+            &mut scan,
+            &r,
+            &owner,
+            &frames,
+            &bases,
+            &PinGroups::default(),
+            &expired,
+        )
+        .unwrap_err();
         assert_eq!(err.resource, crate::limits::Resource::Deadline);
-        assert!(enumerate_pairs(&mut scan, &r, &owner, &frames, &bases, &Limits::NONE).is_ok());
+        assert!(enumerate_pairs(
+            &mut scan,
+            &r,
+            &owner,
+            &frames,
+            &bases,
+            &PinGroups::default(),
+            &Limits::NONE
+        )
+        .is_ok());
     }
 
     /// The flatten-based reference the composed abstracts replaced: one

@@ -907,7 +907,7 @@ mod tests {
                     || a.rect.lo_across(axis) >= b.rect.hi_across(axis)
                     || b.rect.lo_across(axis) >= a.rect.hi_across(axis)
                     || (a.layer == b.layer && a.rect.intersect(b.rect).is_some())
-                    || cursor.hidden_between(i, j)
+                    || cursor.hidden_between(i, j, None)
                 {
                     continue;
                 }

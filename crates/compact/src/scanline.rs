@@ -205,7 +205,11 @@ pub(crate) fn scan_spacings(
     for i in 0..index.len() {
         spacing_candidates(index, rules, i, cand);
         for &(j, spacing) in cand.iter() {
-            if !pair(i, j) || cursor.as_mut().is_some_and(|c| c.hidden_between(i, j)) {
+            if !pair(i, j)
+                || cursor
+                    .as_mut()
+                    .is_some_and(|c| c.hidden_between(i, j, None))
+            {
                 continue;
             }
             spacings.push((i, j, spacing));
@@ -375,7 +379,16 @@ impl<'a> VisibilityCursor<'a> {
     /// equivalent to the retired per-pair region scan. Queries for one
     /// `i` should be batched (as the generation loops naturally do):
     /// switching `i` drops the cached profiles.
-    pub(crate) fn hidden_between(&mut self, i: usize, j: usize) -> bool {
+    ///
+    /// Each profile is built once, up to a cap: a profile's reach is
+    /// exact up to it, so material past the cap cannot decide a query
+    /// whose `j` starts at or before it. `None` caps at the furthest low
+    /// edge on `j`'s layer in the whole index, which bounds every query.
+    /// A caller that knows a tighter bound on the low edge of every `j`
+    /// it queries for this `i` with an overlapping across span passes it:
+    /// the hierarchical cell pass caps at the furthest high edge of a
+    /// partner frame facing the source cluster.
+    pub(crate) fn hidden_between(&mut self, i: usize, j: usize, cap: Option<i64>) -> bool {
         let axis = self.index.axis();
         let (layer_i, ra) = self.index.items()[i];
         let (layer_j, rb) = self.index.items()[j];
@@ -393,9 +406,10 @@ impl<'a> VisibilityCursor<'a> {
         if let Some((_, profile)) = self.profiles.iter().find(|(l, _)| *l == layer_j) {
             return profile.min_reach((c0, c1)) >= a1;
         }
-        // Material past the furthest candidate low edge can never
-        // decide a query, so the profile is capped there.
-        let until = self.index.max_lo(layer_j).unwrap_or(a0).max(a0);
+        let until = cap
+            .or_else(|| self.index.max_lo(layer_j))
+            .unwrap_or(a0)
+            .max(a0);
         let window = (ra.lo_across(axis), ra.hi_across(axis));
         let profile = self
             .index

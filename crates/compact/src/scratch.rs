@@ -13,7 +13,7 @@
 //! The hierarchical walker also keeps each axis's last solve there, so a
 //! confirming sweep whose constraints repeat is not solved again.
 
-use crate::hier::Emission;
+use crate::hier::{Emission, PinnedFrame};
 use crate::ConstraintSystem;
 use rsg_geom::{Axis, CoverageProfile, GeomIndex, Rect};
 use rsg_layout::Layer;
@@ -57,6 +57,11 @@ pub struct ScanScratch {
     pub(crate) wall: Vec<(i64, i64, i64)>,
     /// The current source cluster's partner clusters (not shadowed).
     pub(crate) partners: Vec<usize>,
+    /// The hierarchical sweep's pinned frames, one run per pin group
+    /// loaded so far.
+    pub(crate) pinned: Vec<PinnedFrame>,
+    /// Each pin group's run in `pinned`, once loaded.
+    pub(crate) pinned_at: Vec<Option<(usize, usize)>>,
 }
 
 impl ScanScratch {
@@ -76,6 +81,8 @@ impl ScanScratch {
             owned: Vec::new(),
             wall: Vec::new(),
             partners: Vec::new(),
+            pinned: Vec::new(),
+            pinned_at: Vec::new(),
         }
     }
 }
